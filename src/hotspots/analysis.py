@@ -6,11 +6,14 @@ inequality suite, and the final verdict.
 Critical points of the continuum eigenfunction are approximated by
 combinatorial (Banchoff) critical vertices of the P1 interpolant: an interior
 vertex is classified by the cyclic sign sequence of psi(neighbor)-psi(vertex)
-around its link (0 alternations: extremum, >= 4: saddle, 2: regular).  Ties
-within 1e-12*||psi||_inf are resolved by vertex index (simulation of
-simplicity).  The verdict flags a critical vertex only if its
-farthest-boundary distance undercuts the exclusion threshold by more than
-2*h_max, absorbing the O(h) localization error.
+around its link (0 alternations: extremum, >= 4: saddle, 2: regular).  The
+alternations are counted per triangle fan: each triangle at the vertex
+contributes one link edge, which alternates iff its two ends differ in sign,
+so no angular sort of the link is needed.  Ties within 1e-12*||psi||_inf are
+resolved by vertex index (simulation of simplicity).  The verdict flags a
+critical vertex only if its farthest-boundary distance undercuts the
+exclusion threshold by more than 2*h_max, absorbing the O(h) localization
+error.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .bessel import SpectralConstants, j1_eval, j0_eval
+from .bessel import SpectralConstants, j0_array, j1_array
 from .errors import (
     AnchorNotVertex,
     AnchorOnBoundary,
@@ -30,9 +35,11 @@ from .errors import (
 )
 from .fem import rayleigh
 from .geometry import ConvexPolygon, Point, diameter, farthest_boundary_distance, inradius
-from .meshing import TriMesh, boundary_distances, interpolate
+from .meshing import TriMesh, interpolate
 
 TIE_REL = 1e-12
+# The two triangle columns other than column i, in order.
+_DUO_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
 BRANCH_SAMPLES = 256
 BRANCH_TIE_REL = 1e-10
 
@@ -97,44 +104,29 @@ class RayleighDefect:
 
 # --- critical points ----------------------------------------------------------
 
-def _vertex_links(mesh: TriMesh) -> list[np.ndarray]:
-    """Neighbors of each vertex sorted by angle around it (cyclic link order)."""
-    n = mesh.vertex_count
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b, c in mesh.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    verts = mesh.vertices
-    links = []
-    for v in range(n):
-        arr = np.fromiter(nbrs[v], dtype=int)
-        d = verts[arr] - verts[v]
-        links.append(arr[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")])
-    return links
-
-
-def _alternations(signs: np.ndarray) -> int:
-    return int(np.sum(signs != np.roll(signs, 1)))
-
-
 def find_critical_points(
     mesh: TriMesh, psi: np.ndarray, poly: ConvexPolygon
 ) -> list[CriticalPoint]:
-    """Banchoff classification of every interior vertex of the P1 field."""
+    """Banchoff classification of every interior vertex of the P1 field.
+
+    The link cycle of an interior vertex v is formed by the edges opposite v
+    in its triangle fan, so its sign alternations are the fan triangles whose
+    two other vertices get different signs relative to v.
+    """
     tie = TIE_REL * float(np.abs(psi).max())
-    links = _vertex_links(mesh)
+    n = mesh.vertex_count
+    alt = np.zeros(n, dtype=int)
+    first_sign = np.zeros(n)
+    tris = mesh.triangles
+    for k in range(3):
+        v, a, b = tris[:, k], tris[:, (k + 1) % 3], tris[:, (k + 2) % 3]
+        sa = _link_signs(psi, tie, v, a)
+        alt += np.bincount(v, weights=sa != _link_signs(psi, tie, v, b),
+                           minlength=n).astype(int)
+        first_sign[v] = sa
     out = []
-    for v in np.nonzero(mesh.interior_mask)[0]:
-        link = links[int(v)]
-        diffs = psi[link] - psi[v]
-        signs = np.where(
-            np.abs(diffs) <= tie, np.where(link > v, 1.0, -1.0), np.sign(diffs)
-        )
-        alt = _alternations(signs)
-        if alt == 2:
-            continue
-        kind = "saddle" if alt >= 4 else ("min" if signs[0] > 0 else "max")
+    for v in np.nonzero(mesh.interior_mask & (alt != 2))[0]:
+        kind = "saddle" if alt[v] >= 4 else ("min" if first_sign[v] > 0 else "max")
         loc = Point(float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
         out.append(
             CriticalPoint(
@@ -142,11 +134,17 @@ def find_critical_points(
                 location=loc,
                 value=float(psi[v]),
                 kind=kind,
-                alternations=alt,
+                alternations=int(alt[v]),
                 farthest_distance=farthest_boundary_distance(poly, loc),
             )
         )
     return out
+
+
+def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sign of psi(u) - psi(v), ties within `tie` broken by vertex index."""
+    diffs = psi[u] - psi[v]
+    return np.where(np.abs(diffs) <= tie, np.where(u > v, 1.0, -1.0), np.sign(diffs))
 
 
 def theorem_check(
@@ -188,8 +186,7 @@ def build_comparison(
     if psi[idx] < 0.0:
         psi = -psi
     root_mu = math.sqrt(mu2)
-    radial = np.array([j0_eval(root_mu * r) for r in dist])
-    w = psi[idx] * radial - psi
+    w = psi[idx] * j0_array(root_mu * dist) - psi
     return ComparisonField(
         anchor=Point(float(mesh.vertices[idx, 0]), float(mesh.vertices[idx, 1])),
         anchor_index=idx,
@@ -219,31 +216,16 @@ def branch_count(mesh: TriMesh, field: ComparisonField, radius: float) -> int:
     signs = signs[np.abs(vals) > tie]
     if len(signs) == 0:
         return 0
-    return _alternations(signs)
+    return int(np.sum(signs != np.roll(signs, 1)))
 
 
 # --- nodal structure -------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def nodal_decomposition(mesh: TriMesh, w: np.ndarray) -> NodalDecomposition:
     """Zero-crossing segments of the P1 interpolant plus signed components.
 
-    A component touches the boundary iff it owns a boundary vertex or any
+    Components are numbered in order of their lowest vertex index. A
+    component touches the boundary iff it owns a boundary vertex or any
     vertex within h_max of the boundary; components failing that are the
     interior nodal domains the decomposition exists to detect.
     """
@@ -252,51 +234,39 @@ def nodal_decomposition(mesh: TriMesh, w: np.ndarray) -> NodalDecomposition:
     tie = TIE_REL * float(np.abs(w).max()) if np.any(w) else 0.0
     signed = np.where(np.abs(w) <= tie, 0, np.where(w > 0.0, 1, -1))
 
-    uf = _UnionFind(n)
-    edges = set()
-    for a, b, c in mesh.triangles:
-        edges.update({(min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c))})
-    for a, b in edges:
-        if signed[a] != 0 and signed[a] == signed[b]:
-            uf.union(a, b)
-
+    a, b = mesh.edges.T
+    same = (signed[a] != 0) & (signed[a] == signed[b])
+    graph = coo_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(n, n))
+    _, raw = connected_components(graph, directed=False)
+    # Renumber by each component's lowest vertex, not scipy's label order.
+    kept = np.flatnonzero(signed)
+    _, first, comp = np.unique(raw[kept], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
     labels = np.full(n, -1)
-    roots: dict[int, int] = {}
-    for v in range(n):
-        if signed[v] == 0:
-            continue
-        r = uf.find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[v] = roots[r]
-    n_comp = len(roots)
+    labels[kept] = rank[comp]
+    n_comp = len(first)
 
     comp_signs = np.zeros(n_comp, dtype=int)
-    for v in range(n):
-        if labels[v] >= 0:
-            comp_signs[labels[v]] = signed[v]
-
-    near = boundary_distances(mesh, mesh.vertices) <= mesh.h_max
+    comp_signs[labels[kept]] = signed[kept]
     touches = np.zeros(n_comp, dtype=bool)
-    boundary_vertex = ~mesh.interior_mask
-    for v in range(n):
-        if labels[v] >= 0 and (boundary_vertex[v] or near[v]):
-            touches[labels[v]] = True
+    near = ~mesh.interior_mask | (mesh.boundary_clearance <= mesh.h_max)
+    touches[labels[kept[near[kept]]]] = True
 
-    segments = []
+    # Per mixed-sign triangle, cut the two edges leaving its odd-signed
+    # vertex ("solo"), the other two ("duo") taken in triangle order.
+    tris = mesh.triangles
+    pos = w[tris] > 0.0
+    n_pos = pos.sum(axis=1)
+    mixed = (n_pos == 1) | (n_pos == 2)
+    tris, pos = tris[mixed], pos[mixed]
+    solo_col = np.argmax(pos == (n_pos[mixed] == 1)[:, None], axis=1)
+    rows = np.arange(len(tris))
+    solo = tris[rows, solo_col]
+    duo = tris[rows[:, None], _DUO_COLUMNS[solo_col]]
+    t = w[solo][:, None] / (w[solo][:, None] - w[duo])
     verts = mesh.vertices
-    for tri in mesh.triangles:
-        pos = [int(v) for v in tri if w[v] > 0.0]
-        neg = [int(v) for v in tri if w[v] <= 0.0]
-        if not pos or not neg:
-            continue
-        solo, duo = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
-        cut = []
-        for other in duo:
-            t = w[solo] / (w[solo] - w[other])
-            cut.append(verts[solo] + t * (verts[other] - verts[solo]))
-        segments.append(cut)
-    seg_arr = np.array(segments) if segments else np.empty((0, 2, 2))
+    seg_arr = verts[solo][:, None, :] + t[:, :, None] * (verts[duo] - verts[solo][:, None, :])
 
     return NodalDecomposition(
         segments=seg_arr,
@@ -326,7 +296,7 @@ def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
     rel = mids - x0
     r = np.hypot(rel[:, 0], rel[:, 1])
     root_mu = math.sqrt(field.mu2)
-    deriv = np.array([-j1_eval(root_mu * ri) for ri in r])
+    deriv = -j1_array(root_mu * r)
     dots = np.einsum("ij,ij->i", rel, mesh.boundary_normals)
     return field.psi_at_anchor * root_mu * deriv * dots / r
 

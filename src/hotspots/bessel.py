@@ -15,6 +15,8 @@ Self-contained evaluators, no special-function library anywhere:
   is regression-tested for continuity.
 
 Both branches deliver absolute error <= 1e-12 on [0, 50].
+``j0_array``/``j1_array`` run the same series element-wise over arrays and
+return exactly the scalar evaluators' bits.
 
 The zeros j0 (of J0), j1 (of J1) and j'_{1,1} (of J1') are found once by
 bisection bracketing + Newton polishing and cached; ``c_excl = j1/(2 j0)``
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConvergenceFailure, NonFiniteInput
 
@@ -81,33 +85,51 @@ def _dd_div_f(xh: float, xl: float, f: float) -> tuple[float, float]:
 
 # --- ascending series (x <= cutoff) -----------------------------------------
 
-def _j0_series(x: float) -> float:
+def _series(x: float, order: int) -> tuple[float, float]:
+    """Double-double sum of the ascending series of J_order without its
+    (x/2)^order factor, stopping at the first term below 1e-17."""
     h = 0.5 * x
     qh, ql = _two_prod(h, h)
     th, tl = 1.0, 0.0
     sh, sl = 1.0, 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_f(th, tl, float(-k * k))
+        th, tl = _dd_div_f(th, tl, float(-k * (k + order)))
         sh, sl = _dd_add(sh, sl, th, tl)
         if abs(th) < 1e-17:
             break
+    return sh, sl
+
+
+def _j0_series(x: float) -> float:
+    sh, sl = _series(x, 0)
     return sh + sl
 
 
 def _j1_series(x: float) -> float:
+    sh, sl = _series(x, 1)
+    rh, rl = _dd_mul(sh, sl, 0.5 * x, 0.0)
+    return rh + rl
+
+
+def _series_array(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise double-double sum of the ascending series of J_order
+    without its (x/2)^order factor: the scalar series' operations, with
+    each element leaving the loop at its own |t| < 1e-17 term."""
     h = 0.5 * x
     qh, ql = _two_prod(h, h)
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
+    sh, sl = np.ones_like(x), np.zeros_like(x)
+    th, tl = sh.copy(), sl.copy()
+    live = np.arange(len(x))
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_f(th, tl, float(-k * (k + 1)))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if abs(th) < 1e-17:
+        th, tl = _dd_mul(th, tl, qh[live], ql[live])
+        th, tl = _dd_div_f(th, tl, float(-k * (k + order)))
+        sh[live], sl[live] = _dd_add(sh[live], sl[live], th, tl)
+        going = np.abs(th) >= 1e-17
+        live, th, tl = live[going], th[going], tl[going]
+        if not len(live):
             break
-    rh, rl = _dd_mul(sh, sl, h, 0.0)
-    return rh + rl
+    return sh, sl
 
 
 # --- Hankel asymptotics (x > cutoff) -----------------------------------------
@@ -168,6 +190,32 @@ def j1_eval(x: float) -> float:
     if x <= _SERIES_CUTOFF:
         return _j1_series(x)
     return _hankel(1, x)
+
+
+def _eval_array(x, order: int, scalar) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("arguments must be finite")
+    if np.any(x < 0.0):
+        raise ValueError("arguments must be >= 0")
+    out = np.empty_like(x)
+    small = x <= _SERIES_CUTOFF
+    sh, sl = _series_array(x[small], order)
+    if order:
+        sh, sl = _dd_mul(sh, sl, 0.5 * x[small], 0.0)
+    out[small] = sh + sl
+    out[~small] = [scalar(v) for v in x[~small]]
+    return out
+
+
+def j0_array(x) -> np.ndarray:
+    """J0 element-wise over a 1-d array; bit-identical to ``j0_eval``."""
+    return _eval_array(x, 0, j0_eval)
+
+
+def j1_array(x) -> np.ndarray:
+    """J1 element-wise over a 1-d array; bit-identical to ``j1_eval``."""
+    return _eval_array(x, 1, j1_eval)
 
 
 def j0_derivative(x: float) -> float:

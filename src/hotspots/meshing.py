@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -48,6 +49,19 @@ class TriMesh:
     @property
     def triangle_count(self) -> int:
         return len(self.triangles)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(e, 2) unique vertex pairs (a < b), sorted lexicographically."""
+        t = self.triangles.astype(np.int64)
+        pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+        keys = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1])
+        return np.column_stack(np.divmod(keys, self.vertex_count))
+
+    @cached_property
+    def boundary_clearance(self) -> np.ndarray:
+        """(n,) distance from each vertex to the boundary."""
+        return boundary_distances(self, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -167,22 +181,22 @@ def _assemble(poly: ConvexPolygon, points: np.ndarray, n_boundary: int) -> TriMe
 def _smooth(points: np.ndarray, movable: np.ndarray, passes: int) -> np.ndarray:
     pts = points.copy()
     for _ in range(passes):
-        tri = Delaunay(pts)
-        nbr_sum = np.zeros_like(pts)
-        nbr_cnt = np.zeros(len(pts))
-        indptr, indices = tri.vertex_neighbor_vertices
-        for v in np.nonzero(movable)[0]:
-            nbrs = indices[indptr[v]:indptr[v + 1]]
-            nbr_sum[v] = pts[nbrs].sum(axis=0)
-            nbr_cnt[v] = len(nbrs)
+        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+        nbr_cnt = np.diff(indptr)
+        owner = np.repeat(np.arange(len(pts)), nbr_cnt)
+        nbr_sum = np.column_stack([
+            np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
+            for j in (0, 1)
+        ])
         upd = movable & (nbr_cnt > 0)
         pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
     return pts
 
 
 def generate(poly: ConvexPolygon, h: float) -> TriMesh:
-    """Mesh the polygon at target edge length h; min angle >= 20 deg or
-    QualityFailure after the circumcenter-insertion retry budget."""
+    """Mesh the polygon at target edge length h; min angle >= 20 deg (or
+    just under the sharpest polygon corner, which no triangle there can
+    exceed) or QualityFailure after the circumcenter-insertion retry budget."""
     diam, _ = diameter(poly)
     if not (0.0 < h < diam / 4.0):
         raise InvalidH(f"need 0 < h < diam/4 = {diam / 4.0:g}, got {h}")
@@ -216,6 +230,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     keep = depth.min(axis=1) >= 0.5 * h
     interior_pts = lattice[keep]
 
+    target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
     points = np.vstack([boundary_pts, interior_pts]) if len(interior_pts) else boundary_pts
     movable = np.zeros(len(points), dtype=bool)
     movable[len(boundary_pts):] = True
@@ -224,9 +239,9 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
 
     for _ in range(QUALITY_RETRIES):
         angles = _min_angles_deg(mesh.vertices, mesh.triangles)
-        if angles.min() >= MIN_ANGLE_DEG:
+        if angles.min() >= target:
             return mesh
-        bad = mesh.triangles[angles < MIN_ANGLE_DEG]
+        bad = mesh.triangles[angles < target]
         cc = _circumcenters(mesh.vertices, bad)
         # clearance proportional to the offending triangle, not the global h:
         # badly graded boundary layers need insertions near the boundary
@@ -242,11 +257,20 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         mesh = _assemble(poly, points, len(boundary_pts))
 
     angles = _min_angles_deg(mesh.vertices, mesh.triangles)
-    if angles.min() < MIN_ANGLE_DEG:
+    if angles.min() < target:
         raise QualityFailure(
-            f"min angle {angles.min():.2f} deg < {MIN_ANGLE_DEG} after retries"
+            f"min angle {angles.min():.2f} deg < {target} after retries"
         )
     return mesh
+
+
+def _sharpest_corner_deg(verts: np.ndarray) -> float:
+    to_prev = np.roll(verts, 1, axis=0) - verts
+    to_next = np.roll(verts, -1, axis=0) - verts
+    cos = np.einsum("ij,ij->i", to_prev, to_next) / (
+        np.linalg.norm(to_prev, axis=1) * np.linalg.norm(to_next, axis=1)
+    )
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min())
 
 
 def _circumcenters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -267,55 +291,37 @@ def refine(mesh: TriMesh) -> TriMesh:
     on the (straight) polygon edges, h_max halves."""
     verts = mesh.vertices
     tris = mesh.triangles
-    edge_ids: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key not in edge_ids:
-                edge_ids[key] = 0
+    edges = mesh.edges
     n0 = len(verts)
-    ordered = sorted(edge_ids)
-    for pos, key in enumerate(ordered):
-        edge_ids[key] = n0 + pos
-    new_verts = np.vstack([verts, [0.5 * (verts[a] + verts[b]) for a, b in ordered]])
+    new_verts = np.vstack([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
+    keys = edges[:, 0] * n0 + edges[:, 1]
 
-    def mid(a: int, b: int) -> int:
-        return edge_ids[(min(a, b), max(a, b))]
+    def mid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return n0 + np.searchsorted(keys, np.minimum(p, q) * n0 + np.maximum(p, q))
 
-    new_tris = np.empty((4 * len(tris), 3), dtype=tris.dtype)
-    for i, (a, b, c) in enumerate(tris):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris[4 * i + 0] = (a, mab, mca)
-        new_tris[4 * i + 1] = (mab, b, mbc)
-        new_tris[4 * i + 2] = (mca, mbc, c)
-        new_tris[4 * i + 3] = (mab, mbc, mca)
+    a, b, c = tris.astype(np.int64).T
+    mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+    new_tris = np.stack([
+        np.column_stack([a, mab, mca]),
+        np.column_stack([mab, b, mbc]),
+        np.column_stack([mca, mbc, c]),
+        np.column_stack([mab, mbc, mca]),
+    ], axis=1).reshape(-1, 3).astype(tris.dtype)
 
-    loops = []
-    norms = []
-    srcs = []
-    for (a, b), nrm, src in zip(
-        mesh.boundary_edges, mesh.boundary_normals, mesh.boundary_edge_source
-    ):
-        m = mid(a, b)
-        loops.append((a, m))
-        loops.append((m, b))
-        norms.append(nrm)
-        norms.append(nrm)
-        srcs.append(src)
-        srcs.append(src)
+    ba, bb = mesh.boundary_edges.astype(np.int64).T
+    bm = mid(ba, bb)
+    loops = np.column_stack([ba, bm, bm, bb]).reshape(-1, 2)
 
     interior = np.ones(len(new_verts), dtype=bool)
     interior[:n0] = mesh.interior_mask
-    for a, b in loops:
-        interior[a] = False
-        interior[b] = False
+    interior[loops.ravel()] = False
 
     return TriMesh(
         vertices=new_verts,
         triangles=new_tris,
-        boundary_edges=np.array(loops),
-        boundary_normals=np.array(norms),
-        boundary_edge_source=np.array(srcs),
+        boundary_edges=loops,
+        boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
+        boundary_edge_source=np.repeat(mesh.boundary_edge_source, 2),
         h_max=float(_edge_lengths(new_verts, new_tris).max()),
         interior_mask=interior,
     )

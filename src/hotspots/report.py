@@ -31,7 +31,7 @@ from .geometry import (
     inradius,
     min_enclosing_circle,
 )
-from .meshing import boundary_distances, dump_mesh, generate, quality, refine
+from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
 REPORT_SCHEMA = 1
@@ -141,7 +141,7 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
     flux = ana.boundary_flux(fld, mesh)
     f_anchor = ana.farthest_boundary_distance(poly, anchor)
     flux_bound_applies = math.sqrt(mu2) * f_anchor <= consts.j1
-    clearance = float(boundary_distances(mesh, mesh.vertices[anchor_vertex])[0])
+    clearance = float(mesh.boundary_clearance[anchor_vertex])
     d, _ = diameter(poly)
     radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * d))
     branches = None
@@ -203,15 +203,19 @@ def run_verify(
     consts = find_constants()
 
     spec = stages.run("input", lambda: load_spec(spec_path))
-    poly = stages.run("realize", lambda: realize(spec))
-    d, endpoints = diameter(poly)
+
+    def realize_domain():
+        poly = realize(spec)
+        return poly, diameter(poly)
+
+    poly, (d, endpoints) = stages.run("realize", realize_domain)
     if h is None:
         h = d / 50.0
 
     mesh = stages.run("mesh", lambda: generate(poly, h))
     for _ in range(max(0, refinements)):
         mesh = stages.run("refine", lambda: refine(mesh))
-    mq = quality(mesh)
+    mq = stages.run("quality", lambda: quality(mesh))
 
     k_mat = stages.run("assemble", lambda: fem.assemble_stiffness(mesh))
     m_mat = stages.run("assemble_mass", lambda: fem.assemble_mass(mesh))
@@ -226,8 +230,9 @@ def run_verify(
     mu2 = float(neumann.eigenvalues[1])
     lambda1 = float(dirichlet.eigenvalues[0])
 
-    rho, rho_center = stages.run("geometry", lambda: inradius(poly))
-    mec = min_enclosing_circle(poly)
+    (rho, rho_center), mec = stages.run(
+        "geometry", lambda: (inradius(poly), min_enclosing_circle(poly))
+    )
     region = stages.run("exclusion_region", lambda: exclusion_region(poly, consts.c_excl))
 
     def analyze():
@@ -400,13 +405,7 @@ def write_report_svg(report: VerificationReport | dict, out_path,
         extrema.append(entry["min"]["location"])
     mesh_edges = None
     if show_mesh and mesh is not None:
-        seen = set()
-        for tri in mesh.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                seen.add((min(a, b), max(a, b)))
-        mesh_edges = [
-            [list(mesh.vertices[a]), list(mesh.vertices[b])] for a, b in sorted(seen)
-        ]
+        mesh_edges = [[list(mesh.vertices[a]), list(mesh.vertices[b])] for a, b in mesh.edges]
     render_svg(
         polygon=doc["render"]["polygon"],
         region_boundary=doc["render"]["region_boundary"],
@@ -435,8 +434,7 @@ def _sweep_one(args: tuple) -> dict:
     spec_path = out_dir / "spec.json"
     save_spec(spec, spec_path)
     try:
-        poly = realize(spec)
-        d, _ = diameter(poly)
+        d, _ = _Stages().run("realize", lambda: diameter(realize(spec)))
         report = run_verify(spec_path, h=h_rel * d, k=k, tol=tol, out_dir=out_dir)
     except StageError as exc:
         return {"index": index, "error": str(exc), "stage": exc.stage}

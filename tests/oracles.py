@@ -86,3 +86,120 @@ def brute_force_mec(vertices: np.ndarray) -> tuple[float, float, float]:
                 )
                 consider(ux, uy, r)
     return best
+
+
+# --- per-vertex reference loops for the vectorized mesh analysis -------------
+
+def _vertex_links(mesh) -> list:
+    """Neighbors of each vertex sorted by angle around it (cyclic link order)."""
+    n = mesh.vertex_count
+    nbrs = [set() for _ in range(n)]
+    for a, b, c in mesh.triangles:
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    verts = mesh.vertices
+    links = []
+    for v in range(n):
+        arr = np.fromiter(nbrs[v], dtype=int)
+        d = verts[arr] - verts[v]
+        links.append(arr[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")])
+    return links
+
+
+def banchoff_critical_points(mesh, psi, poly) -> list:
+    """Banchoff classification by walking each interior vertex's angularly
+    sorted link; ties within 1e-12*||psi||_inf broken by vertex index."""
+    from hotspots.analysis import TIE_REL, CriticalPoint
+    from hotspots.geometry import Point, farthest_boundary_distance
+
+    tie = TIE_REL * float(np.abs(psi).max())
+    links = _vertex_links(mesh)
+    out = []
+    for v in np.nonzero(mesh.interior_mask)[0]:
+        link = links[int(v)]
+        diffs = psi[link] - psi[v]
+        signs = np.where(
+            np.abs(diffs) <= tie, np.where(link > v, 1.0, -1.0), np.sign(diffs)
+        )
+        alt = int(np.sum(signs != np.roll(signs, 1)))
+        if alt == 2:
+            continue
+        kind = "saddle" if alt >= 4 else ("min" if signs[0] > 0 else "max")
+        loc = Point(float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
+        out.append(CriticalPoint(
+            vertex_id=int(v), location=loc, value=float(psi[v]), kind=kind,
+            alternations=alt, farthest_distance=farthest_boundary_distance(poly, loc),
+        ))
+    return out
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def union_find_nodal(mesh, w):
+    """Nodal decomposition by union-find over edges and a per-triangle
+    segment loop: (segments, labels, component_signs, touches_boundary)."""
+    from hotspots.analysis import TIE_REL
+    from hotspots.meshing import boundary_distances
+
+    w = np.asarray(w, dtype=float)
+    n = mesh.vertex_count
+    tie = TIE_REL * float(np.abs(w).max()) if np.any(w) else 0.0
+    signed = np.where(np.abs(w) <= tie, 0, np.where(w > 0.0, 1, -1))
+
+    uf = _UnionFind(n)
+    edges = set()
+    for a, b, c in mesh.triangles:
+        edges.update({(min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c))})
+    for a, b in edges:
+        if signed[a] != 0 and signed[a] == signed[b]:
+            uf.union(a, b)
+
+    labels = np.full(n, -1)
+    roots = {}
+    for v in range(n):
+        if signed[v] == 0:
+            continue
+        r = uf.find(v)
+        if r not in roots:
+            roots[r] = len(roots)
+        labels[v] = roots[r]
+    comp_signs = np.zeros(len(roots), dtype=int)
+    for v in range(n):
+        if labels[v] >= 0:
+            comp_signs[labels[v]] = signed[v]
+
+    near = boundary_distances(mesh, mesh.vertices) <= mesh.h_max
+    touches = np.zeros(len(roots), dtype=bool)
+    for v in range(n):
+        if labels[v] >= 0 and (not mesh.interior_mask[v] or near[v]):
+            touches[labels[v]] = True
+
+    segments = []
+    verts = mesh.vertices
+    for tri in mesh.triangles:
+        pos = [int(v) for v in tri if w[v] > 0.0]
+        neg = [int(v) for v in tri if w[v] <= 0.0]
+        if not pos or not neg:
+            continue
+        solo, duo = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+        segments.append([
+            verts[solo] + (w[solo] / (w[solo] - w[other])) * (verts[other] - verts[solo])
+            for other in duo
+        ])
+    seg_arr = np.array(segments) if segments else np.empty((0, 2, 2))
+    return seg_arr, labels, comp_signs, touches

@@ -16,6 +16,8 @@ from hotspots.errors import (
 )
 from hotspots.geometry import Point
 
+from . import oracles
+
 PI_SQ = math.pi**2
 
 
@@ -451,3 +453,79 @@ class TestSteinerberger:
         psi = disk_solved.neumann.eigenvectors[:, 1]
         val = ana.steinerberger_diagnostic(disk_solved.mesh, psi, disk_solved.poly)
         assert math.isfinite(val) and val >= 0.0
+
+
+def _planted_fields(mesh):
+    """Fields with known interior critical vertices: a max and a min of
+    Gaussian bumps, and a monkey saddle (6 alternations) at a vertex."""
+    v = mesh.vertices
+    interior = np.nonzero(mesh.interior_mask)[0]
+    c = v[interior[np.argmin(np.hypot(v[interior, 0], v[interior, 1]))]]
+    dx, dy = v[:, 0] - c[0], v[:, 1] - c[1]
+    bumps = (np.exp(-20.0 * ((v[:, 0] - 0.4) ** 2 + v[:, 1] ** 2))
+             - np.exp(-20.0 * ((v[:, 0] + 0.4) ** 2 + v[:, 1] ** 2)))
+    return [bumps, dx ** 3 - 3.0 * dx * dy ** 2, -(dx ** 2 + dy ** 2)]
+
+
+def _tied_fields(mesh, rng):
+    """Fields with exact ties between neighbors, decided by vertex index."""
+    n = mesh.vertex_count
+    return [
+        np.ones(n),
+        np.zeros(n),
+        rng.integers(-1, 2, size=n).astype(float),
+        np.round(3.0 * mesh.vertices[:, 0]),
+    ]
+
+
+class TestVectorizedMatchesOracles:
+    """The array passes equal the per-vertex reference loops exactly."""
+
+    @staticmethod
+    def _assert_same(mesh, poly, psi):
+        assert ana.find_critical_points(mesh, psi, poly) == \
+            oracles.banchoff_critical_points(mesh, psi, poly)
+        nd = ana.nodal_decomposition(mesh, psi)
+        segments, labels, signs, touches = oracles.union_find_nodal(mesh, psi)
+        assert np.array_equal(nd.segments, segments)
+        assert nd.segments.shape == segments.shape
+        assert np.array_equal(nd.labels, labels)
+        assert np.array_equal(nd.component_signs, signs)
+        assert np.array_equal(nd.touches_boundary, touches)
+        assert nd.positive_component_count == int(np.sum(signs > 0))
+
+    def test_solved_eigenvectors(self, disk_solved, square_solved):
+        for fx, cols in ((disk_solved, (1,)), (square_solved, (1, 2, 3))):
+            for j in cols:
+                self._assert_same(fx.mesh, fx.poly, fx.neumann.eigenvectors[:, j])
+
+    def test_random_fields(self, coarse_disk):
+        poly, mesh = coarse_disk
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            self._assert_same(mesh, poly, rng.standard_normal(mesh.vertex_count))
+
+    def test_planted_critical_points(self, coarse_disk):
+        poly, mesh = coarse_disk
+        kinds = []
+        for psi in _planted_fields(mesh):
+            self._assert_same(mesh, poly, psi)
+            kinds.append({p.kind for p in ana.find_critical_points(mesh, psi, poly)})
+        assert {"max", "min"} <= kinds[0]
+        assert "saddle" in kinds[1]
+        assert "max" in kinds[2]
+        monkey = [p for p in ana.find_critical_points(mesh, _planted_fields(mesh)[1], poly)
+                  if p.alternations == 6]
+        assert len(monkey) == 1
+
+    def test_exact_ties(self, coarse_disk, centered_square_mesh):
+        rng = np.random.default_rng(3)
+        for poly, mesh in (coarse_disk, centered_square_mesh):
+            for psi in _tied_fields(mesh, rng):
+                self._assert_same(mesh, poly, psi)
+
+    def test_refined_mesh(self, centered_square_mesh):
+        poly, mesh = centered_square_mesh
+        fine = msh.refine(mesh)
+        psi = np.sin(3.0 * fine.vertices[:, 0]) * np.cos(2.0 * fine.vertices[:, 1])
+        self._assert_same(fine, poly, psi)

@@ -133,3 +133,23 @@ class TestFindConstants:
 
     def test_cached(self):
         assert bessel.find_constants() is bessel.find_constants()
+
+
+def test_array_evaluators_bit_identical_to_scalar():
+    seam = [np.nextafter(16.0, 0.0), 16.0, np.nextafter(16.0, 20.0)]
+    x = np.concatenate([np.linspace(0.0, 16.0, 8001), seam, np.linspace(16.0, 20.0, 41),
+                        [0.0, 5e-324, 1e-300]])
+    for array_fn, scalar_fn in ((bessel.j0_array, bessel.j0_eval),
+                                (bessel.j1_array, bessel.j1_eval)):
+        got = array_fn(x)
+        want = np.array([scalar_fn(float(v)) for v in x])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fn", [bessel.j0_array, bessel.j1_array])
+def test_array_evaluators_reject_bad_input(fn):
+    assert fn(np.empty(0)).shape == (0,)
+    with pytest.raises(NonFiniteInput):
+        fn(np.array([1.0, float("nan")]))
+    with pytest.raises(ValueError):
+        fn(np.array([1.0, -1.0]))

@@ -6,7 +6,7 @@ import pytest
 from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots.domains import DomainSpec, realize
-from hotspots.errors import InvalidH, PointOutsideMesh
+from hotspots.errors import InvalidH, PointOutsideMesh, QualityFailure
 
 from .conftest import random_polygon
 
@@ -198,3 +198,44 @@ def test_dump_format(square_mesh, tmp_path):
     assert nv == square_mesh.vertex_count
     assert nt == square_mesh.triangle_count
     assert len(lines) == 2 + nv + nt
+
+
+def _corner_angles_deg(poly):
+    v = poly.vertices
+    out = []
+    for i in range(len(v)):
+        a, b = v[i - 1] - v[i], v[(i + 1) % len(v)] - v[i]
+        out.append(math.degrees(math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a @ b)))
+    return np.array(out)
+
+
+class TestMinAngleTarget:
+    """The 20 degree bound is capped just under the sharpest polygon corner,
+    which no triangle at that corner can exceed."""
+
+    @staticmethod
+    def _sweep_poly(master_seed, index):
+        from hotspots.report import _sweep_domain_spec
+
+        poly = realize(_sweep_domain_spec(master_seed, index))
+        return poly, geo.diameter(poly)[0]
+
+    def test_sharp_corner_domain_meshes(self):
+        poly, diam = self._sweep_poly(2000010, 0)
+        corner = _corner_angles_deg(poly).min()
+        assert corner < msh.MIN_ANGLE_DEG
+        mesh = msh.generate(poly, 0.02 * diam)
+        assert msh.quality(mesh).min_angle >= corner - 1e-9
+
+    def test_blunt_corners_keep_twenty_degrees(self):
+        poly, diam = self._sweep_poly(4000016, 3)
+        assert _corner_angles_deg(poly).min() >= msh.MIN_ANGLE_DEG
+        with pytest.raises(QualityFailure):
+            msh.generate(poly, 0.02 * diam)
+        square = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert msh.quality(msh.generate(square, 0.05)).min_angle >= msh.MIN_ANGLE_DEG
+
+
+def test_edges_are_the_sorted_triangle_edges(square_mesh):
+    for mesh in (square_mesh, msh.refine(square_mesh)):
+        assert mesh.edges.tolist() == [list(e) for e in sorted(triangle_edges(mesh.triangles))]

@@ -104,6 +104,25 @@ class TestSweep:
         assert s["domains"][0]["strong_kroger"] == doc["inequalities"]["strong_kroger_holds"]
 
 
+    @pytest.mark.parametrize("name, stage", [("diameter", "realize"),
+                                             ("min_enclosing_circle", "geometry")])
+    def test_geometry_error_is_a_domain_failure(self, tmp_path, monkeypatch, name, stage):
+        from hotspots.errors import DegenerateArea
+
+        def broken(*args, **kwargs):
+            raise DegenerateArea("planted")
+
+        monkeypatch.setenv("HSV_THREADS", "1")
+        monkeypatch.setattr(report, name, broken)
+        s = report.run_sweep(2, seed=3, h_rel=0.1, out_dir=tmp_path)
+        assert s["failures"] == s["domains"]
+        assert [f["index"] for f in s["failures"]] == [0, 1]
+        for f in s["failures"]:
+            assert set(f) == {"index", "error", "stage"}
+            assert f["stage"] == stage
+            assert "DegenerateArea('planted')" in f["error"]
+
+
 class TestCliExitCodes:
     def test_valid_run_exit_zero(self, disk_spec_path, tmp_path, capsys):
         code = cli.main([
