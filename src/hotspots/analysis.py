@@ -34,7 +34,7 @@ from .errors import (
     PointOutsideMesh,
 )
 from .fem import rayleigh
-from .geometry import ConvexPolygon, Point, diameter, farthest_boundary_distance, inradius
+from .geometry import ConvexPolygon, Point, farthest_boundary_distance
 from .meshing import TriMesh, interpolate
 
 TIE_REL = 1e-12
@@ -82,7 +82,6 @@ class InequalityReport:
     strong_kroger_holds: bool         # mu2 diam^2 <= j1^2
     szego_weinberger_margin: float    # pi jp11^2 / area - mu2
     polya_margin: float               # lambda1 - mu2
-    hot_spots_certified: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +153,7 @@ def theorem_check(
     h_max: float,
 ) -> TheoremVerdict:
     """Flag critical points deeper inside the exclusion region than 2*h_max."""
-    d, _ = diameter(poly)
-    threshold = constants.c_excl * d
+    threshold = constants.c_excl * poly.diameter[0]
     tolerance = 2.0 * h_max
     violations = tuple(
         p for p in points if p.farthest_distance <= threshold - tolerance
@@ -304,7 +302,7 @@ def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
 def support_positivity(poly: ConvexPolygon, x0: Point) -> float:
     """min over polygon-edge midpoints of (x - x0).nu; positive for interior x0
     by convexity."""
-    normals, _ = poly.edge_normals()
+    normals, _ = poly.edge_normals
     mids = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
     rel = mids - np.array([x0.x, x0.y])
     return float(np.min(np.einsum("ij,ij->i", rel, normals)))
@@ -393,16 +391,14 @@ def inequality_checks(
     The diameter-based lower bound is used in its dimensionally consistent
     squared form mu2 * diam^2 >= pi^2.
     """
-    d, _ = diameter(poly)
+    d, _ = poly.diameter
     mu_d2 = float(mu2) * d * d
-    strong = mu_d2 <= constants.j1 ** 2
     return InequalityReport(
         kroger_margin=float(4.0 * constants.j0 ** 2 - mu_d2),
         payne_weinberger_margin=float(mu_d2 - math.pi ** 2),
-        strong_kroger_holds=bool(strong),
+        strong_kroger_holds=bool(mu_d2 <= constants.j1 ** 2),
         szego_weinberger_margin=float(math.pi * constants.jp11 ** 2 / poly.area - mu2),
         polya_margin=float(lambda1 - mu2),
-        hot_spots_certified=bool(strong),
     )
 
 
@@ -414,10 +410,9 @@ def steinerberger_diagnostic(mesh: TriMesh, psi: np.ndarray, poly: ConvexPolygon
     psi = np.asarray(psi, dtype=float)
     spread = float(psi.max() - psi.min())
     max_set = mesh.vertices[psi >= psi.max() - 1e-9 * spread]
-    _, (p, q) = diameter(poly)
+    _, (p, q) = poly.diameter
     ends = np.array([[p.x, p.y], [q.x, q.y]])
     dmin = min(
         float(np.hypot(*(max_set - e).T).min()) for e in ends
     )
-    rho, _ = inradius(poly)
-    return dmin / rho
+    return dmin / poly.inradius[0]

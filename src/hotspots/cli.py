@@ -17,8 +17,8 @@ from pathlib import Path
 from .bessel import find_constants
 from .domains import load_spec, realize
 from .errors import HotspotsError, ParseError, SchemaVersionMismatch, StageError
-from .geometry import diameter, exclusion_region
-from .report import run_sweep, run_verify, write_report_svg
+from .geometry import exclusion_region
+from .report import REPORT_SCHEMA, run_sweep, run_verify, write_report_svg
 from .svgfig import render_svg
 
 _INPUT_STAGES = {"input", "realize"}
@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--report", required=True)
     p_render.add_argument("--out", required=True, help="output SVG path")
     p_render.add_argument("--show-nodal", action="store_true")
-    p_render.add_argument("--show-mesh", action="store_true",
-                          help="(ignored unless the mesh dump is re-loaded; reserved)")
 
     p_sweep = sub.add_parser("sweep", help="verify a batch of random convex domains")
     p_sweep.add_argument("--count", type=int, required=True)
@@ -98,15 +96,13 @@ def _cmd_region(args) -> int:
     poly = realize(spec)
     ratio = args.ratio if args.ratio is not None else find_constants().c_excl
     region = exclusion_region(poly, ratio)
-    d, _ = diameter(poly)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "ratio": ratio,
-        "diameter": d,
+        "diameter": poly.diameter[0],
         "threshold": region.threshold,
-        "tolerance": region.tolerance,
         "seed_point": [region.seed.x, region.seed.y],
         "boundary": region.boundary.tolist(),
         "binding": list(region.binding),
@@ -127,7 +123,8 @@ def _cmd_region(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != 1:
+    # Schema 2 only dropped fields that rendering does not read.
+    if doc.get("schema") not in (1, REPORT_SCHEMA):
         raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
     write_report_svg(doc, args.out, show_nodal=args.show_nodal)
     print(f"wrote {args.out}")

@@ -21,6 +21,7 @@ CURVED_KINDS = ("disk", "ellipse")
 KINDS = ("disk", "ellipse", "rectangle", "regular_polygon", "random_convex", "explicit")
 
 _RANDOM_JITTER = 0.35  # radial jitter fraction for random_convex
+_INT_FIELDS = ("k", "seed", "n", "polygonization_n")
 
 
 class SplitMix64:
@@ -212,12 +213,23 @@ def load_spec(path) -> DomainSpec:
             raise ParseError(f"field {key!r}: not valid for kind {kind!r}")
     kwargs = {}
     for name in _KIND_FIELDS[kind]:
-        if name in doc:
-            val = doc[name]
-            if name == "vertices":
-                try:
-                    val = tuple((float(x), float(y)) for x, y in val)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError("field 'vertices': expected [[x, y], ...]") from exc
-            kwargs[name] = val
+        if name not in doc:
+            continue
+        val = doc[name]
+        if name == "vertices":
+            if not isinstance(val, list) or not all(
+                isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in val
+            ):
+                raise ParseError("field 'vertices': expected [[x, y], ...]")
+            val = tuple((float(x), float(y)) for x, y in val)
+        elif name in _INT_FIELDS:
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ParseError(f"field '{name}': expected an integer, got {val!r}")
+        elif not _is_number(val):
+            raise ParseError(f"field '{name}': expected a number, got {val!r}")
+        kwargs[name] = val
     return _check_spec(DomainSpec(kind=kind, **kwargs))
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)

@@ -66,14 +66,9 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def assemble_mass(mesh: TriMesh, lumped: bool = False) -> sp.csr_matrix:
+def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     t, _, area = _element_geometry(mesh)
     n = mesh.vertex_count
-    if lumped:
-        diag = np.zeros(n)
-        for i in range(3):
-            np.add.at(diag, t[:, i], area / 3.0)
-        return sp.diags(diag).tocsr()
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,7 +26,6 @@ from .errors import (
 )
 
 RAY_COUNT = 720
-REGION_TOL_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,16 @@ class ConvexPolygon:
     """CCW convex polygon; construct through :func:`validate`.
 
     ``scale`` is the bounding-box diagonal, used to make tolerances relative.
+    The derived facts (diameter, edge normals, inradius, minimum enclosing
+    circle) are computed on first use and cached; the cached arrays are
+    read-only.
     """
 
     vertices: np.ndarray  # (n, 2)
     area: float
-    centroid: Point
     scale: float
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
+    @cached_property
     def edge_normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets: inside iff normals @ p <= offsets."""
         v = self.vertices
@@ -60,7 +59,45 @@ class ConvexPolygon:
         normals = np.column_stack([e[:, 1], -e[:, 0]])
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
+        normals.flags.writeable = False
+        offsets.flags.writeable = False
         return normals, offsets
+
+    @cached_property
+    def diameter(self) -> tuple[float, tuple[Point, Point]]:
+        """Max vertex-pair distance via rotating calipers; first attaining pair wins."""
+        pts = [(float(x), float(y)) for x, y in self.vertices]
+        best = -1.0
+        best_pair = (pts[0], pts[0])
+        for p, q in _antipodal_pairs(pts):
+            d_sq = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+            if d_sq > best:
+                best = d_sq
+                best_pair = (p, q)
+        return math.sqrt(best), (Point(*best_pair[0]), Point(*best_pair[1]))
+
+    @cached_property
+    def inradius(self) -> tuple[float, Point]:
+        """Largest inscribed circle: maximize rho s.t. n_i.c + rho <= n_i.v_i."""
+        normals, offsets = self.edge_normals
+        m = len(normals)
+        a_ub = np.column_stack([normals, np.ones(m)])
+        res = linprog(
+            c=[0.0, 0.0, -1.0],
+            A_ub=a_ub,
+            b_ub=offsets,
+            bounds=[(None, None), (None, None), (0.0, None)],
+            method="highs",
+        )
+        if not res.success:
+            raise InternalInvariantViolation(f"Chebyshev LP failed: {res.message}")
+        cx, cy, rho = res.x
+        return float(rho), Point(float(cx), float(cy))
+
+    @cached_property
+    def min_enclosing_circle(self) -> Circle:
+        """Welzl's move-to-front algorithm with a fixed shuffle seed (deterministic)."""
+        return _welzl([(float(x), float(y)) for x, y in self.vertices], self.scale)
 
 
 @dataclass(frozen=True)
@@ -75,14 +112,12 @@ class ExclusionRegion:
     distance F, sampled as a closed 720-point polyline.
 
     ``binding`` records, per boundary sample, whether the F-threshold
-    ('farthest') or the domain boundary ('domain') stopped the ray; the
-    |F - threshold| <= tolerance guarantee applies to 'farthest' samples.
+    ('farthest') or the domain boundary ('domain') stopped the ray.
     """
 
     threshold: float
     boundary: np.ndarray  # (RAY_COUNT, 2), CCW
     seed: Point
-    tolerance: float
     binding: tuple[str, ...] = field(repr=False, default=())
 
 
@@ -159,10 +194,7 @@ def validate(raw_vertices) -> ConvexPolygon:
     if np.any(crosses < -cross_tol):
         raise NotConvex("negative cross product after orientation fix")
 
-    cx_num = np.sum((pts[:, 0] + nxt[:, 0]) * (pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
-    cy_num = np.sum((pts[:, 1] + nxt[:, 1]) * (pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
-    centroid = Point(float(cx_num / (6.0 * area)), float(cy_num / (6.0 * area)))
-    return ConvexPolygon(vertices=pts, area=float(area), centroid=centroid, scale=scale)
+    return ConvexPolygon(vertices=pts, area=float(area), scale=scale)
 
 
 # --- diameter (rotating calipers) -------------------------------------------
@@ -201,39 +233,6 @@ def _antipodal_pairs(points: list[tuple[float, float]]):
             i += 1
         else:
             j -= 1
-
-
-def diameter(poly: ConvexPolygon) -> tuple[float, tuple[Point, Point]]:
-    """Max vertex-pair distance via rotating calipers; first attaining pair wins."""
-    pts = [(float(x), float(y)) for x, y in poly.vertices]
-    best = -1.0
-    best_pair = (pts[0], pts[0])
-    for p, q in _antipodal_pairs(pts):
-        d_sq = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-        if d_sq > best:
-            best = d_sq
-            best_pair = (p, q)
-    return math.sqrt(best), (Point(*best_pair[0]), Point(*best_pair[1]))
-
-
-# --- inradius (Chebyshev center) ---------------------------------------------
-
-def inradius(poly: ConvexPolygon) -> tuple[float, Point]:
-    """Largest inscribed circle: maximize rho s.t. n_i.c + rho <= n_i.v_i."""
-    normals, offsets = poly.edge_normals()
-    m = len(normals)
-    a_ub = np.column_stack([normals, np.ones(m)])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise InternalInvariantViolation(f"Chebyshev LP failed: {res.message}")
-    cx, cy, rho = res.x
-    return float(rho), Point(float(cx), float(cy))
 
 
 def farthest_boundary_distance(poly: ConvexPolygon, p) -> float:
@@ -276,10 +275,7 @@ def _in_circle(c, p, scale) -> bool:
     return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] + _MEC_EPS * scale
 
 
-def min_enclosing_circle(poly: ConvexPolygon) -> Circle:
-    """Welzl's move-to-front algorithm with a fixed shuffle seed (deterministic)."""
-    pts = [(float(x), float(y)) for x, y in poly.vertices]
-    scale = poly.scale
+def _welzl(pts: list[tuple[float, float]], scale: float) -> Circle:
     shuffled = list(pts)
     random.Random(1729).shuffle(shuffled)
 
@@ -322,80 +318,44 @@ def min_enclosing_circle(poly: ConvexPolygon) -> Circle:
     return Circle(Point(c[0], c[1]), c[2])
 
 
-# --- containment and the exclusion region ------------------------------------
-
-def contains(poly: ConvexPolygon, p) -> bool:
-    """Closed-region membership with a 1e-12*scale boundary band."""
-    q = _as_xy(p)
-    normals, offsets = poly.edge_normals()
-    return bool(np.all(normals @ q <= offsets + 1e-12 * poly.scale))
-
+# --- the exclusion region ---------------------------------------------------------
 
 def exclusion_region(poly: ConvexPolygon, ratio: float) -> ExclusionRegion:
     """Extract {p in domain : F(p) <= ratio * diam} as a 720-ray polyline.
 
-    The sublevel set is an intersection of disks with the domain, hence
-    convex; rays from the min-enclosing-circle center (always a member by
-    Jung's theorem for ratio >= 1/sqrt(3)) cross its boundary exactly once,
-    so per-ray bisection is exhaustive.
+    The sublevel set is the domain intersected with one disk of radius
+    threshold around each vertex, hence convex; rays from the
+    min-enclosing-circle center (always a member by Jung's theorem for
+    ratio >= 1/sqrt(3)) leave it exactly once.  Along s + t*u the exit is
+    the smallest of the half-plane exits (offset - n.s)/(n.u) over edges
+    with n.u > 0 and the disk exits -b + sqrt(b^2 - c) over vertices v,
+    where b = u.(s - v) and c = |s - v|^2 - threshold^2.
     """
     if not 0.5 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0.5, 1), got {ratio}")
-    d, _ = diameter(poly)
-    threshold = ratio * d
-    tol = REGION_TOL_REL * d
-    seed = min_enclosing_circle(poly).center
+    threshold = ratio * poly.diameter[0]
+    seed = poly.min_enclosing_circle.center
     seed_xy = seed.as_array()
 
-    normals, offsets = poly.edge_normals()
-    verts = poly.vertices
-    inside_tol = 1e-12 * poly.scale
-
-    def member(q: np.ndarray) -> bool:
-        if np.any(normals @ q > offsets + inside_tol):
-            return False
-        dx = verts[:, 0] - q[0]
-        dy = verts[:, 1] - q[1]
-        return math.sqrt(float(np.max(dx * dx + dy * dy))) <= threshold
-
-    if not member(seed_xy):
+    normals, offsets = poly.edge_normals
+    rel = seed_xy - poly.vertices
+    c = np.einsum("ij,ij->i", rel, rel) - threshold * threshold
+    slack = offsets - normals @ seed_xy
+    if np.any(c > 0.0) or np.any(slack < -1e-12 * poly.scale):
         raise InternalInvariantViolation("min-enclosing-circle center not a member")
+    slack = np.maximum(slack, 0.0)
 
-    boundary = np.empty((RAY_COUNT, 2))
-    binding: list[str] = []
-    for i in range(RAY_COUNT):
-        theta = 2.0 * math.pi * i / RAY_COUNT
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = 0.0, 2.0 * d
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if member(seed_xy + mid * direction):
-                lo = mid
-            else:
-                hi = mid
-        q = seed_xy + lo * direction
-        boundary[i] = q
-        f_q = farthest_boundary_distance(poly, q)
-        binding.append("farthest" if abs(f_q - threshold) <= 2.0 * tol else "domain")
+    theta = 2.0 * math.pi * np.arange(RAY_COUNT) / RAY_COUNT
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    nu = u @ normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plane_exit = np.where(nu > 0.0, slack / nu, np.inf).min(axis=1)
+    b = u @ rel.T
+    disk_exit = (np.sqrt(b * b - c) - b).min(axis=1)
 
     return ExclusionRegion(
         threshold=threshold,
-        boundary=boundary,
+        boundary=seed_xy + np.minimum(plane_exit, disk_exit)[:, None] * u,
         seed=seed,
-        tolerance=tol,
-        binding=tuple(binding),
+        binding=tuple(np.where(disk_exit <= plane_exit, "farthest", "domain").tolist()),
     )
-
-
-def region_member(poly: ConvexPolygon, region: ExclusionRegion, p) -> bool:
-    """Direct predicate the region samples: F(p) <= threshold and p in domain."""
-    return contains(poly, p) and farthest_boundary_distance(poly, p) <= region.threshold
-
-
-def polyline_contains(boundary: np.ndarray, p) -> bool:
-    """Membership in the closed polyline (CCW convex fan from its centroid)."""
-    q = _as_xy(p)
-    a = boundary
-    b = np.roll(boundary, -1, axis=0)
-    cross = (b[:, 0] - a[:, 0]) * (q[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (q[0] - a[:, 0])
-    return bool(np.all(cross >= -1e-12 * (np.abs(cross).max() + 1.0)))

@@ -18,11 +18,12 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import InvalidH, PointOutsideMesh, QualityFailure
-from .geometry import ConvexPolygon, diameter
+from .geometry import ConvexPolygon
 
 MIN_ANGLE_DEG = 20.0
 SMOOTHING_PASSES = 10
 QUALITY_RETRIES = 3
+SPLIT_ROUNDS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,15 +31,13 @@ class TriMesh:
     """Conforming triangulation of a convex polygon.
 
     ``boundary_edges`` lists vertex index pairs forming one closed CCW loop;
-    ``boundary_normals`` are the outward unit normals and
-    ``boundary_edge_source`` the polygon edge each mesh edge lies on.
+    ``boundary_normals`` are the outward unit normals.
     """
 
     vertices: np.ndarray            # (n, 2)
     triangles: np.ndarray           # (m, 3) int, CCW
     boundary_edges: np.ndarray      # (b, 2) int, ordered CCW loop
     boundary_normals: np.ndarray    # (b, 2)
-    boundary_edge_source: np.ndarray  # (b,) int
     h_max: float
     interior_mask: np.ndarray       # (n,) bool
 
@@ -60,8 +59,21 @@ class TriMesh:
 
     @cached_property
     def boundary_clearance(self) -> np.ndarray:
-        """(n,) distance from each vertex to the boundary."""
-        return boundary_distances(self, self.vertices)
+        """(n,) distance from each vertex to the boundary.
+
+        On a convex domain this is the half-plane depth
+        max(0, min_e(offset_e - n_e.v)) over the boundary edges: the nearest
+        edge line's foot point lies on that edge, or another line would be
+        nearer.
+        """
+        normals = self.boundary_normals
+        offsets = np.einsum("ij,ij->i", normals, self.vertices[self.boundary_edges[:, 0]])
+        out = np.empty(self.vertex_count)
+        chunk = max(1, 2_000_000 // len(normals))
+        for lo in range(0, self.vertex_count, chunk):
+            depth = offsets[None, :] - self.vertices[lo:lo + chunk] @ normals.T
+            out[lo:lo + chunk] = depth.min(axis=1)
+        return np.maximum(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,39 +124,7 @@ def _outward_normals(vertices: np.ndarray, loop: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n, axis=1)[:, None]
 
 
-def _source_edges(poly: ConvexPolygon, midpoints: np.ndarray) -> np.ndarray:
-    v = poly.vertices
-    w = np.roll(v, -1, axis=0)
-    best = np.full(len(midpoints), -1)
-    best_d = np.full(len(midpoints), np.inf)
-    for i in range(len(v)):
-        a, b = v[i], w[i]
-        ab = b - a
-        t = np.clip(((midpoints - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        d = np.hypot(*(midpoints - proj).T)
-        better = d < best_d
-        best[better] = i
-        best_d[better] = d[better]
-    return best
-
-
-def _segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a set of segments (chunked broadcast)."""
-    out = np.full(len(points), np.inf)
-    ab = seg_b - seg_a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    chunk = max(1, 2_000_000 // max(len(seg_a), 1))
-    for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk]
-        ap = p[:, None, :] - seg_a[None, :, :]
-        t = np.clip(np.einsum("pej,ej->pe", ap, ab) / denom[None, :], 0.0, 1.0)
-        d = ap - t[:, :, None] * ab[None, :, :]
-        out[lo:lo + chunk] = np.sqrt(np.einsum("pej,pej->pe", d, d).min(axis=1))
-    return out
-
-
-def _assemble(poly: ConvexPolygon, points: np.ndarray, n_boundary: int) -> TriMesh:
+def _assemble(points: np.ndarray, n_boundary: int) -> TriMesh:
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise QualityFailure(f"{len(tri.coplanar)} input points omitted by Qhull")
@@ -164,7 +144,6 @@ def _assemble(poly: ConvexPolygon, points: np.ndarray, n_boundary: int) -> TriMe
         np.arange(n_boundary), (np.arange(n_boundary) + 1) % n_boundary
     ])
     normals = _outward_normals(points, loop)
-    mids = 0.5 * (points[loop[:, 0]] + points[loop[:, 1]])
     interior = np.ones(len(points), dtype=bool)
     interior[:n_boundary] = False
     return TriMesh(
@@ -172,7 +151,6 @@ def _assemble(poly: ConvexPolygon, points: np.ndarray, n_boundary: int) -> TriMe
         triangles=triangles,
         boundary_edges=loop,
         boundary_normals=normals,
-        boundary_edge_source=_source_edges(poly, mids),
         h_max=float(_edge_lengths(points, triangles).max()),
         interior_mask=interior,
     )
@@ -197,7 +175,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     """Mesh the polygon at target edge length h; min angle >= 20 deg (or
     just under the sharpest polygon corner, which no triangle there can
     exceed) or QualityFailure after the circumcenter-insertion retry budget."""
-    diam, _ = diameter(poly)
+    diam, _ = poly.diameter
     if not (0.0 < h < diam / 4.0):
         raise InvalidH(f"need 0 < h < diam/4 = {diam / 4.0:g}, got {h}")
 
@@ -213,7 +191,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
 
     # Hexagonal interior lattice with h/2 clearance (conservative: distance
     # to edge lines underestimates distance to the boundary).
-    normals, offsets = poly.edge_normals()
+    normals, offsets = poly.edge_normals
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
     rows = []
@@ -231,13 +209,15 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     interior_pts = lattice[keep]
 
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
+    n_b = len(boundary_pts)
     points = np.vstack([boundary_pts, interior_pts]) if len(interior_pts) else boundary_pts
     movable = np.zeros(len(points), dtype=bool)
-    movable[len(boundary_pts):] = True
+    movable[n_b:] = True
     points = _smooth(points, movable, SMOOTHING_PASSES)
-    mesh = _assemble(poly, points, len(boundary_pts))
+    mesh = _assemble(points, n_b)
 
-    for _ in range(QUALITY_RETRIES):
+    retries = 0
+    for _ in range(QUALITY_RETRIES + SPLIT_ROUNDS):
         angles = _min_angles_deg(mesh.vertices, mesh.triangles)
         if angles.min() >= target:
             return mesh
@@ -247,14 +227,29 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         # badly graded boundary layers need insertions near the boundary
         shortest = _edge_lengths(mesh.vertices, bad).min(axis=1)
         depth = (offsets[None, :] - cc @ normals.T).min(axis=1)
-        cc = cc[depth >= 0.45 * shortest]
-        if len(cc) == 0:
-            break
-        points = np.vstack([points, cc])
-        movable = np.zeros(len(points), dtype=bool)
-        movable[len(boundary_pts):] = True
-        points = _smooth(points, movable, SMOOTHING_PASSES)
-        mesh = _assemble(poly, points, len(boundary_pts))
+        keep = depth >= 0.45 * shortest
+        if retries < QUALITY_RETRIES and keep.any():
+            retries += 1
+            points = np.vstack([points, cc[keep]])
+            movable = np.zeros(len(points), dtype=bool)
+            movable[n_b:] = True
+            points = _smooth(points, movable, SMOOTHING_PASSES)
+        else:
+            # What smoothed insertion cannot fix (polygon edges much shorter
+            # than h) is split Ruppert-style, without smoothing, which would
+            # undo the grading: a circumcenter inside a boundary segment's
+            # diametral circle splits that segment instead.
+            retries = QUALITY_RETRIES
+            bnd, ends = points[:n_b], np.roll(points[:n_b], -1, axis=0)
+            mids = 0.5 * (bnd + ends)
+            gap = np.hypot(cc[:, None, 0] - mids[:, 0], cc[:, None, 1] - mids[:, 1])
+            near = gap < 0.5 * np.hypot(*(ends - bnd).T)
+            split = near.any(axis=0)
+            order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
+            bnd = np.vstack([bnd, mids[split]])[order]
+            points = np.vstack([bnd, points[n_b:], cc[~near.any(axis=1) & (depth > 0.0)]])
+            n_b = len(bnd)
+        mesh = _assemble(points, n_b)
 
     angles = _min_angles_deg(mesh.vertices, mesh.triangles)
     if angles.min() < target:
@@ -321,7 +316,6 @@ def refine(mesh: TriMesh) -> TriMesh:
         triangles=new_tris,
         boundary_edges=loops,
         boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
-        boundary_edge_source=np.repeat(mesh.boundary_edge_source, 2),
         h_max=float(_edge_lengths(new_verts, new_tris).max()),
         interior_mask=interior,
     )
@@ -336,34 +330,6 @@ def quality(mesh: TriMesh) -> MeshQuality:
         vertex_count=mesh.vertex_count,
         triangle_count=mesh.triangle_count,
     )
-
-
-def in_circumcircle(a, b, c, p, scale: float, tie: float = 1e-12) -> bool:
-    """True iff p lies strictly inside the circumcircle of CCW triangle abc.
-
-    Compensated determinant with an absolute tie band tie*scale^4; ties
-    report False (not inside).
-    """
-    ax, ay = a[0] - p[0], a[1] - p[1]
-    bx, by = b[0] - p[0], b[1] - p[1]
-    cx, cy = c[0] - p[0], c[1] - p[1]
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    det = math.fsum([
-        ax * by * c2, -ax * b2 * cy, -a2 * by * cx,
-        ay * b2 * cx, -ay * bx * c2, a2 * bx * cy,
-    ])
-    if abs(det) <= tie * scale ** 4:
-        return False
-    return det > 0.0
-
-
-def boundary_distances(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the mesh boundary (== the polygon boundary)."""
-    seg_a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    seg_b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    return _segment_distances(np.atleast_2d(points), seg_a, seg_b)
 
 
 def interpolate(mesh: TriMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:

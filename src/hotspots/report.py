@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +24,11 @@ from . import fem
 from .bessel import find_constants
 from .domains import DomainSpec, SplitMix64, load_spec, realize, save_spec
 from .errors import StageError
-from .geometry import (
-    Point,
-    diameter,
-    exclusion_region,
-    inradius,
-    min_enclosing_circle,
-)
+from .geometry import Point, exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 @dataclass(eq=False)
@@ -56,25 +50,9 @@ class VerificationReport:
     render: dict
     timings_ms: dict = field(default_factory=dict)
 
-    def as_dict(self, include_timings: bool = False) -> dict:
-        doc = {
-            "schema": self.schema,
-            "domain_spec": self.domain_spec,
-            "geometry": self.geometry,
-            "mesh": self.mesh,
-            "spectrum": self.spectrum,
-            "inequalities": self.inequalities,
-            "boundary_extrema": self.boundary_extrema,
-            "interior_critical_points": self.interior_critical_points,
-            "theorem": self.theorem,
-            "lemma": self.lemma,
-            "comparison": self.comparison,
-            "steinerberger": self.steinerberger,
-            "render": self.render,
-        }
-        if include_timings:
-            doc["timings_ms"] = self.timings_ms
-        return doc
+    def as_dict(self) -> dict:
+        """The canonical report document: every field except the timings."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings_ms"}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2) + "\n"
@@ -128,7 +106,7 @@ class _Stages:
             raise
         except Exception as exc:
             raise StageError(name, exc) from exc
-        self.timings[name] = 1000.0 * (time.perf_counter() - t0)
+        self.timings[name] = self.timings.get(name, 0.0) + 1000.0 * (time.perf_counter() - t0)
         return out
 
 
@@ -142,8 +120,7 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
     f_anchor = ana.farthest_boundary_distance(poly, anchor)
     flux_bound_applies = math.sqrt(mu2) * f_anchor <= consts.j1
     clearance = float(mesh.boundary_clearance[anchor_vertex])
-    d, _ = diameter(poly)
-    radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * d))
+    radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
     branches = None
     if radius >= 3.0 * mesh.h_max:
         branches = ana.branch_count(mesh, fld, radius)
@@ -206,7 +183,7 @@ def run_verify(
 
     def realize_domain():
         poly = realize(spec)
-        return poly, diameter(poly)
+        return poly, poly.diameter
 
     poly, (d, endpoints) = stages.run("realize", realize_domain)
     if h is None:
@@ -231,7 +208,7 @@ def run_verify(
     lambda1 = float(dirichlet.eigenvalues[0])
 
     (rho, rho_center), mec = stages.run(
-        "geometry", lambda: (inradius(poly), min_enclosing_circle(poly))
+        "geometry", lambda: (poly.inradius, poly.min_enclosing_circle)
     )
     region = stages.run("exclusion_region", lambda: exclusion_region(poly, consts.c_excl))
 
@@ -315,7 +292,6 @@ def run_verify(
                 "radius": mec.radius,
             },
             "exclusion_threshold": region.threshold,
-            "exclusion_tolerance": region.tolerance,
         }),
         mesh=_plain({
             "h_target": h,
@@ -385,14 +361,14 @@ def run_verify(
         if dump_mesh_file:
             dump_mesh(mesh, out / "mesh.txt")
         if svg:
-            write_report_svg(report, out / "figure.svg",
-                             show_nodal=show_nodal, show_mesh=show_mesh,
+            write_report_svg(report, out / "figure.svg", show_nodal=show_nodal,
                              mesh=mesh if show_mesh else None)
     return report
 
 
 def write_report_svg(report: VerificationReport | dict, out_path,
-                     show_nodal: bool = False, show_mesh: bool = False, mesh=None):
+                     show_nodal: bool = False, mesh=None):
+    """Render a report; the mesh edges are drawn when `mesh` is given."""
     doc = report.as_dict() if isinstance(report, VerificationReport) else report
     criticals = [
         p["location"]
@@ -404,7 +380,7 @@ def write_report_svg(report: VerificationReport | dict, out_path,
         extrema.append(entry["max"]["location"])
         extrema.append(entry["min"]["location"])
     mesh_edges = None
-    if show_mesh and mesh is not None:
+    if mesh is not None:
         mesh_edges = [[list(mesh.vertices[a]), list(mesh.vertices[b])] for a, b in mesh.edges]
     render_svg(
         polygon=doc["render"]["polygon"],
@@ -434,7 +410,7 @@ def _sweep_one(args: tuple) -> dict:
     spec_path = out_dir / "spec.json"
     save_spec(spec, spec_path)
     try:
-        d, _ = _Stages().run("realize", lambda: diameter(realize(spec)))
+        d, _ = _Stages().run("realize", lambda: realize(spec).diameter)
         report = run_verify(spec_path, h=h_rel * d, k=k, tol=tol, out_dir=out_dir)
     except StageError as exc:
         return {"index": index, "error": str(exc), "stage": exc.stage}

@@ -154,7 +154,6 @@ def union_find_nodal(mesh, w):
     """Nodal decomposition by union-find over edges and a per-triangle
     segment loop: (segments, labels, component_signs, touches_boundary)."""
     from hotspots.analysis import TIE_REL
-    from hotspots.meshing import boundary_distances
 
     w = np.asarray(w, dtype=float)
     n = mesh.vertex_count
@@ -203,3 +202,110 @@ def union_find_nodal(mesh, w):
         ])
     seg_arr = np.array(segments) if segments else np.empty((0, 2, 2))
     return seg_arr, labels, comp_signs, touches
+
+
+def _segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Min distance from each point to a set of segments (chunked broadcast)."""
+    out = np.full(len(points), np.inf)
+    ab = seg_b - seg_a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    chunk = max(1, 2_000_000 // max(len(seg_a), 1))
+    for lo in range(0, len(points), chunk):
+        p = points[lo:lo + chunk]
+        ap = p[:, None, :] - seg_a[None, :, :]
+        t = np.clip(np.einsum("pej,ej->pe", ap, ab) / denom[None, :], 0.0, 1.0)
+        d = ap - t[:, :, None] * ab[None, :, :]
+        out[lo:lo + chunk] = np.sqrt(np.einsum("pej,pej->pe", d, d).min(axis=1))
+    return out
+
+
+def boundary_distances(mesh, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the mesh boundary, segment by segment."""
+    seg_a = mesh.vertices[mesh.boundary_edges[:, 0]]
+    seg_b = mesh.vertices[mesh.boundary_edges[:, 1]]
+    return _segment_distances(np.atleast_2d(points), seg_a, seg_b)
+
+
+def in_circumcircle(a, b, c, p, scale: float, tie: float = 1e-12) -> bool:
+    """True iff p lies strictly inside the circumcircle of CCW triangle abc.
+
+    Compensated determinant with an absolute tie band tie*scale^4; ties
+    report False (not inside).
+    """
+    ax, ay = a[0] - p[0], a[1] - p[1]
+    bx, by = b[0] - p[0], b[1] - p[1]
+    cx, cy = c[0] - p[0], c[1] - p[1]
+    a2 = ax * ax + ay * ay
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    det = math.fsum([
+        ax * by * c2, -ax * b2 * cy, -a2 * by * cx,
+        ay * b2 * cx, -ay * bx * c2, a2 * bx * cy,
+    ])
+    if abs(det) <= tie * scale ** 4:
+        return False
+    return det > 0.0
+
+
+# --- membership predicates and the bisection exclusion region -----------------
+
+def contains(poly, p) -> bool:
+    """Closed-region membership with a 1e-12*scale boundary band."""
+    q = np.asarray(p, dtype=float)
+    normals, offsets = poly.edge_normals
+    return bool(np.all(normals @ q <= offsets + 1e-12 * poly.scale))
+
+
+def region_member(poly, region, p) -> bool:
+    """Direct predicate the region samples: F(p) <= threshold and p in domain."""
+    from hotspots.geometry import farthest_boundary_distance
+
+    return contains(poly, p) and farthest_boundary_distance(poly, p) <= region.threshold
+
+
+def polyline_contains(boundary: np.ndarray, p) -> bool:
+    """Membership in the closed polyline (CCW convex fan from its centroid)."""
+    q = np.asarray(p, dtype=float)
+    a = boundary
+    b = np.roll(boundary, -1, axis=0)
+    cross = (b[:, 0] - a[:, 0]) * (q[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (q[0] - a[:, 0])
+    return bool(np.all(cross >= -1e-12 * (np.abs(cross).max() + 1.0)))
+
+
+def bisection_region(poly, ratio: float, rays: int = 720):
+    """The exclusion region by per-ray bisection of the membership predicate
+    to 1e-6*diam: (boundary, binding), binding guessed from |F - T| <= 2 tol."""
+    from hotspots.geometry import farthest_boundary_distance
+
+    d = poly.diameter[0]
+    threshold = ratio * d
+    tol = 1e-6 * d
+    seed_xy = poly.min_enclosing_circle.center.as_array()
+    normals, offsets = poly.edge_normals
+    verts = poly.vertices
+    inside_tol = 1e-12 * poly.scale
+
+    def member(q: np.ndarray) -> bool:
+        if np.any(normals @ q > offsets + inside_tol):
+            return False
+        dx = verts[:, 0] - q[0]
+        dy = verts[:, 1] - q[1]
+        return math.sqrt(float(np.max(dx * dx + dy * dy))) <= threshold
+
+    boundary = np.empty((rays, 2))
+    binding = []
+    for i in range(rays):
+        theta = 2.0 * math.pi * i / rays
+        direction = np.array([math.cos(theta), math.sin(theta)])
+        lo, hi = 0.0, 2.0 * d
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if member(seed_xy + mid * direction):
+                lo = mid
+            else:
+                hi = mid
+        q = seed_xy + lo * direction
+        boundary[i] = q
+        f_q = farthest_boundary_distance(poly, q)
+        binding.append("farthest" if abs(f_q - threshold) <= 2.0 * tol else "domain")
+    return boundary, tuple(binding)

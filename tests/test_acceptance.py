@@ -260,18 +260,18 @@ def test_criterion_7_geometry_oracles(disk512, constants):
     for i, seed in enumerate(seeds):
         n = 5 + int(seed) % 56
         poly = random_polygon(int(seed), n)
-        d, _ = geo.diameter(poly)
+        d, _ = poly.diameter
         rng_calipers_ok &= d == brute_force_diameter(poly.vertices)
-        jung_ok &= geo.min_enclosing_circle(poly).radius <= d / math.sqrt(3.0) + 1e-12
+        jung_ok &= poly.min_enclosing_circle.radius <= d / math.sqrt(3.0) + 1e-12
 
     mec_ok = True
     for seed, n in [(97, 40)] + [(s, 12) for s in range(15)]:
         poly = random_polygon(seed, n)
-        c = geo.min_enclosing_circle(poly)
+        c = poly.min_enclosing_circle
         mec_ok &= abs(c.radius - brute_force_mec(poly.vertices)[2]) <= 1e-9
 
     region = geo.exclusion_region(disk512, constants.c_excl)
-    d, _ = geo.diameter(disk512)
+    d, _ = disk512.diameter
     f_vals = np.array([
         geo.farthest_boundary_distance(disk512, p) for p in region.boundary
     ])

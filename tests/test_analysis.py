@@ -256,7 +256,6 @@ def circumscribed_fan_mesh(n=64):
         triangles=tris,
         boundary_edges=loop,
         boundary_normals=msh._outward_normals(verts, loop),
-        boundary_edge_source=np.arange(n),
         h_max=float(msh._edge_lengths(verts, tris).max()),
         interior_mask=interior,
     )
@@ -368,7 +367,7 @@ class TestRayleighDefect:
     def test_non_helmholtz_field_measured_not_assumed(self, rect_solved):
         # distance-to-boundary tent: the op reports, it does not crash
         mesh = rect_solved.mesh
-        w = msh.boundary_distances(mesh, mesh.vertices)
+        w = mesh.boundary_clearance
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         field = ana.ComparisonField(
             anchor=Point(*mesh.vertices[idx]), anchor_index=idx,
@@ -410,7 +409,7 @@ class TestInequalityChecks:
         lam1 = float(disk_solved.dirichlet.eigenvalues[0])
         rep = ana.inequality_checks(mu2, lam1, disk_solved.poly, constants)
         assert rep.kroger_margin == pytest.approx(9.572, abs=0.05)
-        assert rep.strong_kroger_holds and rep.hot_spots_certified
+        assert rep.strong_kroger_holds
         assert rep.polya_margin > 0
         assert mu2 * 4.0 == pytest.approx(13.560, abs=0.05)
 
@@ -428,9 +427,7 @@ class TestInequalityChecks:
         rep = ana.inequality_checks(mu2, lam1, square_solved.poly, constants)
         assert mu2 * 2.0 == pytest.approx(19.739, abs=0.08)
         assert not rep.strong_kroger_holds
-        assert not rep.hot_spots_certified
         assert rep.kroger_margin == pytest.approx(3.393, abs=0.06)
-        assert rep.hot_spots_certified == rep.strong_kroger_holds
 
     def test_certification_consistency(self, disk_solved, rect_solved, constants):
         # strong Kroeger holds on both; no interior critical vertex may exist
@@ -446,7 +443,7 @@ class TestSteinerberger:
         mesh = rect_solved.mesh
         psi = np.cos(math.pi * mesh.vertices[:, 0] / 2.0)
         val = ana.steinerberger_diagnostic(mesh, psi, rect_solved.poly)
-        rho, _ = geo.inradius(rect_solved.poly)
+        rho, _ = rect_solved.poly.inradius
         assert 0.0 <= val <= mesh.h_max / rho + 1e-9
 
     def test_computed_eigenvector_finite_nonnegative(self, disk_solved):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import domains, geometry
+from hotspots import domains
 from hotspots.errors import ParseError, SchemaVersionMismatch
 
 
@@ -27,7 +27,7 @@ def test_disk_n4_is_inscribed_square():
 
 def test_ellipse_diameter_deficit():
     poly = domains.realize(domains.DomainSpec(kind="ellipse", a=2.0, b=1.0, polygonization_n=256))
-    d, _ = geometry.diameter(poly)
+    d, _ = poly.diameter
     eps = 4.0 - d
     assert 0.0 <= eps <= 4.0 * (math.pi / 256) ** 2 / 2 + 1e-12
 

@@ -18,7 +18,6 @@ def single_triangle_mesh(v0=(0, 0), v1=(1, 0), v2=(0, 1)):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         boundary_normals=msh._outward_normals(verts, np.array([[0, 1], [1, 2], [2, 0]])),
-        boundary_edge_source=np.array([0, 1, 2]),
         h_max=float(msh._edge_lengths(verts, np.array([[0, 1, 2]])).max()),
         interior_mask=np.zeros(3, dtype=bool),
     )
@@ -34,10 +33,6 @@ class TestAssembly:
         m_mat = fem.assemble_mass(single_triangle_mesh()).toarray()
         expected = (1.0 / 24.0) * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
         assert np.allclose(m_mat, expected, atol=1e-15)
-
-    def test_lumped_mass(self):
-        m_lumped = fem.assemble_mass(single_triangle_mesh(), lumped=True).toarray()
-        assert np.allclose(m_lumped, np.eye(3) / 6.0, atol=1e-15)
 
     def test_stiffness_annihilates_constants(self, square_solved):
         k_mat = square_solved.K
@@ -61,10 +56,6 @@ class TestAssembly:
         m_mat = square_solved.M
         ones = np.ones(m_mat.shape[0])
         assert ones @ (m_mat @ ones) == pytest.approx(1.0, rel=1e-10)
-
-    def test_lumped_trace_is_area(self, square_solved):
-        lumped = fem.assemble_mass(square_solved.mesh, lumped=True)
-        assert lumped.diagonal().sum() == pytest.approx(1.0, rel=1e-10)
 
 
 class TestNeumann:

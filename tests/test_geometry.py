@@ -10,7 +10,14 @@ from hotspots.domains import DomainSpec, realize
 from hotspots.errors import DegenerateArea, NotConvex, TooFewVertices
 
 from .conftest import random_polygon
-from .oracles import brute_force_diameter, brute_force_mec
+from .oracles import (
+    bisection_region,
+    brute_force_diameter,
+    brute_force_mec,
+    contains,
+    polyline_contains,
+    region_member,
+)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -50,14 +57,14 @@ class TestValidate:
 
 class TestDiameter:
     def test_square(self):
-        d, (p, q) = geo.diameter(geo.validate(SQUARE))
+        d, (p, q) = geo.validate(SQUARE).diameter
         assert d == pytest.approx(math.sqrt(2.0), abs=1e-14)
         assert {(p.x, p.y), (q.x, q.y)} in ({(0.0, 0.0), (1.0, 1.0)},
                                             {(1.0, 0.0), (0.0, 1.0)})
 
     def test_regular_hexagon(self):
         hexagon = realize(DomainSpec(kind="regular_polygon", k=6, circumradius=1.0))
-        d, (p, q) = geo.diameter(hexagon)
+        d, (p, q) = hexagon.diameter
         assert d == pytest.approx(2.0, abs=1e-14)
         assert math.hypot(p.x + q.x, p.y + q.y) < 1e-12  # antipodal pair
 
@@ -65,23 +72,23 @@ class TestDiameter:
     @given(st.integers(min_value=0, max_value=10**9), st.integers(5, 60))
     def test_equals_brute_force_exactly(self, seed, n):
         poly = random_polygon(seed, n)
-        d, _ = geo.diameter(poly)
+        d, _ = poly.diameter
         assert d == brute_force_diameter(poly.vertices)
 
 
 class TestInradius:
     def test_square(self):
-        rho, center = geo.inradius(geo.validate(SQUARE))
+        rho, center = geo.validate(SQUARE).inradius
         assert rho == pytest.approx(0.5, abs=1e-9)
         assert (center.x, center.y) == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_equilateral_triangle(self):
         poly = geo.validate([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-        rho, _ = geo.inradius(poly)
+        rho, _ = poly.inradius
         assert rho == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-9)
 
     def test_rectangle_nonunique_center(self):
-        rho, center = geo.inradius(geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]))
+        rho, center = geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]).inradius
         assert rho == pytest.approx(0.5, abs=1e-9)
         assert 0.5 - 1e-9 <= center.x <= 1.5 + 1e-9  # any optimizer pick is fine
 
@@ -100,7 +107,7 @@ class TestFarthestBoundaryDistance:
 
     def test_vertex_bounded_by_diameter(self):
         poly = random_polygon(11, 20)
-        d, _ = geo.diameter(poly)
+        d, _ = poly.diameter
         v = poly.vertices[0]
         assert geo.farthest_boundary_distance(poly, v) <= d + 1e-12
 
@@ -118,18 +125,18 @@ class TestFarthestBoundaryDistance:
 class TestMinEnclosingCircle:
     def test_two_point_dominated(self):
         poly = geo.validate([(0, 0), (2, 0), (1, 0.1)])
-        c = geo.min_enclosing_circle(poly)
+        c = poly.min_enclosing_circle
         assert (c.center.x, c.center.y) == pytest.approx((1.0, 0.0), abs=1e-12)
         assert c.radius == pytest.approx(1.0, abs=1e-12)
 
     def test_square(self):
-        c = geo.min_enclosing_circle(geo.validate(SQUARE))
+        c = geo.validate(SQUARE).min_enclosing_circle
         assert (c.center.x, c.center.y) == pytest.approx((0.5, 0.5), abs=1e-12)
         assert c.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
     def test_matches_brute_force_on_40gon(self):
         poly = random_polygon(97, 40)
-        c = geo.min_enclosing_circle(poly)
+        c = poly.min_enclosing_circle
         _, _, r_oracle = brute_force_mec(poly.vertices)
         assert c.radius == pytest.approx(r_oracle, abs=1e-9)
 
@@ -137,7 +144,7 @@ class TestMinEnclosingCircle:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_matches_brute_force_small(self, seed):
         poly = random_polygon(seed, 12)
-        c = geo.min_enclosing_circle(poly)
+        c = poly.min_enclosing_circle
         _, _, r_oracle = brute_force_mec(poly.vertices)
         assert c.radius == pytest.approx(r_oracle, abs=1e-9)
 
@@ -145,9 +152,9 @@ class TestMinEnclosingCircle:
 class TestContains:
     def test_examples(self):
         poly = geo.validate(SQUARE)
-        assert geo.contains(poly, (0.5, 0.5))
-        assert not geo.contains(poly, (1.5, 0.5))
-        assert geo.contains(poly, (0.5, 0.0))  # edge midpoint, closed region
+        assert contains(poly, (0.5, 0.5))
+        assert not contains(poly, (1.5, 0.5))
+        assert contains(poly, (0.5, 0.0))  # edge midpoint, closed region
 
 
 class TestExclusionRegion:
@@ -160,7 +167,7 @@ class TestExclusionRegion:
 
     def test_disk_boundary_hits_threshold(self, disk512, constants):
         region = geo.exclusion_region(disk512, constants.c_excl)
-        d, _ = geo.diameter(disk512)
+        d, _ = disk512.diameter
         for p in region.boundary[::7]:
             f = geo.farthest_boundary_distance(disk512, p)
             assert abs(f - region.threshold) <= 1e-3 * d
@@ -176,29 +183,29 @@ class TestExclusionRegion:
         poly = random_polygon(5, 18)
         region = geo.exclusion_region(poly, 0.999)
         seed = np.array([region.seed.x, region.seed.y])
-        assert geo.region_member(poly, region, seed)
+        assert region_member(poly, region, seed)
 
     def test_seed_strictly_inside(self, constants):
         poly = random_polygon(23, 33)
         region = geo.exclusion_region(poly, constants.c_excl)
         f_seed = geo.farthest_boundary_distance(poly, region.seed.as_array())
-        assert f_seed < region.threshold - region.tolerance
+        assert f_seed < region.threshold - 1e-6 * poly.diameter[0]
 
     def test_membership_band_agreement(self, unit_square, constants):
         # polyline membership vs the direct predicate, away from a 2*tol band
         region = geo.exclusion_region(unit_square, constants.c_excl)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(10_000, 2))
-        d, _ = geo.diameter(unit_square)
+        d, _ = unit_square.diameter
         disagreements = 0
         for p in pts:
-            direct = geo.region_member(unit_square, region, p)
-            poly_based = geo.polyline_contains(region.boundary, p)
+            direct = region_member(unit_square, region, p)
+            poly_based = polyline_contains(region.boundary, p)
             if direct != poly_based:
                 f = geo.farthest_boundary_distance(unit_square, p)
                 near_f_boundary = abs(f - region.threshold) <= 2e-3 * d
                 near_domain_boundary = (
-                    min(p[0], p[1], 1 - p[0], 1 - p[1]) <= 2.0 * region.tolerance
+                    min(p[0], p[1], 1 - p[0], 1 - p[1]) <= 2.0 * 1e-6 * d
                 )
                 assert near_f_boundary or near_domain_boundary
                 disagreements += 1
@@ -213,11 +220,27 @@ class TestExclusionRegion:
             p = poly.vertices.min(axis=0) + rng.uniform(size=2) * (
                 poly.vertices.max(axis=0) - poly.vertices.min(axis=0)
             )
-            if geo.region_member(poly, region, p):
+            if region_member(poly, region, p):
                 members.append(p)
         for i in range(0, 200, 2):
             mid = 0.5 * (members[i] + members[i + 1])
-            assert geo.region_member(poly, region, mid)
+            assert region_member(poly, region, mid)
+
+    def test_matches_bisection_oracle(self, disk512, constants):
+        thin = geo.validate([(0, 0), (1, 0), (1, 0.01), (0, 0.01)])
+        randoms = [random_polygon(seed, n) for seed, n in ((5, 18), (23, 33), (41, 8))]
+        for poly in (disk512, thin, *randoms):
+            d = poly.diameter[0]
+            region = geo.exclusion_region(poly, constants.c_excl)
+            boundary, binding = bisection_region(poly, constants.c_excl)
+            assert np.max(np.hypot(*(region.boundary - boundary).T)) <= 1e-6 * d
+            assert region.binding == binding
+            far = np.array(region.binding) == "farthest"
+            f = np.array([geo.farthest_boundary_distance(poly, q) for q in region.boundary[far]])
+            assert np.all(np.abs(f - region.threshold) <= 1e-12 * d)
+            normals, offsets = poly.edge_normals
+            gap = np.abs(offsets[None, :] - region.boundary[~far] @ normals.T).min(axis=1)
+            assert np.all(gap <= 1e-12 * poly.scale)
 
     def test_bad_ratio_rejected(self, unit_square):
         with pytest.raises(ValueError):
@@ -229,6 +252,6 @@ class TestJung:
     @given(st.integers(min_value=0, max_value=10**9), st.integers(5, 60))
     def test_mec_radius_within_jung_bound(self, seed, n):
         poly = random_polygon(seed, n)
-        d, _ = geo.diameter(poly)
-        c = geo.min_enclosing_circle(poly)
+        d, _ = poly.diameter
+        c = poly.min_enclosing_circle
         assert c.radius <= d / math.sqrt(3.0) + 1e-12

@@ -6,9 +6,10 @@ import pytest
 from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots.domains import DomainSpec, realize
-from hotspots.errors import InvalidH, PointOutsideMesh, QualityFailure
+from hotspots.errors import InvalidH, PointOutsideMesh
 
 from .conftest import random_polygon
+from .oracles import boundary_distances, in_circumcircle
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +76,6 @@ def test_boundary_normals_outward_unit(square_mesh):
     assert np.all(dots > 0)
 
 
-def test_boundary_edge_source_ids(square_mesh):
-    assert set(np.unique(square_mesh.boundary_edge_source)) == {0, 1, 2, 3}
-
-
 def test_interior_mask(square_mesh):
     b = np.unique(square_mesh.boundary_edges)
     assert not square_mesh.interior_mask[b].any()
@@ -111,7 +108,7 @@ def test_delaunay_property(square_mesh):
             assert len(opp) == 1
             a, b, c = (mesh.vertices[v] for v in tri)
             p = mesh.vertices[opp[0]]
-            assert not msh.in_circumcircle(a, b, c, p, scale, tie=1e-10)
+            assert not in_circumcircle(a, b, c, p, scale, tie=1e-10)
 
 
 def test_smoothing_keeps_boundary_fixed(square_mesh):
@@ -162,7 +159,6 @@ def test_quality_known_triangles(square_mesh):
         boundary_normals=np.array([[0.0, -1.0],
                                    [1 / math.sqrt(2), 1 / math.sqrt(2)],
                                    [-1.0, 0.0]]),
-        boundary_edge_source=np.array([0, 1, 2]),
         h_max=math.sqrt(2.0),
         interior_mask=np.array([False, False, False]),
     )
@@ -172,7 +168,6 @@ def test_quality_known_triangles(square_mesh):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         boundary_normals=np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]),
-        boundary_edge_source=np.array([0, 1, 2]),
         h_max=1.0,
         interior_mask=np.array([False, False, False]),
     )
@@ -218,7 +213,7 @@ class TestMinAngleTarget:
         from hotspots.report import _sweep_domain_spec
 
         poly = realize(_sweep_domain_spec(master_seed, index))
-        return poly, geo.diameter(poly)[0]
+        return poly, poly.diameter[0]
 
     def test_sharp_corner_domain_meshes(self):
         poly, diam = self._sweep_poly(2000010, 0)
@@ -230,10 +225,37 @@ class TestMinAngleTarget:
     def test_blunt_corners_keep_twenty_degrees(self):
         poly, diam = self._sweep_poly(4000016, 3)
         assert _corner_angles_deg(poly).min() >= msh.MIN_ANGLE_DEG
-        with pytest.raises(QualityFailure):
-            msh.generate(poly, 0.02 * diam)
+        assert msh.quality(msh.generate(poly, 0.02 * diam)).min_angle >= msh.MIN_ANGLE_DEG
         square = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert msh.quality(msh.generate(square, 0.05)).min_angle >= msh.MIN_ANGLE_DEG
+
+
+    @pytest.mark.parametrize("master_seed, index", [
+        (15000847, 4), (4000016, 3), (5000021, 5), (701, 5), (2000708, 2),
+    ])
+    def test_short_polygon_edges_are_split(self, master_seed, index):
+        # each domain has a polygon edge of 0.04-0.12 h, which smoothed
+        # circumcenter insertion alone left below 20 degrees
+        poly, diam = self._sweep_poly(master_seed, index)
+        h = 0.02 * diam
+        assert np.hypot(*(np.roll(poly.vertices, -1, axis=0) - poly.vertices).T).min() < 0.13 * h
+        mesh = msh.generate(poly, h)
+        assert msh.quality(mesh).min_angle >= msh.MIN_ANGLE_DEG
+        assert msh._signed_areas(mesh.vertices, mesh.triangles).sum() == pytest.approx(poly.area, rel=1e-12)
+        normals, offsets = poly.edge_normals
+        loop = mesh.vertices[mesh.boundary_edges[:, 0]]
+        assert np.abs(offsets[None, :] - loop @ normals.T).min(axis=1).max() <= 1e-12 * poly.scale
+        assert len(np.unique(mesh.boundary_edges)) == len(mesh.boundary_edges)
+        assert mesh.interior_mask.sum() + len(mesh.boundary_edges) == mesh.vertex_count
+
+
+def test_boundary_clearance_matches_segment_distances(square_mesh):
+    poly = random_polygon(5, 18)
+    for mesh in (square_mesh, msh.refine(square_mesh), msh.generate(poly, 0.08)):
+        ref = boundary_distances(mesh, mesh.vertices)
+        assert np.max(np.abs(mesh.boundary_clearance - ref)) <= 1e-14
+        assert np.all(mesh.boundary_clearance[~mesh.interior_mask] == 0.0)
+        assert np.array_equal(mesh.boundary_clearance <= mesh.h_max, ref <= mesh.h_max)
 
 
 def test_edges_are_the_sorted_triangle_edges(square_mesh):

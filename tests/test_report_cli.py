@@ -5,6 +5,7 @@ import pytest
 
 from hotspots import cli, report
 from hotspots.domains import DomainSpec, save_spec
+from hotspots.geometry import ConvexPolygon
 
 DISK_SPEC = {"schema": 1, "kind": "disk", "radius": 1.0, "polygonization_n": 512}
 
@@ -28,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -113,7 +114,7 @@ class TestSweep:
             raise DegenerateArea("planted")
 
         monkeypatch.setenv("HSV_THREADS", "1")
-        monkeypatch.setattr(report, name, broken)
+        monkeypatch.setattr(ConvexPolygon, name, property(broken))
         s = report.run_sweep(2, seed=3, h_rel=0.1, out_dir=tmp_path)
         assert s["failures"] == s["domains"]
         assert [f["index"] for f in s["failures"]] == [0, 1]
@@ -121,6 +122,15 @@ class TestSweep:
             assert set(f) == {"index", "error", "stage"}
             assert f["stage"] == stage
             assert "DegenerateArea('planted')" in f["error"]
+
+
+def test_repeated_stage_times_add_up(monkeypatch):
+    clock = iter([0.0, 0.25, 1.0, 1.5])
+    monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))
+    stages = report._Stages()
+    stages.run("refine", lambda: None)
+    stages.run("refine", lambda: None)
+    assert stages.timings == {"refine": 750.0}
 
 
 class TestCliExitCodes:
@@ -138,6 +148,20 @@ class TestCliExitCodes:
         code = cli.main(["verify", "--spec", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["region", "verify"])
+    @pytest.mark.parametrize("field, value", [
+        ("radius", "1"), ("radius", True), ("k", 3.5), ("polygonization_n", 64.5),
+    ])
+    def test_mistyped_field_exit_one(self, tmp_path, capsys, command, field, value):
+        doc = ({"schema": 1, "kind": "regular_polygon", "k": 5, "circumradius": 1.0}
+               if field == "k" else dict(DISK_SPEC))
+        doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"field '{field}'" in capsys.readouterr().err
 
     def test_missing_file_exit_one(self, tmp_path):
         code = cli.main([
@@ -192,6 +216,15 @@ class TestRegionAndRender:
         ])
         assert code == 0
         ET.parse(target)
+
+    @pytest.mark.parametrize("schema, code", [(1, 0), (3, 1)])
+    def test_render_accepts_schemas_1_and_2(self, verified, tmp_path, schema, code):
+        rep, out = verified
+        doc = json.loads((out / "report.json").read_text())
+        doc["schema"] = schema
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")]) == code
 
     def test_render_determinism(self, verified, tmp_path):
         rep, out = verified
