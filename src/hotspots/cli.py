@@ -3,20 +3,21 @@
 Subcommands: verify (full pipeline), region (geometry-only exclusion region),
 render (re-plot a saved report), sweep (batch of seeded random domains).
 
-Exit codes: 0 success, 1 input error, 2 solver/mesh error, 3 theorem
-violation detected.
+Exit codes: 0 success, 1 input error (including a flag out of range),
+2 solver/mesh error, 3 theorem violation detected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .bessel import find_constants
 from .domains import load_spec, realize
-from .errors import HotspotsError, ParseError, SchemaVersionMismatch, StageError
+from .errors import BadArgument, HotspotsError, ParseError, SchemaVersionMismatch, StageError
 from .geometry import exclusion_region
 from .report import REPORT_SCHEMA, run_sweep, run_verify, write_report_svg
 from .svgfig import render_svg
@@ -24,8 +25,42 @@ from .svgfig import render_svg
 _INPUT_STAGES = {"input", "realize"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag is an input error (exit 1); argparse's own code, 2,
+        # would read as a solver failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _float_between(lo: float, hi: float):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not lo < value < hi:
+            bound = f"> {lo:g}" if hi == math.inf else f"in ({lo:g}, {hi:g})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+_POSITIVE = _float_between(0.0, math.inf)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsv",
         description="Verify the critical-point exclusion region of second "
         "Neumann eigenfunctions on convex planar domains.",
@@ -34,11 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     p_verify.add_argument("--spec", required=True, help="domain spec JSON path")
-    p_verify.add_argument("--h", type=float, default=None,
+    p_verify.add_argument("--h", type=_POSITIVE, default=None,
                           help="target mesh size (default: diam/50)")
-    p_verify.add_argument("--refine", type=int, default=0, help="uniform refinements")
-    p_verify.add_argument("--k", type=int, default=4, help="Neumann eigenpairs (>= 3)")
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    p_verify.add_argument("--refine", type=_int_at_least(0), default=0,
+                          help="uniform refinements")
+    p_verify.add_argument("--k", type=_int_at_least(3), default=4,
+                          help="Neumann eigenpairs (>= 3)")
+    p_verify.add_argument("--tol", type=_POSITIVE, default=1e-8, help="residual tolerance")
     p_verify.add_argument("--out", required=True, help="output directory")
     p_verify.add_argument("--seed", type=int, default=0, help="eigensolver start seed")
     p_verify.add_argument("--svg", action="store_true", help="also write figure.svg")
@@ -49,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="compute the exclusion region only")
     p_region.add_argument("--spec", required=True)
-    p_region.add_argument("--ratio", type=float, default=None,
+    p_region.add_argument("--ratio", type=_float_between(0.5, 1.0), default=None,
                           help="threshold/diameter ratio (default: j1/(2 j0))")
     p_region.add_argument("--out", required=True, help="output directory")
     p_region.add_argument("--svg", action="store_true")
@@ -60,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--show-nodal", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="verify a batch of random convex domains")
-    p_sweep.add_argument("--count", type=int, required=True)
+    p_sweep.add_argument("--count", type=_int_at_least(1), required=True)
     p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--h-rel", type=float, default=0.02,
+    # the mesher needs h < diam/4
+    p_sweep.add_argument("--h-rel", type=_float_between(0.0, 0.25), default=0.02,
                          help="mesh size relative to each diameter")
-    p_sweep.add_argument("--k", type=int, default=4)
-    p_sweep.add_argument("--tol", type=float, default=1e-8)
+    p_sweep.add_argument("--k", type=_int_at_least(3), default=4)
+    p_sweep.add_argument("--tol", type=_POSITIVE, default=1e-8)
     p_sweep.add_argument("--out", required=True)
     return parser
 
@@ -123,8 +161,8 @@ def _cmd_region(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    # Schema 2 only dropped fields that rendering does not read.
-    if doc.get("schema") not in (1, REPORT_SCHEMA):
+    # Schemas 2 and 3 changed no field that rendering reads.
+    if doc.get("schema") not in (1, 2, REPORT_SCHEMA):
         raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
     write_report_svg(doc, args.out, show_nodal=args.show_nodal)
     print(f"wrote {args.out}")
@@ -155,7 +193,8 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if exc.stage in _INPUT_STAGES else 2
-    except (ParseError, SchemaVersionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (BadArgument, ParseError, SchemaVersionMismatch, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HotspotsError as exc:

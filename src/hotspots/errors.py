@@ -43,6 +43,10 @@ class SchemaVersionMismatch(HotspotsError):
     pass
 
 
+class BadArgument(HotspotsError):
+    """A run setting outside its range; message names the setting."""
+
+
 # --- meshing --------------------------------------------------------------
 
 class InvalidH(HotspotsError):

@@ -4,18 +4,20 @@ Convexity is what keeps this simple: the Delaunay triangulation of boundary
 samples plus interior points tiles the polygon exactly, so no constrained
 triangulation is needed.  Interior points start on a hexagonal lattice with
 h/2 clearance from the boundary and are relaxed by barycentric smoothing
-(boundary samples never move); each smoothing pass re-triangulates, so the
-final mesh is the Delaunay triangulation of its final point set.
+(boundary samples never move).  Smoothing triangulates once and keeps those
+neighbour lists while the points move; the mesh is then the Delaunay
+triangulation of the final point set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidH, PointOutsideMesh, QualityFailure
 from .geometry import ConvexPolygon
@@ -157,16 +159,18 @@ def _assemble(points: np.ndarray, n_boundary: int) -> TriMesh:
 
 
 def _smooth(points: np.ndarray, movable: np.ndarray, passes: int) -> np.ndarray:
+    """Barycentric smoothing on the neighbour lists of one Delaunay
+    triangulation, kept fixed while the points move (DistMesh's rule)."""
     pts = points.copy()
+    indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+    nbr_cnt = np.diff(indptr)
+    owner = np.repeat(np.arange(len(pts)), nbr_cnt)
+    upd = movable & (nbr_cnt > 0)
     for _ in range(passes):
-        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
-        nbr_cnt = np.diff(indptr)
-        owner = np.repeat(np.arange(len(pts)), nbr_cnt)
         nbr_sum = np.column_stack([
             np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
             for j in (0, 1)
         ])
-        upd = movable & (nbr_cnt > 0)
         pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
     return pts
 
@@ -236,15 +240,27 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
             points = _smooth(points, movable, SMOOTHING_PASSES)
         else:
             # What smoothed insertion cannot fix (polygon edges much shorter
-            # than h) is split Ruppert-style, without smoothing, which would
-            # undo the grading: a circumcenter inside a boundary segment's
-            # diametral circle splits that segment instead.
+            # than h) is refined Ruppert-style, without smoothing, which would
+            # undo the grading.  Worst triangles go first; a circumcenter
+            # already chosen inside a triangle's circumcircle destroys that
+            # triangle, so its own circumcenter waits for the next round.
             retries = QUALITY_RETRIES
+            radius = np.hypot(*(cc - mesh.vertices[bad[:, 0]]).T)
+            take: list[int] = []
+            for i in np.argsort(angles[angles < target], kind="stable"):
+                if all(math.dist(cc[i], cc[j]) >= radius[i] for j in take):
+                    take.append(i)
+            cc, depth = cc[take], depth[take]
+            # A boundary segment with a vertex or a chosen circumcenter inside
+            # its diametral circle is split instead; a vertex there is what
+            # puts circumcenters outside the domain.
             bnd, ends = points[:n_b], np.roll(points[:n_b], -1, axis=0)
             mids = 0.5 * (bnd + ends)
-            gap = np.hypot(cc[:, None, 0] - mids[:, 0], cc[:, None, 1] - mids[:, 1])
-            near = gap < 0.5 * np.hypot(*(ends - bnd).T)
-            split = near.any(axis=0)
+            half = 0.5 * np.hypot(*(ends - bnd).T)
+            near = np.hypot(cc[:, None, 0] - mids[:, 0], cc[:, None, 1] - mids[:, 1]) < half
+            crowded = cKDTree(points).query_ball_point(mids, half * (1.0 - 1e-9),
+                                                       return_length=True) > 0
+            split = near.any(axis=0) | crowded
             order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
             bnd = np.vstack([bnd, mids[split]])[order]
             points = np.vstack([bnd, points[n_b:], cc[~near.any(axis=1) & (depth > 0.0)]])
@@ -335,8 +351,9 @@ def quality(mesh: TriMesh) -> MeshQuality:
 def interpolate(mesh: TriMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """P1 interpolation of vertex values at arbitrary points inside the mesh.
 
-    Brute-force barycentric location (vectorized over triangles per query);
-    fine at desk scale.  Raises PointOutsideMesh.
+    Each point is located among the triangles whose centroids are near it,
+    in index order, so the lowest-index containing triangle wins.  Raises
+    PointOutsideMesh.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tris = mesh.triangles
@@ -344,27 +361,31 @@ def interpolate(mesh: TriMesh, values: np.ndarray, points: np.ndarray) -> np.nda
     b = mesh.vertices[tris[:, 1]]
     c = mesh.vertices[tris[:, 2]]
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    out = np.empty(len(pts))
-    eps = 1e-12
-    for i, p in enumerate(pts):
-        l1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (b[:, 1] - p[1]) * (c[:, 0] - p[0])) / det
-        l2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (c[:, 1] - p[1]) * (a[:, 0] - p[0])) / det
-        l3 = 1.0 - l1 - l2
-        worst = np.minimum(np.minimum(l1, l2), l3)
-        hits = np.nonzero(worst >= -eps)[0]
-        if len(hits):
-            t = hits[0]
-        else:
-            # heal micro-gaps left by the degenerate-sliver filter
-            t = int(np.argmax(worst))
-            if worst[t] < -1e-6:
-                raise PointOutsideMesh(f"point {p} is outside the mesh")
-        out[i] = (
-            l1[t] * values[tris[t, 0]]
-            + l2[t] * values[tris[t, 1]]
-            + l3[t] * values[tris[t, 2]]
-        )
-    return out
+    centroids = (a + b + c) / 3.0
+    # A point of triangle t, or of the 1e-6 micro-gap band around it, lies
+    # within (1 + 3e-6) R_t of t's centroid, R_t its farthest vertex.
+    reach = max(np.hypot(*(v - centroids).T).max() for v in (a, b, c))
+    near = cKDTree(centroids).query_ball_point(pts, 1.01 * reach, return_sorted=True)
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(pts))
+    t = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=counts.sum())
+    owner = np.repeat(np.arange(len(pts)), counts)
+    px, py = pts[owner, 0], pts[owner, 1]
+    l1 = ((b[t, 0] - px) * (c[t, 1] - py) - (b[t, 1] - py) * (c[t, 0] - px)) / det[t]
+    l2 = ((c[t, 0] - px) * (a[t, 1] - py) - (c[t, 1] - py) * (a[t, 0] - px)) / det[t]
+    l3 = 1.0 - l1 - l2
+    worst = np.minimum(np.minimum(l1, l2), l3)
+    starts = np.cumsum(counts) - counts
+    hit = np.flatnonzero(worst >= -1e-12)
+    pick = np.full(len(pts), len(t))
+    np.minimum.at(pick, owner[hit], hit)
+    for i in np.flatnonzero(pick == len(t)):
+        # heal micro-gaps left by the degenerate-sliver filter
+        seg = worst[starts[i]:starts[i] + counts[i]]
+        if not len(seg) or seg.max() < -1e-6:
+            raise PointOutsideMesh(f"point {pts[i]} is outside the mesh")
+        pick[i] = starts[i] + int(np.argmax(seg))
+    tp = tris[t[pick]]
+    return l1[pick] * values[tp[:, 0]] + l2[pick] * values[tp[:, 1]] + l3[pick] * values[tp[:, 2]]
 
 
 def dump_mesh(mesh: TriMesh, path) -> None:

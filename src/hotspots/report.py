@@ -23,12 +23,12 @@ from . import analysis as ana
 from . import fem
 from .bessel import find_constants
 from .domains import DomainSpec, SplitMix64, load_spec, realize, save_spec
-from .errors import StageError
+from .errors import BadArgument, StageError
 from .geometry import Point, exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 
 @dataclass(eq=False)
@@ -436,11 +436,15 @@ def run_sweep(count: int, seed: int, h_rel: float, out_dir, k: int = 4,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    threads = os.environ.get("HSV_THREADS", "0")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise BadArgument(f"HSV_THREADS must be an integer, got {threads!r}") from None
+    workers = max(1, min(workers or (os.cpu_count() or 1), count))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(seed, i, h_rel, str(out), k, tol) for i in range(count)]
-    workers = int(os.environ.get("HSV_THREADS", "0")) or (os.cpu_count() or 1)
-    workers = max(1, min(workers, count))
     if workers == 1:
         results = [_sweep_one(j) for j in jobs]
     else:

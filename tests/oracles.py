@@ -309,3 +309,58 @@ def bisection_region(poly, ratio: float, rays: int = 720):
         f_q = farthest_boundary_distance(poly, q)
         binding.append("farthest" if abs(f_q - threshold) <= 2.0 * tol else "domain")
     return boundary, tuple(binding)
+
+
+# --- the mesher's earlier per-pass and per-point loops -----------------------
+
+def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int) -> np.ndarray:
+    """Barycentric smoothing that takes a fresh Delaunay triangulation on
+    every pass (the mesher's earlier `_smooth`)."""
+    from scipy.spatial import Delaunay
+
+    pts = points.copy()
+    for _ in range(passes):
+        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+        nbr_cnt = np.diff(indptr)
+        owner = np.repeat(np.arange(len(pts)), nbr_cnt)
+        nbr_sum = np.column_stack([
+            np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
+            for j in (0, 1)
+        ])
+        upd = movable & (nbr_cnt > 0)
+        pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
+    return pts
+
+
+def brute_force_interpolate(mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """P1 interpolation that scans every triangle for every point (the
+    mesher's earlier `interpolate`)."""
+    from hotspots.errors import PointOutsideMesh
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    tris = mesh.triangles
+    a = mesh.vertices[tris[:, 0]]
+    b = mesh.vertices[tris[:, 1]]
+    c = mesh.vertices[tris[:, 2]]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    out = np.empty(len(pts))
+    eps = 1e-12
+    for i, p in enumerate(pts):
+        l1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (b[:, 1] - p[1]) * (c[:, 0] - p[0])) / det
+        l2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (c[:, 1] - p[1]) * (a[:, 0] - p[0])) / det
+        l3 = 1.0 - l1 - l2
+        worst = np.minimum(np.minimum(l1, l2), l3)
+        hits = np.nonzero(worst >= -eps)[0]
+        if len(hits):
+            t = hits[0]
+        else:
+            # heal micro-gaps left by the degenerate-sliver filter
+            t = int(np.argmax(worst))
+            if worst[t] < -1e-6:
+                raise PointOutsideMesh(f"point {p} is outside the mesh")
+        out[i] = (
+            l1[t] * values[tris[t, 0]]
+            + l2[t] * values[tris[t, 1]]
+            + l3[t] * values[tris[t, 2]]
+        )
+    return out

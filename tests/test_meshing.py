@@ -2,14 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from hotspots import geometry as geo
 from hotspots import meshing as msh
+from hotspots.analysis import BRANCH_SAMPLES
 from hotspots.domains import DomainSpec, realize
 from hotspots.errors import InvalidH, PointOutsideMesh
+from hotspots.report import _sweep_domain_spec
 
 from .conftest import random_polygon
-from .oracles import boundary_distances, in_circumcircle
+from .oracles import (
+    boundary_distances,
+    brute_force_interpolate,
+    in_circumcircle,
+    retriangulating_smooth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +218,6 @@ class TestMinAngleTarget:
 
     @staticmethod
     def _sweep_poly(master_seed, index):
-        from hotspots.report import _sweep_domain_spec
-
         poly = realize(_sweep_domain_spec(master_seed, index))
         return poly, poly.diameter[0]
 
@@ -232,9 +238,10 @@ class TestMinAngleTarget:
 
     @pytest.mark.parametrize("master_seed, index", [
         (15000847, 4), (4000016, 3), (5000021, 5), (701, 5), (2000708, 2),
+        (38000184, 3), (47000298, 3), (50000274, 5),
     ])
     def test_short_polygon_edges_are_split(self, master_seed, index):
-        # each domain has a polygon edge of 0.04-0.12 h, which smoothed
+        # each domain has a polygon edge of 0.01-0.12 h, which smoothed
         # circumcenter insertion alone left below 20 degrees
         poly, diam = self._sweep_poly(master_seed, index)
         h = 0.02 * diam
@@ -261,3 +268,115 @@ def test_boundary_clearance_matches_segment_distances(square_mesh):
 def test_edges_are_the_sorted_triangle_edges(square_mesh):
     for mesh in (square_mesh, msh.refine(square_mesh)):
         assert mesh.edges.tolist() == [list(e) for e in sorted(triangle_edges(mesh.triangles))]
+
+
+def _target_deg(poly):
+    return min(msh.MIN_ANGLE_DEG, msh._sharpest_corner_deg(poly.vertices) - 1e-9)
+
+
+_SMOOTHING_CASES = [
+    pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=256)),
+                 0.05, id="disk256"),
+    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square"),
+] + [
+    pytest.param(lambda i=i: realize(_sweep_domain_spec(1, i)), None, id=f"sweep1-{i}")
+    for i in range(6)
+]
+
+
+class TestFixedConnectivitySmoothing:
+    """Smoothing on one triangulation's neighbour lists lands within 0.35 h
+    of the mesh that re-triangulates on every pass."""
+
+    @pytest.mark.parametrize("make, h", _SMOOTHING_CASES)
+    def test_matches_retriangulating_oracle(self, monkeypatch, make, h):
+        poly = make()
+        h = h if h is not None else 0.02 * poly.diameter[0]
+        mesh = msh.generate(poly, h)
+        with monkeypatch.context() as m:
+            m.setattr(msh, "_smooth", retriangulating_smooth)
+            ref = msh.generate(poly, h)
+        assert mesh.vertex_count == ref.vertex_count
+        assert mesh.triangle_count == ref.triangle_count
+        assert np.hypot(*(mesh.vertices - ref.vertices).T).max() <= 0.35 * h
+        assert msh.quality(mesh).min_angle >= _target_deg(poly)
+
+    def test_generate_triangulates_twice(self, monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return Delaunay(points)
+
+        monkeypatch.setattr(msh, "Delaunay", counting)
+        mesh = msh.generate(geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05)
+        assert calls == [mesh.vertex_count, mesh.vertex_count]
+
+
+def _comparison_circle(mesh, poly):
+    """The 256 branch-count samples `run_verify` takes around its anchor."""
+    mec = poly.min_enclosing_circle
+    cand = np.nonzero(mesh.interior_mask)[0]
+    rel = mesh.vertices[cand] - np.array([mec.center.x, mec.center.y])
+    anchor = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
+    radius = min(0.9 * mesh.boundary_clearance[anchor],
+                 max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
+    theta = 2.0 * math.pi * np.arange(BRANCH_SAMPLES) / BRANCH_SAMPLES
+    return mesh.vertices[anchor] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+class TestInterpolateMatchesOracle:
+    """Local point location returns the full triangle scan's values bit for
+    bit, and raises PointOutsideMesh exactly where the scan does."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self, disk_solved, rect21):
+        fine = msh.refine(msh.refine(msh.generate(rect21, 0.04)))
+        return {"disk": (disk_solved.mesh, disk_solved.poly), "rect_refined": (fine, rect21)}
+
+    @staticmethod
+    def _probe_points(mesh, poly, rng):
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        e = mesh.edges[rng.choice(len(mesh.edges), 200, replace=False)]
+        s = rng.uniform(size=(200, 1))
+        return np.vstack([
+            _comparison_circle(mesh, poly),
+            lo + (hi - lo) * rng.uniform(size=(300, 2)),
+            mesh.vertices[rng.choice(mesh.vertex_count, 200, replace=False)],
+            0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]]),
+            (1.0 - s) * mesh.vertices[e[:, 0]] + s * mesh.vertices[e[:, 1]],
+        ])
+
+    @pytest.mark.parametrize("name", ["disk", "rect_refined"])
+    def test_bit_equal_on_circle_and_probes(self, meshes, name):
+        mesh, poly = meshes[name]
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(mesh.vertex_count)
+        circle = _comparison_circle(mesh, poly)
+        assert np.array_equal(msh.interpolate(mesh, values, circle),
+                              brute_force_interpolate(mesh, values, circle))
+        inside, expected = [], []
+        for p in self._probe_points(mesh, poly, rng):
+            try:
+                expected.append(brute_force_interpolate(mesh, values, p)[0])
+                inside.append(p)
+            except PointOutsideMesh:
+                with pytest.raises(PointOutsideMesh):
+                    msh.interpolate(mesh, values, p)
+        assert np.array_equal(msh.interpolate(mesh, values, np.array(inside)), expected)
+
+    @pytest.mark.parametrize("name", ["disk", "rect_refined"])
+    def test_micro_gap_healed_and_far_points_raise(self, meshes, name):
+        mesh, _ = meshes[name]
+        values = np.random.default_rng(3).standard_normal(mesh.vertex_count)
+        i, j = mesh.boundary_edges[0]
+        mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
+        normal = mesh.boundary_normals[0]
+        gap = mid + 1e-9 * mesh.h_max * normal
+        expected = brute_force_interpolate(mesh, values, gap)
+        assert np.array_equal(msh.interpolate(mesh, values, gap), expected)
+        for far in (mid + 1e-3 * mesh.h_max * normal, mid + 10.0 * mesh.h_max * normal):
+            with pytest.raises(PointOutsideMesh):
+                brute_force_interpolate(mesh, values, far)
+            with pytest.raises(PointOutsideMesh):
+                msh.interpolate(mesh, values, far)

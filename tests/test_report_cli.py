@@ -29,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -197,6 +197,34 @@ class TestCliExitCodes:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (["sweep", "--count", "0"], {}, "--count"),
+    (["sweep", "--count", "x"], {}, "--count"),
+    (["sweep", "--count", "1", "--h-rel", "0"], {}, "--h-rel"),
+    (["sweep", "--count", "1"], {"HSV_THREADS": "abc"}, "HSV_THREADS"),
+    (["region", "--spec", "{spec}", "--ratio", "-1"], {}, "--ratio"),
+    (["verify", "--spec", "{spec}", "--h", "-1"], {}, "--h"),
+    (["verify", "--spec", "{spec}", "--h", "nan"], {}, "--h"),
+    (["verify", "--spec", "{spec}", "--refine", "-1"], {}, "--refine"),
+    (["verify", "--spec", "{spec}", "--k", "2"], {}, "--k"),
+    (["verify", "--spec", "{spec}", "--tol", "0"], {}, "--tol"),
+], ids=["count-0", "count-x", "h-rel-0", "threads-abc", "ratio-neg", "h-neg", "h-nan",
+        "refine-neg", "k-2", "tol-0"])
+def test_bad_flag_exit_one(tmp_path, capsys, monkeypatch, disk_spec_path, argv, env, named):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.format(spec=disk_spec_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRegionAndRender:
     def test_region_subcommand(self, disk_spec_path, tmp_path):
         code = cli.main([
@@ -217,8 +245,8 @@ class TestRegionAndRender:
         assert code == 0
         ET.parse(target)
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (3, 1)])
-    def test_render_accepts_schemas_1_and_2(self, verified, tmp_path, schema, code):
+    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 1)])
+    def test_render_accepts_schemas_1_to_3(self, verified, tmp_path, schema, code):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
         doc["schema"] = schema
