@@ -26,6 +26,8 @@ MIN_ANGLE_DEG = 20.0
 SMOOTHING_PASSES = 10
 QUALITY_RETRIES = 3
 SPLIT_ROUNDS = 20
+DEPTH_CHUNK = 65_536  # elements per depth chunk: its temporaries stay in cache
+MAX_MESH_SIZE = 4_000_000  # cap on the lattice points of generate, the triangles of refine
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +72,7 @@ class TriMesh:
         """
         normals = self.boundary_normals
         offsets = np.einsum("ij,ij->i", normals, self.vertices[self.boundary_edges[:, 0]])
-        out = np.empty(self.vertex_count)
-        chunk = max(1, 2_000_000 // len(normals))
-        for lo in range(0, self.vertex_count, chunk):
-            depth = offsets[None, :] - self.vertices[lo:lo + chunk] @ normals.T
-            out[lo:lo + chunk] = depth.min(axis=1)
-        return np.maximum(out, 0.0)
+        return np.maximum(_half_plane_depth(self.vertices, normals, offsets), 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,20 @@ class MeshQuality:
     h_max: float
     vertex_count: int
     triangle_count: int
+
+
+def _half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n,) min over edges e of offset_e - n_e.p, DEPTH_CHUNK elements at a time.
+    Elementwise, not a BLAS product (which rounds per block): same bits for any chunk."""
+    out = np.empty(len(points))
+    nx, ny = normals[:, 0], normals[:, 1]
+    rows = max(1, DEPTH_CHUNK // len(normals))
+    for lo in range(0, len(points), rows):
+        depth = points[lo:lo + rows, :1] * nx
+        depth += points[lo:lo + rows, 1:] * ny
+        np.subtract(offsets, depth, out=depth)
+        out[lo:lo + rows] = depth.min(axis=1)
+    return out
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -182,9 +193,16 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     diam, _ = poly.diameter
     if not (0.0 < h < diam / 4.0):
         raise InvalidH(f"need 0 < h < diam/4 = {diam / 4.0:g}, got {h}")
+    verts = poly.vertices
+    xmin, ymin = verts.min(axis=0)
+    xmax, ymax = verts.max(axis=0)
+    dy = h * math.sqrt(3.0) / 2.0
+    n_rows = int((ymax - ymin) / dy) + 1
+    estimate = (n_rows + 1) * (int((xmax - xmin) / h) + 2)
+    if estimate > MAX_MESH_SIZE:
+        raise InvalidH(f"h = {h} lays down up to {estimate} lattice points > {MAX_MESH_SIZE}")
 
     # Boundary samples: spacing <= h on every polygon edge, vertices kept.
-    verts = poly.vertices
     nxt = np.roll(verts, -1, axis=0)
     bnd: list[np.ndarray] = []
     for a, b in zip(verts, nxt):
@@ -196,11 +214,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     # Hexagonal interior lattice with h/2 clearance (conservative: distance
     # to edge lines underestimates distance to the boundary).
     normals, offsets = poly.edge_normals
-    xmin, ymin = verts.min(axis=0)
-    xmax, ymax = verts.max(axis=0)
     rows = []
-    dy = h * math.sqrt(3.0) / 2.0
-    n_rows = int((ymax - ymin) / dy) + 1
     for r in range(n_rows + 1):
         y = ymin + r * dy
         x0 = xmin + (0.5 * h if r % 2 else 0.0)
@@ -208,8 +222,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         xs = x0 + h * np.arange(n_cols + 1)
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     lattice = np.vstack(rows)
-    depth = offsets[None, :] - lattice @ normals.T
-    keep = depth.min(axis=1) >= 0.5 * h
+    keep = _half_plane_depth(lattice, normals, offsets) >= 0.5 * h
     interior_pts = lattice[keep]
 
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
@@ -230,7 +243,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         # clearance proportional to the offending triangle, not the global h:
         # badly graded boundary layers need insertions near the boundary
         shortest = _edge_lengths(mesh.vertices, bad).min(axis=1)
-        depth = (offsets[None, :] - cc @ normals.T).min(axis=1)
+        depth = _half_plane_depth(cc, normals, offsets)
         keep = depth >= 0.45 * shortest
         if retries < QUALITY_RETRIES and keep.any():
             retries += 1
@@ -300,6 +313,9 @@ def _circumcenters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def refine(mesh: TriMesh) -> TriMesh:
     """Split every triangle into 4 by edge midpoints; boundary midpoints stay
     on the (straight) polygon edges, h_max halves."""
+    if 4 * mesh.triangle_count > MAX_MESH_SIZE:
+        raise InvalidH(f"refining the h_max = {mesh.h_max:g} mesh makes "
+                       f"{4 * mesh.triangle_count} triangles > {MAX_MESH_SIZE}")
     verts = mesh.vertices
     tris = mesh.triangles
     edges = mesh.edges
@@ -390,10 +406,10 @@ def interpolate(mesh: TriMesh, values: np.ndarray, points: np.ndarray) -> np.nda
 
 def dump_mesh(mesh: TriMesh, path) -> None:
     """Plain-text dump: header 'HSV-MESH 1', counts, coordinates, index triples."""
-    lines = [f"HSV-MESH 1", f"{mesh.vertex_count} {mesh.triangle_count}"]
-    for x, y in mesh.vertices:
+    lines = ["HSV-MESH 1", f"{mesh.vertex_count} {mesh.triangle_count}"]
+    for x, y in mesh.vertices.tolist():
         lines.append(f"{x!r} {y!r}")
-    for i, j, k in mesh.triangles:
+    for i, j, k in mesh.triangles.tolist():
         lines.append(f"{i} {j} {k}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ def test_dump_format(square_mesh, tmp_path):
     assert nv == square_mesh.vertex_count
     assert nt == square_mesh.triangle_count
     assert len(lines) == 2 + nv + nt
+    coords = np.array([[float(v) for v in line.split()] for line in lines[2:2 + nv]])
+    assert coords.tobytes() == square_mesh.vertices.tobytes()
 
 
 def _corner_angles_deg(poly):
@@ -380,3 +383,66 @@ class TestInterpolateMatchesOracle:
                 brute_force_interpolate(mesh, values, far)
             with pytest.raises(PointOutsideMesh):
                 msh.interpolate(mesh, values, far)
+
+
+_CHUNK_CASES = [
+    pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)),
+                 0.02, id="disk512"),
+] + _SMOOTHING_CASES[1:]
+
+
+@pytest.mark.parametrize("make, h", _CHUNK_CASES)
+def test_depth_chunking_is_bit_exact(monkeypatch, make, h):
+    poly = make()
+    h = h if h is not None else 0.02 * poly.diameter[0]
+    ref = msh.generate(poly, h)
+    for chunk in (1, 7, 10**9):
+        monkeypatch.setattr(msh, "DEPTH_CHUNK", chunk)
+        mesh = msh.generate(poly, h)
+        assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+        assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+        assert mesh.boundary_clearance.tobytes() == ref.boundary_clearance.tobytes()
+
+
+def test_depth_tests_run_in_bounded_memory(disk512):
+    # the 512-gon at h=0.02 tests 11.7k lattice points and 9.4k vertices
+    # against 512 edges; one full points x edges matrix is 48 MB
+    tracemalloc.start()
+    try:
+        mesh = msh.generate(disk512, 0.02)
+        _, generate_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        mesh.boundary_clearance
+        _, clearance_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert generate_peak < 8e6
+    assert clearance_peak - before < 8e6
+
+
+class TestMeshSizeCap:
+    """Caps are monkeypatched down, so a check that comes too late costs
+    milliseconds, not gigabytes."""
+
+    def test_generate_refuses_before_building_anything(self, monkeypatch):
+        square = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        monkeypatch.setattr(msh, "MAX_MESH_SIZE", 2000)
+        assert msh.generate(square, 0.05).vertex_count < 2000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidH, match=r"h = 0\.005 .* \d+ lattice points > 2000"):
+                msh.generate(square, 0.005)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 53k-point lattice alone would take 850 kB
+        assert peak < 100_000
+
+    def test_refine_refuses_over_cap(self, monkeypatch, square_mesh):
+        n = 4 * square_mesh.triangle_count
+        monkeypatch.setattr(msh, "MAX_MESH_SIZE", n - 1)
+        with pytest.raises(InvalidH, match=rf"h_max = .* {n} triangles"):
+            msh.refine(square_mesh)
+        monkeypatch.setattr(msh, "MAX_MESH_SIZE", n)
+        assert msh.refine(square_mesh).triangle_count == n

@@ -196,6 +196,17 @@ class TestCliExitCodes:
         ])
         assert code == 2
 
+    def test_mesh_over_cap_exit_two(self, tmp_path, monkeypatch, capsys, disk_spec_path):
+        from hotspots import meshing
+
+        monkeypatch.setattr(meshing, "MAX_MESH_SIZE", 2000)
+        code = cli.main([
+            "verify", "--spec", str(disk_spec_path), "--h", "0.02", "--out", str(tmp_path)
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage 'mesh'" in err and "InvalidH" in err and "h = 0.02" in err
+
 
 @pytest.mark.parametrize("argv, env, named", [
     (["sweep", "--count", "0"], {}, "--count"),
