@@ -5,8 +5,11 @@ consistent element matrix (A/12)[[2,1,1],[1,2,1],[1,1,2]]; both are assembled
 with a deterministic COO->CSR reduction.  Eigenpairs come from shift-invert
 Lanczos (ARPACK) on the sigma-shifted operator K + sigma*M with a fixed,
 seeded starting vector, so repeated runs are bit-identical; small problems
-fall back to a dense solve.  The contract is the residual bound checked at
-the end, not the iteration internals.
+fall back to a dense solve.  The operator solves go through LAPACK's banded
+Cholesky of the symmetric positive definite matrix (K + sigma*M, or K_II for
+Dirichlet) in reverse Cuthill-McKee order (George & Liu, 1981), or through
+SuperLU when that band would be too large.  The contract is the residual
+bound checked at the end, not the iteration internals.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceFailure, NoInteriorVertices, ZeroVector
 from .meshing import TriMesh
@@ -26,6 +30,20 @@ DENSE_CUTOFF = 400
 DEGENERACY_REL_GAP = 1e-6  # eigenspace-sampling trigger
 DEGENERACY_FLAG_REL_GAP = 1e-2  # looser report-level "nearly degenerate" flag
 EIGENSPACE_SAMPLES = 8
+# (kd+1)*n band entries above which the shift-invert factor is SuperLU's: past
+# about 12M entries (96 MiB) the banded factor's storage and solves cost more
+BAND_MAX_ENTRIES = 12_000_000
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """How one eigensolve ran (the metrics.json sidecar)."""
+
+    path: str             # 'dense' | 'banded' | 'superlu'
+    n: int
+    kd: int | None        # band half-width in RCM order; None on the dense path
+    operator_solves: int
+    converged_pairs: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +54,7 @@ class Spectrum:
     eigenvectors: np.ndarray  # (n, k)
     residuals: np.ndarray     # (k,) ||K v - mu M v|| / ((1+mu) ||M v||)
     boundary_condition: str   # 'neumann' | 'dirichlet'
+    stats: SolveStats
 
 
 def _element_geometry(mesh: TriMesh):
@@ -117,23 +136,84 @@ def _residuals(k_mat, m_mat, vals, vecs) -> np.ndarray:
     return res
 
 
-def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, seed: int):
+class SpdInverse(spla.LinearOperator):
+    """x = A^-1 b for a sparse symmetric positive definite A, counting solves.
+
+    A is ordered by reverse Cuthill-McKee and its upper triangle scattered
+    from the COO entries, through the inverse permutation, into a Fortran
+    (kd+1, n) band that LAPACK factors in place.  When that band would hold
+    more than BAND_MAX_ENTRIES entries, SuperLU factors A instead.  A factor
+    that fails, or has a pivot within rounding (n * eps) of zero, raises
+    ConvergenceFailure naming the problem.
+    """
+
+    def __init__(self, mat, problem: str):
+        n = mat.shape[0]
+        super().__init__(np.dtype(float), (n, n))
+        self.solves = 0
+        self._perm = reverse_cuthill_mckee(mat.tocsr(), symmetric_mode=True)
+        inv = np.empty(n, dtype=np.intp)
+        inv[self._perm] = np.arange(n)
+        coo = mat.tocoo()
+        rows, cols = inv[coo.row], inv[coo.col]
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+        self.kd = int((cols - rows).max())
+        if (self.kd + 1) * n > BAND_MAX_ENTRIES:
+            self.path = "superlu"
+            try:
+                self._lu = spla.splu(mat.tocsc())
+            except RuntimeError as exc:
+                raise ConvergenceFailure(f"{problem} matrix is singular: {exc}") from exc
+            return
+        self.path = "banded"
+        band = np.zeros((self.kd + 1, n), order="F")
+        band[self.kd + rows - cols, cols] = coo.data[upper]
+        diag = band[self.kd].copy()
+        try:
+            self._factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"{problem} matrix is not positive definite: {exc}"
+            ) from exc
+        tiny = np.flatnonzero(self._factor[self.kd] ** 2 <= n * np.finfo(float).eps * diag)
+        if len(tiny):
+            raise ConvergenceFailure(
+                f"{problem} matrix is numerically singular: pivot {tiny[0] + 1} of {n} "
+                "is within rounding of zero"
+            )
+
+    def _matvec(self, b):
+        self.solves += 1
+        b = np.ravel(b)
+        if self.path == "superlu":
+            return self._lu.solve(b)
+        x = np.empty(len(b))
+        x[self._perm] = cho_solve_banded((self._factor, False), b[self._perm],
+                                         check_finite=False)
+        return x
+
+
+def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, seed: int, problem: str):
     n = k_mat.shape[0]
     if n <= DENSE_CUTOFF or k >= n - 1:
         vals, vecs = eigh(k_mat.toarray(), m_mat.toarray())
-        return vals[:k], vecs[:, :k]
-    shifted = (k_mat + sigma * m_mat).tocsc()
+        return vals[:k], vecs[:, :k], SolveStats("dense", n, None, 0, k)
+    shifted = k_mat + sigma * m_mat
+    inverse = SpdInverse(shifted, problem)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(
-            shifted, k=k, M=m_mat.tocsc(), sigma=0.0, which="LM", v0=v0, maxiter=500
+            shifted, k=k, M=m_mat, sigma=0.0, which="LM", v0=v0, maxiter=500,
+            OPinv=inverse,
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(
             f"ARPACK: {len(exc.eigenvalues)} of {k} pairs converged in 500 iterations"
         ) from exc
     order = np.argsort(vals)
-    return vals[order] - sigma, vecs[:, order]
+    stats = SolveStats(inverse.path, n, inverse.kd, inverse.solves, len(vals))
+    return vals[order] - sigma, vecs[:, order], stats
 
 
 def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spectrum:
@@ -146,7 +226,7 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
         raise ValueError("need k >= 2 for the Neumann problem")
     n = k_mat.shape[0]
     sigma = SIGMA_SHIFT_REL * (k_mat.diagonal().sum() / n)
-    vals, vecs = _smallest_pairs(k_mat, m_mat, k, sigma, seed)
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, sigma, seed, "Neumann")
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
@@ -157,7 +237,7 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     res = _residuals(k_mat, m_mat, vals, vecs)
     if np.any(res > tol):
         raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
-    return Spectrum(vals, vecs, res, "neumann")
+    return Spectrum(vals, vecs, res, "neumann", stats)
 
 
 def solve_dirichlet(mesh: TriMesh, k: int, tol: float = 1e-8, seed: int = 0,
@@ -175,14 +255,14 @@ def solve_dirichlet(mesh: TriMesh, k: int, tol: float = 1e-8, seed: int = 0,
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()
     k_eff = min(k, len(idx))
-    vals, vecs_red = _smallest_pairs(k_red, m_red, k_eff, 0.0, seed)
+    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, seed, "Dirichlet")
     vecs_red = _fix_signs(_m_orthonormalize(vecs_red, m_red))
     res = _residuals(k_red, m_red, vals, vecs_red)
     if np.any(res > tol):
         raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
     vecs = np.zeros((mesh.vertex_count, k_eff))
     vecs[idx] = vecs_red
-    return Spectrum(vals, vecs, res, "dirichlet")
+    return Spectrum(vals, vecs, res, "dirichlet", stats)
 
 
 def mu2_eigenspace(spectrum: Spectrum, seed: int = 0) -> list[np.ndarray]:

@@ -68,11 +68,18 @@ class TriMesh:
         On a convex domain this is the half-plane depth
         max(0, min_e(offset_e - n_e.v)) over the boundary edges: the nearest
         edge line's foot point lies on that edge, or another line would be
-        nearer.
+        nearer.  Edges with bit-equal normals (the halves that `refine` makes)
+        share a line up to rounding, so each such group enters with its least
+        offset only; subtraction rounds monotonically, so the result is
+        bit-equal to testing every edge.
         """
-        normals = self.boundary_normals
+        normals = np.ascontiguousarray(self.boundary_normals)
         offsets = np.einsum("ij,ij->i", normals, self.vertices[self.boundary_edges[:, 0]])
-        return np.maximum(_half_plane_depth(self.vertices, normals, offsets), 0.0)
+        _, first, group = np.unique(normals.view(np.int64), axis=0,
+                                    return_index=True, return_inverse=True)
+        least = np.full(len(first), np.inf)
+        np.minimum.at(least, group.ravel(), offsets)
+        return np.maximum(_half_plane_depth(self.vertices, normals[first], least), 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@
 -> geometry -> exclusion region -> critical points -> verdict -> comparison
 diagnostics -> inequalities) and writes ``report.json``.  The report is fully
 deterministic for identical inputs; wall-clock timings therefore live in a
-``timings.json`` sidecar, not in the canonical report bytes.
+``timings.json`` sidecar, and how the eigensolves ran (dense, banded or
+SuperLU factor, band width, operator solves) in a ``metrics.json`` sidecar,
+not in the canonical report bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .geometry import Point, exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
+_SIDECARS = ("timings_ms", "metrics")
 
 
 @dataclass(eq=False)
@@ -49,10 +52,11 @@ class VerificationReport:
     steinerberger: list
     render: dict
     timings_ms: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """The canonical report document: every field except the timings."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings_ms"}
+        """The canonical report document: every field except the sidecars."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _SIDECARS}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2) + "\n"
@@ -349,6 +353,8 @@ def run_verify(
             "nodal_segments": nodal_segments,
         }),
         timings_ms=dict(stages.timings),
+        metrics={"eigensolve": {"neumann": asdict(neumann.stats),
+                                "dirichlet": asdict(dirichlet.stats)}},
     )
 
     if out_dir is not None:
@@ -357,6 +363,9 @@ def run_verify(
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "timings.json").write_text(
             json.dumps(report.timings_ms, indent=2) + "\n", encoding="utf-8"
+        )
+        (out / "metrics.json").write_text(
+            json.dumps(report.metrics, indent=2) + "\n", encoding="utf-8"
         )
         if dump_mesh_file:
             dump_mesh(mesh, out / "mesh.txt")

@@ -226,6 +226,16 @@ def boundary_distances(mesh, points: np.ndarray) -> np.ndarray:
     return _segment_distances(np.atleast_2d(points), seg_a, seg_b)
 
 
+def all_edges_clearance(mesh) -> np.ndarray:
+    """Half-plane depth of every vertex against every boundary edge (the
+    mesher's earlier `boundary_clearance`)."""
+    from hotspots.meshing import _half_plane_depth
+
+    normals = mesh.boundary_normals
+    offsets = np.einsum("ij,ij->i", normals, mesh.vertices[mesh.boundary_edges[:, 0]])
+    return np.maximum(_half_plane_depth(mesh.vertices, normals, offsets), 0.0)
+
+
 def in_circumcircle(a, b, c, p, scale: float, tie: float = 1e-12) -> bool:
     """True iff p lies strictly inside the circumcircle of CCW triangle abc.
 

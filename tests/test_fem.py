@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hotspots import fem
 from hotspots import geometry as geo
 from hotspots import meshing as msh
-from hotspots.errors import NoInteriorVertices, ZeroVector
+from hotspots.domains import realize
+from hotspots.errors import ConvergenceFailure, NoInteriorVertices, ZeroVector
+from hotspots.report import _sweep_domain_spec
 
 PI_SQ = math.pi**2
 
@@ -179,3 +182,79 @@ class TestSpectralStructure:
 
     def test_no_sampling_for_separated_pair(self, rect_solved):
         assert len(fem.mu2_eigenspace(rect_solved.neumann)) == 1
+
+
+def _shift_invert_matrices(mesh, k_mat, m_mat):
+    """The SPD matrices the eigensolves factor: K + sigma M and K_II."""
+    n = k_mat.shape[0]
+    sigma = fem.SIGMA_SHIFT_REL * (k_mat.diagonal().sum() / n)
+    idx = np.nonzero(mesh.interior_mask)[0]
+    return {"Neumann": (k_mat + sigma * m_mat).tocsr(),
+            "Dirichlet": k_mat[np.ix_(idx, idx)].tocsr()}
+
+
+def _rect_refined_mesh():
+    rect = geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)])
+    return msh.refine(msh.refine(msh.generate(rect, 0.04)))
+
+
+def _sweep_mesh(index):
+    poly = realize(_sweep_domain_spec(1, index))
+    return msh.generate(poly, 0.02 * poly.diameter[0])
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("make", [
+        None,
+        _rect_refined_mesh,
+        *(lambda i=i: _sweep_mesh(i) for i in range(3)),
+    ], ids=["disk", "rect_refined", "sweep_1_0", "sweep_1_1", "sweep_1_2"])
+    def test_banded_solve_matches_spsolve(self, disk_solved, make):
+        if make is None:
+            mesh, k_mat, m_mat = disk_solved.mesh, disk_solved.K, disk_solved.M
+        else:
+            mesh = make()
+            k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        rng = np.random.default_rng(3)
+        for problem, mat in _shift_invert_matrices(mesh, k_mat, m_mat).items():
+            inverse = fem.SpdInverse(mat, problem)
+            assert inverse.path == "banded"
+            assert (inverse.kd + 1) * mat.shape[0] <= fem.BAND_MAX_ENTRIES
+            b = rng.standard_normal(mat.shape[0])
+            x = inverse @ b
+            ref = spla.spsolve(mat.tocsc(), b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert inverse.solves == 1
+
+    def test_superlu_side_agrees_with_banded(self, square_solved, monkeypatch):
+        monkeypatch.setattr(fem, "BAND_MAX_ENTRIES", 0)
+        neumann = fem.solve_neumann(square_solved.K, square_solved.M, k=4)
+        dirichlet = fem.solve_dirichlet(square_solved.mesh, k=1, k_mat=square_solved.K,
+                                        m_mat=square_solved.M)
+        for lu, band in ((neumann, square_solved.neumann),
+                         (dirichlet, square_solved.dirichlet)):
+            assert lu.stats.path == "superlu" and band.stats.path == "banded"
+            assert lu.stats.kd == band.stats.kd
+            assert np.all(lu.residuals <= 1e-8)
+            assert np.allclose(lu.eigenvalues, band.eigenvalues, rtol=1e-12, atol=0.0)
+
+    def test_solve_stats(self, disk_solved):
+        neumann, dirichlet = disk_solved.neumann.stats, disk_solved.dirichlet.stats
+        assert (neumann.path, neumann.converged_pairs) == ("banded", 4)
+        assert (dirichlet.path, dirichlet.converged_pairs) == ("banded", 1)
+        assert neumann.n == disk_solved.mesh.vertex_count
+        assert dirichlet.n == int(disk_solved.mesh.interior_mask.sum())
+        assert neumann.operator_solves > 0 and dirichlet.operator_solves > 0
+
+    def test_dense_path_stats(self):
+        mesh = msh.generate(geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.1)
+        spectrum = fem.solve_neumann(fem.assemble_stiffness(mesh), fem.assemble_mass(mesh), k=3)
+        assert spectrum.stats == fem.SolveStats("dense", mesh.vertex_count, None, 0, 3)
+
+    @pytest.mark.parametrize("h", [0.02, 0.03])
+    def test_singular_matrix_is_named(self, unit_square, h):
+        # the unshifted K is singular (constants): at h=0.02 LAPACK's factor
+        # fails, at h=0.03 it ends on a pivot within rounding of zero
+        k_mat = fem.assemble_stiffness(msh.generate(unit_square, h))
+        with pytest.raises(ConvergenceFailure, match="Neumann matrix is"):
+            fem.SpdInverse(k_mat, "Neumann")

@@ -14,6 +14,7 @@ from hotspots.report import _sweep_domain_spec
 
 from .conftest import random_polygon
 from .oracles import (
+    all_edges_clearance,
     boundary_distances,
     brute_force_interpolate,
     in_circumcircle,
@@ -266,6 +267,20 @@ def test_boundary_clearance_matches_segment_distances(square_mesh):
         assert np.max(np.abs(mesh.boundary_clearance - ref)) <= 1e-14
         assert np.all(mesh.boundary_clearance[~mesh.interior_mask] == 0.0)
         assert np.array_equal(mesh.boundary_clearance <= mesh.h_max, ref <= mesh.h_max)
+
+
+@pytest.mark.parametrize("make, h", [
+    (lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04),
+    (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.1),
+    *((lambda i=i: realize(_sweep_domain_spec(1, i)), 0.1) for i in range(3)),
+], ids=["rect", "disk512", "sweep_1_0", "sweep_1_1", "sweep_1_2"])
+def test_boundary_clearance_groups_are_bit_exact(make, h):
+    # refined boundary edges come in halves with bit-equal normals, which
+    # boundary_clearance tests once per group
+    mesh = msh.generate(make(), h)
+    for _ in range(3):
+        assert np.array_equal(mesh.boundary_clearance, all_edges_clearance(mesh))
+        mesh = msh.refine(mesh)
 
 
 def test_edges_are_the_sorted_triangle_edges(square_mesh):

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hotspots import cli, report
+from hotspots import cli, fem, report
 from hotspots.domains import DomainSpec, save_spec
 from hotspots.geometry import ConvexPolygon
 
@@ -29,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -47,6 +47,31 @@ class TestRunVerify:
         assert "solve_neumann" in timings
         assert all(t >= 0 for t in timings.values())
         assert "timings_ms" not in json.loads((out / "report.json").read_text())
+
+    def test_metrics_sidecar(self, verified, disk_spec_path, tmp_path):
+        rep, out = verified
+        text = (out / "metrics.json").read_text()
+        solves = json.loads(text)["eigensolve"]
+        assert solves["neumann"]["path"] == solves["dirichlet"]["path"] == "banded"
+        assert solves["neumann"]["n"] == rep.mesh["vertex_count"]
+        assert solves["neumann"]["converged_pairs"] == 4
+        assert set(solves["dirichlet"]) == {"path", "n", "kd", "operator_solves",
+                                            "converged_pairs"}
+        assert "metrics" not in json.loads((out / "report.json").read_text())
+        report.run_verify(disk_spec_path, h=0.05, out_dir=tmp_path)
+        assert (tmp_path / "metrics.json").read_text() == text
+
+    def test_failed_factor_is_a_solve_stage_error(self, tmp_path, monkeypatch, capsys):
+        # without the shift the Neumann matrix is the singular K
+        spec = tmp_path / "square.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "rectangle",
+                                    "length": 1.0, "width": 1.0}))
+        monkeypatch.setattr(fem, "SIGMA_SHIFT_REL", 0.0)
+        code = cli.main(["verify", "--spec", str(spec), "--h", "0.04",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "stage 'solve_neumann' failed: ConvergenceFailure('Neumann matrix is" in err
 
     def test_mesh_dump(self, verified):
         rep, out = verified
@@ -256,8 +281,8 @@ class TestRegionAndRender:
         assert code == 0
         ET.parse(target)
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 1)])
-    def test_render_accepts_schemas_1_to_3(self, verified, tmp_path, schema, code):
+    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1)])
+    def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
         doc["schema"] = schema
