@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
+from . import meshing
 from .errors import ParseError, SchemaVersionMismatch
 from .geometry import ConvexPolygon, validate
 
 SCHEMA_VERSION = 1
 DEFAULT_POLYGONIZATION_N = 512
-CURVED_KINDS = ("disk", "ellipse")
 KINDS = ("disk", "ellipse", "rectangle", "regular_polygon", "random_convex", "explicit")
 
 _RANDOM_JITTER = 0.35  # radial jitter fraction for random_convex
 _INT_FIELDS = ("k", "seed", "n", "polygonization_n")
+# The vertex-count field of a kind and its least value.
+_VERTEX_COUNTS = {"disk": ("polygonization_n", 32), "ellipse": ("polygonization_n", 32),
+                  "regular_polygon": ("k", 3), "random_convex": ("n", 3)}
 
 
 class SplitMix64:
@@ -101,16 +105,17 @@ def _check_spec(spec: DomainSpec) -> DomainSpec:
         val = getattr(spec, name)
         if val is not None and not (val > 0.0 and math.isfinite(val)):
             raise ParseError(f"field '{name}': must be strictly positive, got {val!r}")
-    if spec.kind in CURVED_KINDS and spec.polygonization_n < 32:
-        raise ParseError("field 'polygonization_n': must be >= 32 for curved kinds")
+    if spec.kind in _VERTEX_COUNTS:
+        # every polygon vertex becomes a mesh vertex
+        name, least = _VERTEX_COUNTS[spec.kind]
+        count = getattr(spec, name)
+        if not least <= count <= meshing.MAX_MESH_SIZE:
+            raise ParseError(f"field '{name}': must be in [{least}, {meshing.MAX_MESH_SIZE}], "
+                             f"got {count!r}")
     if spec.kind == "ellipse" and spec.a < spec.b:
         raise ParseError("field 'a': semi-axes must satisfy a >= b")
     if spec.kind == "rectangle" and spec.length < spec.width:
         raise ParseError("field 'length': side lengths must satisfy length >= width")
-    if spec.kind == "regular_polygon" and (spec.k is None or spec.k < 3):
-        raise ParseError("field 'k': need k >= 3")
-    if spec.kind == "random_convex" and (spec.n is None or spec.n < 3):
-        raise ParseError("field 'n': need n >= 3")
     return spec
 
 
@@ -232,4 +237,6 @@ def load_spec(path) -> DomainSpec:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    if isinstance(val, int) and not isinstance(val, bool):
+        return abs(val) <= sys.float_info.max  # a larger int has no float value
+    return isinstance(val, float)

@@ -65,15 +65,36 @@ class ConvexPolygon:
 
     @cached_property
     def diameter(self) -> tuple[float, tuple[Point, Point]]:
-        """Max vertex-pair distance via rotating calipers; first attaining pair wins."""
+        """Max vertex-pair distance via rotating calipers; first attaining pair wins.
+
+        The calipers walk the two chains between the lexicographically
+        smallest and largest vertex: the lower chain CCW from the smallest,
+        the upper chain the other arc reversed, both from left to right.
+        """
         pts = [(float(x), float(y)) for x, y in self.vertices]
+        n = len(pts)
+        lo, hi = pts.index(min(pts)), pts.index(max(pts))
+        lower = [pts[(lo + s) % n] for s in range((hi - lo) % n + 1)]
+        upper = [pts[(lo - s) % n] for s in range((lo - hi) % n + 1)]
         best = -1.0
         best_pair = (pts[0], pts[0])
-        for p, q in _antipodal_pairs(pts):
+        i, j = 0, len(lower) - 1
+        while i < len(upper) - 1 or j > 0:
+            p, q = upper[i], lower[j]
             d_sq = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
             if d_sq > best:
                 best = d_sq
                 best_pair = (p, q)
+            if i == len(upper) - 1:
+                j -= 1
+            elif j == 0:
+                i += 1
+            elif (upper[i + 1][1] - upper[i][1]) * (lower[j][0] - lower[j - 1][0]) > (
+                lower[j][1] - lower[j - 1][1]
+            ) * (upper[i + 1][0] - upper[i][0]):
+                i += 1
+            else:
+                j -= 1
         return math.sqrt(best), (Point(*best_pair[0]), Point(*best_pair[1]))
 
     @cached_property
@@ -195,44 +216,6 @@ def validate(raw_vertices) -> ConvexPolygon:
         raise NotConvex("negative cross product after orientation fix")
 
     return ConvexPolygon(vertices=pts, area=float(area), scale=scale)
-
-
-# --- diameter (rotating calipers) -------------------------------------------
-
-def _hulls(points: list[tuple[float, float]]):
-    # Upper/lower hulls by x (Andrew's monotone chain).
-    def orient(p, q, r):
-        return (q[1] - p[1]) * (r[0] - p[0]) - (q[0] - p[0]) * (r[1] - p[1])
-
-    pts = sorted(points)
-    upper: list[tuple[float, float]] = []
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(upper) > 1 and orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        while len(lower) > 1 and orient(lower[-2], lower[-1], p) >= 0:
-            lower.pop()
-        upper.append(p)
-        lower.append(p)
-    return upper, lower
-
-
-def _antipodal_pairs(points: list[tuple[float, float]]):
-    upper, lower = _hulls(points)
-    i = 0
-    j = len(lower) - 1
-    while i < len(upper) - 1 or j > 0:
-        yield upper[i], lower[j]
-        if i == len(upper) - 1:
-            j -= 1
-        elif j == 0:
-            i += 1
-        elif (upper[i + 1][1] - upper[i][1]) * (lower[j][0] - lower[j - 1][0]) > (
-            lower[j][1] - lower[j - 1][1]
-        ) * (upper[i + 1][0] - upper[i][0]):
-            i += 1
-        else:
-            j -= 1
 
 
 def farthest_boundary_distance(poly: ConvexPolygon, p) -> float:

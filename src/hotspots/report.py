@@ -30,7 +30,7 @@ from .geometry import Point, exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -88,6 +88,50 @@ def _critical_point_dict(p: ana.CriticalPoint) -> dict:
         "alternations": p.alternations,
         "farthest_distance": p.farthest_distance,
     }
+
+
+@dataclass(frozen=True, eq=False)
+class _Eigenvector:
+    """One analyzed eigenvector of mu2: its entry in each per-eigenvector
+    report list, JSON-ready, plus the field, critical points and nodal
+    segments that the comparison stage and the figure read."""
+
+    theorem: dict
+    boundary_extrema: dict
+    interior_critical_points: dict
+    lemma: dict
+    steinerberger: float
+    psi: np.ndarray
+    critical_points: list[ana.CriticalPoint]
+    nodal_segments: np.ndarray
+
+
+def _analyze_eigenvector(mesh, poly, consts, j: int, psi: np.ndarray) -> _Eigenvector:
+    cps = ana.find_critical_points(mesh, psi, poly)
+    verdict = ana.theorem_check(cps, poly, consts, mesh.h_max)
+    nd = ana.nodal_decomposition(mesh, psi)
+    bverts = np.nonzero(~mesh.interior_mask)[0]
+
+    def extremum(i) -> dict:
+        return {"vertex_id": int(i), "location": list(mesh.vertices[i]), "value": float(psi[i])}
+
+    return _Eigenvector(
+        theorem=_plain({"passed": verdict.passed,
+                        "violations": [_critical_point_dict(p) for p in verdict.violations]}),
+        boundary_extrema=_plain({"eigenvector": j,
+                                 "max": extremum(bverts[int(np.argmax(psi[bverts]))]),
+                                 "min": extremum(bverts[int(np.argmin(psi[bverts]))])}),
+        interior_critical_points=_plain(
+            {"eigenvector": j, "points": [_critical_point_dict(p) for p in cps]}),
+        lemma={"eigenvector": j,
+               "components": len(nd.component_signs),
+               "positive_components": nd.positive_component_count,
+               "all_touch_boundary": bool(nd.touches_boundary.all())},
+        steinerberger=ana.steinerberger_diagnostic(mesh, psi, poly),
+        psi=psi,
+        critical_points=cps,
+        nodal_segments=nd.segments,
+    )
 
 
 def _spec_echo(spec: DomainSpec) -> dict:
@@ -216,47 +260,25 @@ def run_verify(
     )
     region = stages.run("exclusion_region", lambda: exclusion_region(poly, consts.c_excl))
 
-    def analyze():
-        vecs = fem.mu2_eigenspace(neumann, seed=seed)
-        per_vec = []
-        for psi in vecs:
-            cps = ana.find_critical_points(mesh, psi, poly)
-            verdict = ana.theorem_check(cps, poly, consts, mesh.h_max)
-            nd = ana.nodal_decomposition(mesh, psi)
-            bverts = np.nonzero(~mesh.interior_mask)[0]
-            bvals = psi[bverts]
-            imax = bverts[int(np.argmax(bvals))]
-            imin = bverts[int(np.argmin(bvals))]
-            per_vec.append({
-                "critical_points": cps,
-                "verdict": verdict,
-                "nodal": nd,
-                "boundary_max": (int(imax), mesh.vertices[imax], float(psi[imax])),
-                "boundary_min": (int(imin), mesh.vertices[imin], float(psi[imin])),
-                "steinerberger": ana.steinerberger_diagnostic(mesh, psi, poly),
-                "psi": psi,
-            })
-        return vecs, per_vec
-
-    vecs, per_vec = stages.run("analysis", analyze)
+    records = stages.run("analysis", lambda: [
+        _analyze_eigenvector(mesh, poly, consts, j, psi)
+        for j, psi in enumerate(fem.mu2_eigenspace(neumann, seed=seed))
+    ])
 
     def compare():
-        out = []
-        any_critical = False
-        for j, info in enumerate(per_vec):
-            for cp in info["critical_points"]:
-                any_critical = True
-                out.append(_comparison_diagnostics(
-                    mesh, poly, k_mat, m_mat, info["psi"], mu2,
-                    cp.vertex_id, False, j,
-                ))
-        if not any_critical:
+        out = [
+            _comparison_diagnostics(mesh, poly, k_mat, m_mat, rec.psi, mu2,
+                                    cp.vertex_id, False, j)
+            for j, rec in enumerate(records)
+            for cp in rec.critical_points
+        ]
+        if not out:
             seed_xy = np.array([mec.center.x, mec.center.y])
             cand = np.nonzero(mesh.interior_mask)[0]
             rel = mesh.vertices[cand] - seed_xy
             anchor_vertex = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
             out.append(_comparison_diagnostics(
-                mesh, poly, k_mat, m_mat, per_vec[0]["psi"], mu2,
+                mesh, poly, k_mat, m_mat, records[0].psi, mu2,
                 anchor_vertex, True, 0,
             ))
         return out
@@ -266,20 +288,13 @@ def run_verify(
         "inequalities", lambda: ana.inequality_checks(mu2, lambda1, poly, consts)
     )
 
+    rule = ana.theorem_check([], poly, consts, mesh.h_max)  # threshold and tolerance
     theorem = {
-        "threshold": per_vec[0]["verdict"].threshold,
-        "tolerance": per_vec[0]["verdict"].tolerance,
-        "eigenvectors": [
-            {
-                "passed": info["verdict"].passed,
-                "violations": [_critical_point_dict(p) for p in info["verdict"].violations],
-            }
-            for info in per_vec
-        ],
-        "passed": all(info["verdict"].passed for info in per_vec),
+        "threshold": rule.threshold,
+        "tolerance": rule.tolerance,
+        "eigenvectors": [rec.theorem for rec in records],
+        "passed": all(rec.theorem["passed"] for rec in records),
     }
-
-    nodal_segments = per_vec[0]["nodal"].segments
 
     report = VerificationReport(
         schema=REPORT_SCHEMA,
@@ -313,44 +328,19 @@ def run_verify(
             "lambda1": lambda1,
             "dirichlet_residuals": dirichlet.residuals,
             "degenerate_pair": fem.nearly_degenerate_pair(neumann),
-            "analyzed_eigenvectors": len(vecs),
+            "analyzed_eigenvectors": len(records),
         }),
         inequalities=_plain(asdict(ineq)),
-        boundary_extrema=_plain([
-            {
-                "eigenvector": j,
-                "max": {"vertex_id": info["boundary_max"][0],
-                        "location": list(info["boundary_max"][1]),
-                        "value": info["boundary_max"][2]},
-                "min": {"vertex_id": info["boundary_min"][0],
-                        "location": list(info["boundary_min"][1]),
-                        "value": info["boundary_min"][2]},
-            }
-            for j, info in enumerate(per_vec)
-        ]),
-        interior_critical_points=_plain([
-            {
-                "eigenvector": j,
-                "points": [_critical_point_dict(p) for p in info["critical_points"]],
-            }
-            for j, info in enumerate(per_vec)
-        ]),
+        boundary_extrema=[rec.boundary_extrema for rec in records],
+        interior_critical_points=[rec.interior_critical_points for rec in records],
         theorem=_plain(theorem),
-        lemma=_plain([
-            {
-                "eigenvector": j,
-                "components": len(info["nodal"].component_signs),
-                "positive_components": info["nodal"].positive_component_count,
-                "all_touch_boundary": bool(info["nodal"].touches_boundary.all()),
-            }
-            for j, info in enumerate(per_vec)
-        ]),
+        lemma=[rec.lemma for rec in records],
         comparison=_plain(comparison),
-        steinerberger=_plain([info["steinerberger"] for info in per_vec]),
+        steinerberger=[rec.steinerberger for rec in records],
         render=_plain({
             "polygon": poly.vertices,
             "region_boundary": region.boundary,
-            "nodal_segments": nodal_segments,
+            "nodal_segments": records[0].nodal_segments,
         }),
         timings_ms=dict(stages.timings),
         metrics={"eigensolve": {"neumann": asdict(neumann.stats),

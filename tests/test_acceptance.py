@@ -17,7 +17,7 @@ from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots import report
 from hotspots.bessel import j1_eval
-from hotspots.domains import DomainSpec, save_spec
+from hotspots.domains import DomainSpec, realize, save_spec
 from hotspots.geometry import Point
 
 from .conftest import random_polygon
@@ -263,6 +263,11 @@ def test_criterion_7_geometry_oracles(disk512, constants):
         d, _ = poly.diameter
         rng_calipers_ok &= d == brute_force_diameter(poly.vertices)
         jung_ok &= poly.min_enclosing_circle.radius <= d / math.sqrt(3.0) + 1e-12
+    kgons = [DomainSpec(kind="regular_polygon", k=k, circumradius=1.0) for k in range(3, 13)]
+    sweep_specs = [report._sweep_domain_spec(s, i) for s in (1, 2, 3) for i in range(6)]
+    for spec in kgons + sweep_specs:
+        poly = realize(spec)
+        rng_calipers_ok &= poly.diameter[0] == brute_force_diameter(poly.vertices)
 
     mec_ok = True
     for seed, n in [(97, 40)] + [(s, 12) for s in range(15)]:
@@ -281,7 +286,8 @@ def test_criterion_7_geometry_oracles(disk512, constants):
 
     ok = rng_calipers_ok and jung_ok and mec_ok and band_ok and radius_ok
     _line(7, ok,
-          f"calipers == brute force on 1000 polygons; Jung r <= d/sqrt(3); "
+          f"calipers == brute force on 1000 random polygons, the 3- to 12-gons and "
+          f"18 sweep domains; Jung r <= d/sqrt(3); "
           f"MEC within 1e-9 of exhaustive; disk region |F-thr| <= 1e-3*diam at all "
           f"720 samples; exclusion radius {radii.mean():.4f} = 0.5933 +- 0.005")
     assert ok

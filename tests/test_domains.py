@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import domains
+from hotspots import cli, domains, meshing
 from hotspots.errors import ParseError, SchemaVersionMismatch
 
 
@@ -57,6 +57,19 @@ def test_inscribed_area_monotone_and_bounded():
         areas.append(poly.area)
         assert math.pi - poly.area <= math.pi * (2.0 * math.pi**2 / (3.0 * n * n))
     assert areas == sorted(areas)
+
+
+_NUMBER = st.integers() | st.integers(-2**1100, 2**1100) | st.floats()  # ints beyond float range too
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_SPEC_DOCS = st.sampled_from(domains.KINDS).flatmap(lambda kind: st.fixed_dictionaries(
+    {"schema": st.just(1), "kind": st.just(kind)},
+    optional={name: _NUMBER | _JSON | st.lists(st.lists(_NUMBER, min_size=2, max_size=2))
+              for name in domains._KIND_FIELDS[kind]},
+))
 
 
 class TestPersistence:
@@ -108,6 +121,50 @@ class TestPersistence:
         path.write_text('{"schema": 1, "kind": "disk", "radius": -2.0}')
         with pytest.raises(ParseError, match="radius"):
             domains.load_spec(path)
+
+    @pytest.mark.parametrize("fields, name", [
+        ('"kind": "disk", "radius": 1' + "0" * 400, "radius"),
+        ('"kind": "explicit", "vertices": [[0, 0], [1, 0], [1' + "0" * 400 + ', 1]]', "vertices"),
+    ], ids=["radius", "vertices"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, fields, name):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"schema": 1, {fields}}}')
+        with pytest.raises(ParseError, match=f"'{name}'"):
+            domains.load_spec(path)
+
+    @pytest.mark.parametrize("kind, fields, name", [
+        ("disk", '"radius": 1.0', "polygonization_n"),
+        ("ellipse", '"a": 2.0, "b": 1.0', "polygonization_n"),
+        ("regular_polygon", '"circumradius": 1.0', "k"),
+        ("random_convex", '"seed": 3', "n"),
+    ], ids=["disk", "ellipse", "regular_polygon", "random_convex"])
+    def test_vertex_count_above_mesh_cap_rejected(self, tmp_path, capsys, kind, fields, name):
+        # parsing alone must refuse the count; nothing is realized
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"schema": 1, "kind": "{kind}", {fields}, "{name}": 10000000000}}')
+        with pytest.raises(ParseError, match=f"'{name}'"):
+            domains.load_spec(path)
+        assert cli.main(["region", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{name}'" in capsys.readouterr().err
+
+    def test_vertex_count_cap_is_the_mesh_cap(self, monkeypatch):
+        monkeypatch.setattr(meshing, "MAX_MESH_SIZE", 40)
+        spec = domains.DomainSpec(kind="disk", radius=1.0, polygonization_n=40)
+        assert domains._check_spec(spec) == spec
+        with pytest.raises(ParseError, match="polygonization_n"):
+            domains._check_spec(domains.DomainSpec(kind="disk", radius=1.0, polygonization_n=41))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SPEC_DOCS | _JSON)
+    def test_random_documents_parse_or_fail_by_name(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            try:
+                spec = domains.load_spec(path)
+            except (ParseError, SchemaVersionMismatch):
+                return
+            assert isinstance(spec, domains.DomainSpec)
 
     @settings(max_examples=30, deadline=None)
     @given(

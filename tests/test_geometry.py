@@ -75,6 +75,14 @@ class TestDiameter:
         d, _ = poly.diameter
         assert d == brute_force_diameter(poly.vertices)
 
+    def test_disk512_tie_break(self, disk512):
+        # 17 vertex pairs attain the largest squared distance bit for bit;
+        # the one the calipers meet first is in every disk report
+        d, (p, q) = disk512.diameter
+        assert d == 2.0
+        assert [[p.x, p.y], [q.x, q.y]] == [[-0.9951847266721968, 0.09801714032956083],
+                                            [0.9951847266721969, -0.0980171403295605]]
+
 
 class TestInradius:
     def test_square(self):

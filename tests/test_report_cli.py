@@ -29,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -281,14 +281,22 @@ class TestRegionAndRender:
         assert code == 0
         ET.parse(target)
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1)])
-    def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
+    @staticmethod
+    def _render_as(verified, tmp_path, schema) -> int:
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
         doc["schema"] = schema
-        path = tmp_path / "report.json"
+        path = tmp_path / f"report{schema}.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")]) == code
+        return cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")])
+
+    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0)])
+    def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
+        assert self._render_as(verified, tmp_path, schema) == code
+
+    def test_render_accepts_current_schema_but_not_next(self, verified, tmp_path):
+        assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA) == 0
+        assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA + 1) == 1
 
     def test_render_determinism(self, verified, tmp_path):
         rep, out = verified
