@@ -161,8 +161,8 @@ def _cmd_region(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    # Schemas 2 to 5 changed no field that rendering reads.
-    if doc.get("schema") not in (1, 2, 3, 4, REPORT_SCHEMA):
+    # Schemas 2 to 6 changed no field that rendering reads.
+    if doc.get("schema") not in range(1, REPORT_SCHEMA + 1):
         raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
     write_report_svg(doc, args.out, show_nodal=args.show_nodal)
     print(f"wrote {args.out}")

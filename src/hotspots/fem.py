@@ -14,6 +14,7 @@ bound checked at the end, not the iteration internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .bessel import find_constants
 from .errors import ConvergenceFailure, NoInteriorVertices, ZeroVector
 from .meshing import TriMesh
 
-SIGMA_SHIFT_REL = 1e-3
+SIGMA_SHIFT_REL = 1e-3  # Neumann shift, relative to the Szego-Weinberger bound on mu2
+CONSTANT_MODE_ULPS = 4  # |K 1| may reach CONSTANT_MODE_ULPS * n * eps * max|K_ij|
 DENSE_CUTOFF = 400
 DEGENERACY_REL_GAP = 1e-6  # eigenspace-sampling trigger
 DEGENERACY_FLAG_REL_GAP = 1e-2  # looser report-level "nearly degenerate" flag
@@ -52,7 +55,8 @@ class Spectrum:
 
     eigenvalues: np.ndarray   # (k,)
     eigenvectors: np.ndarray  # (n, k)
-    residuals: np.ndarray     # (k,) ||K v - mu M v|| / ((1+mu) ||M v||)
+    residuals: np.ndarray     # (k,) ||K v - mu M v|| / (mu ||M v||); Neumann mu_1 = 0
+                              # reports ||K 1||_inf / max|K_ij| instead
     boundary_condition: str   # 'neumann' | 'dirichlet'
     stats: SolveStats
 
@@ -128,12 +132,19 @@ def _m_orthonormalize(vecs: np.ndarray, m_mat) -> np.ndarray:
 
 
 def _residuals(k_mat, m_mat, vals, vecs) -> np.ndarray:
+    """||K v - mu M v|| / (|mu| ||M v||) per pair: scale-free for mu != 0."""
     res = np.empty(len(vals))
     for i, mu in enumerate(vals):
         v = vecs[:, i]
         mv = m_mat @ v
-        res[i] = np.linalg.norm(k_mat @ v - mu * mv) / ((1.0 + mu) * np.linalg.norm(mv))
+        res[i] = np.linalg.norm(k_mat @ v - mu * mv) / (abs(mu) * np.linalg.norm(mv))
     return res
+
+
+def neumann_shift(m_mat) -> float:
+    """SIGMA_SHIFT_REL times pi j'_{1,1}^2 / area, the Szego-Weinberger bound
+    on mu2, with area = 1'M1: the shift scales with the spectrum."""
+    return SIGMA_SHIFT_REL * math.pi * find_constants().jp11 ** 2 / float(m_mat.sum())
 
 
 class SpdInverse(spla.LinearOperator):
@@ -220,13 +231,14 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     """Smallest k Neumann pairs of K v = mu M v.
 
     mu_1 = 0 is reported exactly, with the M-normalized constant vector; the
-    remaining vectors are M-orthonormalized against it.
+    remaining vectors are M-orthonormalized against it.  The constant mode
+    is checked as an assembly invariant, ||K 1||_inf within
+    CONSTANT_MODE_ULPS * n * eps of max|K_ij|, and that ratio is its residual.
     """
     if k < 2:
         raise ValueError("need k >= 2 for the Neumann problem")
     n = k_mat.shape[0]
-    sigma = SIGMA_SHIFT_REL * (k_mat.diagonal().sum() / n)
-    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, sigma, seed, "Neumann")
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), seed, "Neumann")
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
@@ -234,8 +246,12 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     vals = np.concatenate([[0.0], vals[1:]])
     vecs = _fix_signs(_m_orthonormalize(vecs, m_mat))
 
-    res = _residuals(k_mat, m_mat, vals, vecs)
-    if np.any(res > tol):
+    constant = np.abs(k_mat @ np.ones(n)).max() / np.abs(k_mat.data).max()
+    if constant > CONSTANT_MODE_ULPS * n * np.finfo(float).eps:
+        raise ConvergenceFailure(f"stiffness matrix does not annihilate constants: "
+                                 f"||K 1||_inf / max|K_ij| = {constant:.3g}")
+    res = np.concatenate([[constant], _residuals(k_mat, m_mat, vals[1:], vecs[:, 1:])])
+    if np.any(res[1:] > tol):
         raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
     return Spectrum(vals, vecs, res, "neumann", stats)
 

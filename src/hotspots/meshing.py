@@ -7,6 +7,15 @@ h/2 clearance from the boundary and are relaxed by barycentric smoothing
 (boundary samples never move).  Smoothing triangulates once and keeps those
 neighbour lists while the points move; the mesh is then the Delaunay
 triangulation of the final point set.
+
+Both triangulations rest on Delaunay locality: a triangle belongs iff its
+circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
+Lattice points at least DEEP_DEPTH*h inside are deep: their neighbours, and
+the lattice triangles among them, which are Delaunay with a 60 degree margin
+that smoothing does not use up, follow from (row, col) arithmetic.  Qhull
+sees only the rest, the strip along the boundary, plus a HALO_DEPTH*h halo
+of deep points, and its triangles count where they touch the strip.
+Triangles come in one canonical order, so a mesh is a function of its points.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ QUALITY_RETRIES = 3
 SPLIT_ROUNDS = 20
 DEPTH_CHUNK = 65_536  # elements per depth chunk: its temporaries stay in cache
 MAX_MESH_SIZE = 4_000_000  # cap on the lattice points of generate, the triangles of refine
+DEEP_DEPTH = 3.0  # in h: lattice points this deep are triangulated by index arithmetic
+HALO_DEPTH = 2.0  # in h: deep points this near the strip are given to Qhull as well
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +124,6 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    flip = _signed_areas(vertices, triangles) < 0.0
-    out = triangles.copy()
-    out[flip, 1], out[flip, 2] = triangles[flip, 2], triangles[flip, 1]
-    return out
-
-
 def _edge_lengths(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     a = vertices[triangles[:, 0]]
     b = vertices[triangles[:, 1]]
@@ -131,8 +135,9 @@ def _edge_lengths(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     ])
 
 
-def _min_angles_deg(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    ls = np.sort(_edge_lengths(vertices, triangles), axis=1)
+def _min_angles_deg(lengths: np.ndarray) -> np.ndarray:
+    """Smallest angle of each triangle from its (m, 3) edge lengths."""
+    ls = np.sort(lengths, axis=1)
     a, b, c = ls[:, 0], ls[:, 1], ls[:, 2]
     cos_min = np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0)
     return np.degrees(np.arccos(cos_min))
@@ -144,16 +149,161 @@ def _outward_normals(vertices: np.ndarray, loop: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n, axis=1)[:, None]
 
 
-def _assemble(points: np.ndarray, n_boundary: int) -> TriMesh:
-    tri = Delaunay(points)
+class _Lattice:
+    """The kept lattice points, which are the mesher's points n_b + k for
+    k = 0 .. m-1 in row-major order, with their (row, col) and two masks.
+
+    ``deep`` points keep their 6 lattice neighbours, and the lattice
+    triangles among them are the mesh's; ``core`` points (deep, and
+    HALO_DEPTH*h further from every strip point) are not given to Qhull.
+    Row r is offset by h/2 when r is odd, so the neighbours of (r, c) are
+    (r, c+-1) and, in rows r+-1, columns c+s-1 and c+s with s = r % 2.
+    """
+
+    def __init__(self, rc: np.ndarray, deep: np.ndarray, core: np.ndarray, shape):
+        self.rc, self.deep, self.core = rc, deep, core
+        self.grid = np.full(shape, -1, dtype=np.int64)
+        self.grid[rc[:, 0], rc[:, 1]] = np.arange(len(rc))
+
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """The deep points' k and (d, 6) their lattice neighbours, ascending."""
+        k = np.flatnonzero(self.deep)
+        r, c = self.rc[k].T
+        s = r % 2
+        return k, self.grid[np.stack([r - 1, r - 1, r, r, r + 1, r + 1]),
+                            np.stack([c + s - 1, c + s, c - 1, c + 1, c + s - 1, c + s])].T
+
+    def triangles(self) -> np.ndarray:
+        """The up and down lattice triangles with three deep vertices, each
+        with its vertices sorted and then oriented CCW."""
+        k, nbrs = self.neighbours()
+        right, up_left, up_right = nbrs[:, 3], nbrs[:, 4], nbrs[:, 5]
+        up = self.deep[right] & self.deep[up_right]
+        down = self.deep[up_right] & self.deep[up_left]
+        return np.vstack([np.column_stack([k, right, up_right])[up],
+                          np.column_stack([k, up_right, up_left])[down]])
+
+    def demote(self, positions: np.ndarray, inserted: np.ndarray, h: float) -> None:
+        """Lattice points (at ``positions``) near inserted points leave the
+        deep set within DEEP_DEPTH*h and the core within a halo further."""
+        if len(inserted) and self.deep.any():
+            reach = (DEEP_DEPTH + HALO_DEPTH) * h
+            dist, _ = cKDTree(inserted).query(positions, distance_upper_bound=reach)
+            self.deep &= dist >= DEEP_DEPTH * h
+            self.core &= dist >= reach
+
+
+def _row_intervals(ys: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                   level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row y, the interval [lo, hi] of x with min_e(offset_e - n_e.(x, y))
+    >= level, up to rounding (empty when lo > hi); DEPTH_CHUNK elements at a time."""
+    nx, ny = normals[:, 0], normals[:, 1]
+    lo, hi = np.empty(len(ys)), np.empty(len(ys))
+    rows = max(1, DEPTH_CHUNK // len(normals))
+    for a in range(0, len(ys), rows):
+        room = offsets - level - ys[a:a + rows, None] * ny   # need nx * x <= room
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = room / nx
+        shut = (nx == 0.0) & (room < 0.0)  # an edge parallel to the row that excludes it
+        hi[a:a + rows] = np.where(nx > 0.0, q, np.where(shut, -np.inf, np.inf)).min(axis=1)
+        lo[a:a + rows] = np.where(nx < 0.0, q, np.where(shut, np.inf, -np.inf)).max(axis=1)
+    return lo, hi
+
+
+def _lattice(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+             h: float, n_rows: int) -> tuple[np.ndarray, _Lattice]:
+    """Hexagonal lattice points with half-plane depth >= h/2, row-major.
+
+    Each row meets the polygon's inner offset in one interval.  Points
+    farther than a rounding slack inside or outside its ends are decided by
+    the interval; only the few within the slack take the exact depth test,
+    so the kept set is bit-identical to testing every point.  The deep and
+    core masks use the intervals at DEEP_DEPTH*h and (DEEP_DEPTH +
+    HALO_DEPTH)*h shrunk by the slack, without an exact test: they err
+    towards the strip.
+    """
+    (xmin, ymin), (xmax, _) = verts.min(axis=0), verts.max(axis=0)
+    rows = np.arange(n_rows + 1)
+    ys = ymin + rows * (h * math.sqrt(3.0) / 2.0)
+    x0 = xmin + np.where(rows % 2 == 1, 0.5 * h, 0.0)
+    last_col = ((xmax - x0) / h).astype(np.int64) + 1
+    slack = 4e-12 * (np.abs(verts).max() + h)
+
+    lo_out, hi_out = _row_intervals(ys, normals, offsets, 0.5 * h - slack)
+    lo_in, hi_in = _row_intervals(ys, normals, offsets, 0.5 * h + slack)
+    first = np.clip(np.ceil((lo_out - x0) / h) - 1.0, 0, last_col).astype(np.int64)
+    count = np.clip(np.floor((hi_out - x0) / h) + 1.0, -1, last_col).astype(np.int64) - first + 1
+    count = np.maximum(count, 0)
+    r = np.repeat(rows, count)
+    c = first[r] + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    x = x0[r] + h * c
+    keep = (x >= lo_in[r]) & (x <= hi_in[r])
+    unsure = (x >= lo_out[r]) & (x <= hi_out[r]) & ~keep
+    pts = np.column_stack([x, ys[r]])
+    keep[unsure] = _half_plane_depth(pts[unsure], normals, offsets) >= 0.5 * h
+    r, c, pts = r[keep], c[keep], pts[keep]
+
+    def inside(level: float) -> np.ndarray:
+        lo, hi = _row_intervals(ys, normals, offsets, level + slack)
+        return (pts[:, 0] >= lo[r]) & (pts[:, 0] <= hi[r])
+
+    lattice = _Lattice(np.column_stack([r, c]), inside(DEEP_DEPTH * h),
+                       inside((DEEP_DEPTH + HALO_DEPTH) * h), (n_rows + 1, last_col.max() + 1))
+    return pts, lattice
+
+
+def _strip_delaunay(points: np.ndarray, n_b: int, lattice: _Lattice):
+    """Qhull on every point but the core lattice points: the point ids it
+    saw, its triangulation, and the (n,) mask of strip (not deep) points."""
+    m = len(lattice.rc)
+    seen = np.ones(len(points), dtype=bool)
+    seen[n_b:n_b + m] = ~lattice.core
+    strip = np.ones(len(points), dtype=bool)
+    strip[n_b:n_b + m] = ~lattice.deep
+    ids = np.flatnonzero(seen)
+    return ids, Delaunay(points[ids]), strip
+
+
+def _neighbours(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, neighbour) pairs of the Delaunay triangulation of the points,
+    each owner's neighbours ascending: strip points' from Qhull, deep
+    points' from the lattice.  A point Qhull omits (a duplicate) gets none."""
+    ids, tri, strip = _strip_delaunay(points, n_b, lattice)
+    indptr, indices = tri.vertex_neighbor_vertices
+    owner, nbr = np.repeat(ids, np.diff(indptr)), ids[indices]
+    mine = strip[owner]
+    owner, nbr = owner[mine], nbr[mine]
+    order = np.lexsort((nbr, owner))
+    k, lattice_nbrs = lattice.neighbours()
+    return (np.concatenate([owner[order], np.repeat(k + n_b, 6)]),
+            np.concatenate([nbr[order], (lattice_nbrs + n_b).ravel()]))
+
+
+def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[TriMesh, np.ndarray]:
+    """The Delaunay mesh of the points and its (m, 3) edge lengths.
+
+    Triangles are canonical: vertex ids sorted, then oriented CCW, then the
+    rows lexsorted.  Qhull's triangles count when they touch a strip point;
+    the rest are the deep lattice triangles, canonical by construction.
+    """
+    ids, tri, strip = _strip_delaunay(points, n_b, lattice)
     if len(tri.coplanar):
         raise QualityFailure(f"{len(tri.coplanar)} input points omitted by Qhull")
-    triangles = _orient_ccw(points, np.sort(tri.simplices, axis=1))
+    t = ids[tri.simplices]
+    t = np.sort(t[strip[t].any(axis=1)], axis=1)
+    areas = _signed_areas(points, t)
+    flip = areas < 0.0
+    t[flip, 1], t[flip, 2] = t[flip, 2], t[flip, 1]
+    lengths = _edge_lengths(points, t)
     # Exactly-collinear boundary chains make Qhull emit measure-zero slivers;
     # drop anything area-degenerate relative to its longest edge.
-    areas = _signed_areas(points, triangles)
-    longest = _edge_lengths(points, triangles).max(axis=1)
-    triangles = triangles[areas > 1e-9 * longest * longest]
+    longest = lengths.max(axis=1)
+    fine = np.abs(areas) > 1e-9 * longest * longest
+    deep = lattice.triangles() + n_b
+    triangles = np.vstack([t[fine], deep])
+    lengths = np.vstack([lengths[fine], _edge_lengths(points, deep)])
+    order = np.lexsort(triangles.T[::-1])
+    triangles, lengths = triangles[order].astype(np.int32), lengths[order]
     used = np.zeros(len(points), dtype=bool)
     used[triangles.ravel()] = True
     if not used.all():
@@ -161,32 +311,34 @@ def _assemble(points: np.ndarray, n_boundary: int) -> TriMesh:
     # Boundary samples were laid down CCW along the polygon, so the loop is
     # theirs by construction, independent of triangulation degeneracies.
     loop = np.column_stack([
-        np.arange(n_boundary), (np.arange(n_boundary) + 1) % n_boundary
+        np.arange(n_b), (np.arange(n_b) + 1) % n_b
     ])
     normals = _outward_normals(points, loop)
     interior = np.ones(len(points), dtype=bool)
-    interior[:n_boundary] = False
-    return TriMesh(
+    interior[:n_b] = False
+    mesh = TriMesh(
         vertices=points,
         triangles=triangles,
         boundary_edges=loop,
         boundary_normals=normals,
-        h_max=float(_edge_lengths(points, triangles).max()),
+        h_max=float(lengths.max()),
         interior_mask=interior,
     )
+    return mesh, lengths
 
 
-def _smooth(points: np.ndarray, movable: np.ndarray, passes: int) -> np.ndarray:
-    """Barycentric smoothing on the neighbour lists of one Delaunay
-    triangulation, kept fixed while the points move (DistMesh's rule)."""
+def _smooth(points: np.ndarray, movable: np.ndarray, passes: int,
+            neighbours: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Barycentric smoothing on fixed (owner, neighbour) pairs, the Delaunay
+    neighbours of the starting points, kept while the points move
+    (DistMesh's rule)."""
+    owner, nbr = neighbours
     pts = points.copy()
-    indptr, indices = Delaunay(pts).vertex_neighbor_vertices
-    nbr_cnt = np.diff(indptr)
-    owner = np.repeat(np.arange(len(pts)), nbr_cnt)
+    nbr_cnt = np.bincount(owner, minlength=len(pts))
     upd = movable & (nbr_cnt > 0)
     for _ in range(passes):
         nbr_sum = np.column_stack([
-            np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
+            np.bincount(owner, weights=pts[nbr, j], minlength=len(pts))
             for j in (0, 1)
         ])
         pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
@@ -203,61 +355,51 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     verts = poly.vertices
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
-    dy = h * math.sqrt(3.0) / 2.0
-    n_rows = int((ymax - ymin) / dy) + 1
+    n_rows = int((ymax - ymin) / (h * math.sqrt(3.0) / 2.0)) + 1
     estimate = (n_rows + 1) * (int((xmax - xmin) / h) + 2)
     if estimate > MAX_MESH_SIZE:
         raise InvalidH(f"h = {h} lays down up to {estimate} lattice points > {MAX_MESH_SIZE}")
 
     # Boundary samples: spacing <= h on every polygon edge, vertices kept.
-    nxt = np.roll(verts, -1, axis=0)
-    bnd: list[np.ndarray] = []
-    for a, b in zip(verts, nxt):
-        m = max(1, int(math.ceil(math.hypot(*(b - a)) / h)))
-        for j in range(m):
-            bnd.append(a + (j / m) * (b - a))
-    boundary_pts = np.array(bnd)
+    step = np.roll(verts, -1, axis=0) - verts
+    per_edge = np.array([max(1, math.ceil(math.hypot(*s) / h)) for s in step])
+    edge = np.repeat(np.arange(len(verts)), per_edge)
+    j = np.arange(len(edge)) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
+    boundary_pts = verts[edge] + (j / per_edge[edge])[:, None] * step[edge]
 
     # Hexagonal interior lattice with h/2 clearance (conservative: distance
     # to edge lines underestimates distance to the boundary).
     normals, offsets = poly.edge_normals
-    rows = []
-    for r in range(n_rows + 1):
-        y = ymin + r * dy
-        x0 = xmin + (0.5 * h if r % 2 else 0.0)
-        n_cols = int((xmax - x0) / h) + 1
-        xs = x0 + h * np.arange(n_cols + 1)
-        rows.append(np.column_stack([xs, np.full(len(xs), y)]))
-    lattice = np.vstack(rows)
-    keep = _half_plane_depth(lattice, normals, offsets) >= 0.5 * h
-    interior_pts = lattice[keep]
+    interior_pts, lattice = _lattice(verts, normals, offsets, h, n_rows)
+    m = len(interior_pts)
 
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
     n_b = len(boundary_pts)
-    points = np.vstack([boundary_pts, interior_pts]) if len(interior_pts) else boundary_pts
+    points = np.vstack([boundary_pts, interior_pts])
     movable = np.zeros(len(points), dtype=bool)
     movable[n_b:] = True
-    points = _smooth(points, movable, SMOOTHING_PASSES)
-    mesh = _assemble(points, n_b)
+    points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
+    mesh, lengths = _assemble(points, n_b, lattice)
 
     retries = 0
     for _ in range(QUALITY_RETRIES + SPLIT_ROUNDS):
-        angles = _min_angles_deg(mesh.vertices, mesh.triangles)
+        angles = _min_angles_deg(lengths)
         if angles.min() >= target:
             return mesh
         bad = mesh.triangles[angles < target]
         cc = _circumcenters(mesh.vertices, bad)
         # clearance proportional to the offending triangle, not the global h:
         # badly graded boundary layers need insertions near the boundary
-        shortest = _edge_lengths(mesh.vertices, bad).min(axis=1)
+        shortest = lengths[angles < target].min(axis=1)
         depth = _half_plane_depth(cc, normals, offsets)
         keep = depth >= 0.45 * shortest
         if retries < QUALITY_RETRIES and keep.any():
             retries += 1
             points = np.vstack([points, cc[keep]])
+            lattice.demote(points[n_b:n_b + m], cc[keep], h)
             movable = np.zeros(len(points), dtype=bool)
             movable[n_b:] = True
-            points = _smooth(points, movable, SMOOTHING_PASSES)
+            points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
         else:
             # What smoothed insertion cannot fix (polygon edges much shorter
             # than h) is refined Ruppert-style, without smoothing, which would
@@ -283,11 +425,13 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
             split = near.any(axis=0) | crowded
             order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
             bnd = np.vstack([bnd, mids[split]])[order]
-            points = np.vstack([bnd, points[n_b:], cc[~near.any(axis=1) & (depth > 0.0)]])
+            inserted = cc[~near.any(axis=1) & (depth > 0.0)]
+            points = np.vstack([bnd, points[n_b:], inserted])
             n_b = len(bnd)
-        mesh = _assemble(points, n_b)
+            lattice.demote(points[n_b:n_b + m], inserted, h)
+        mesh, lengths = _assemble(points, n_b, lattice)
 
-    angles = _min_angles_deg(mesh.vertices, mesh.triangles)
+    angles = _min_angles_deg(lengths)
     if angles.min() < target:
         raise QualityFailure(
             f"min angle {angles.min():.2f} deg < {target} after retries"
@@ -363,7 +507,7 @@ def refine(mesh: TriMesh) -> TriMesh:
 def quality(mesh: TriMesh) -> MeshQuality:
     ls = _edge_lengths(mesh.vertices, mesh.triangles)
     return MeshQuality(
-        min_angle=float(_min_angles_deg(mesh.vertices, mesh.triangles).min()),
+        min_angle=float(_min_angles_deg(ls).min()),
         h_min=float(ls.min()),
         h_max=float(ls.max()),
         vertex_count=mesh.vertex_count,

@@ -323,16 +323,29 @@ def bisection_region(poly, ratio: float, rays: int = 720):
 
 # --- the mesher's earlier per-pass and per-point loops -----------------------
 
-def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int) -> np.ndarray:
+def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int,
+                           neighbours=None) -> np.ndarray:
     """Barycentric smoothing that takes a fresh Delaunay triangulation on
-    every pass (the mesher's earlier `_smooth`)."""
+    every pass (the mesher's earlier `_smooth`).
+
+    Given the mesher's (owner, neighbour) lists, the first pass runs on them:
+    where the starting points are cocircular (a lattice row under equally
+    spaced boundary samples) the triangulation is not unique, and Qhull
+    breaks such ties by the order in which it meets the points, so its
+    choice on all points need not be the mesher's on its strip.
+    `test_smoothing_neighbours_are_delaunay` checks the lists up to ties.
+    """
     from scipy.spatial import Delaunay
 
     pts = points.copy()
-    for _ in range(passes):
-        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
-        nbr_cnt = np.diff(indptr)
-        owner = np.repeat(np.arange(len(pts)), nbr_cnt)
+    for k in range(passes):
+        if k == 0 and neighbours is not None:
+            owner, indices = neighbours
+            nbr_cnt = np.bincount(owner, minlength=len(pts))
+        else:
+            indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+            nbr_cnt = np.diff(indptr)
+            owner = np.repeat(np.arange(len(pts)), nbr_cnt)
         nbr_sum = np.column_stack([
             np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
             for j in (0, 1)
@@ -340,6 +353,35 @@ def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int)
         upd = movable & (nbr_cnt > 0)
         pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
     return pts
+
+
+def canonical_delaunay(points: np.ndarray) -> np.ndarray:
+    """Qhull's triangulation of all points in the mesher's canonical form:
+    vertex ids sorted, then oriented CCW, measure-zero slivers (area at most
+    1e-9 times the longest edge squared) dropped, rows lexsorted."""
+    from scipy.spatial import Delaunay
+
+    t = np.sort(Delaunay(points).simplices, axis=1)
+    a, b, c = (points[t[:, i]] for i in range(3))
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    flip = cross < 0.0
+    t[flip, 1], t[flip, 2] = t[flip, 2], t[flip, 1]
+    longest = np.max([np.hypot(*(b - a).T), np.hypot(*(c - b).T), np.hypot(*(a - c).T)], axis=0)
+    t = t[0.5 * np.abs(cross) > 1e-9 * longest * longest]
+    return t[np.lexsort(t.T[::-1])]
+
+
+def cocircular(a, b, c, p, tol: float = 1e-10) -> bool:
+    """True iff p lies on the circumcircle of abc within tol, relative to
+    the fourth power of the largest distance from p to a, b, c."""
+    rows = [(q[0] - p[0], q[1] - p[1]) for q in (a, b, c)]
+    (ax, ay), (bx, by), (cx, cy) = rows
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    det = math.fsum([
+        ax * by * c2, -ax * b2 * cy, -a2 * by * cx,
+        ay * b2 * cx, -ay * bx * c2, a2 * bx * cy,
+    ])
+    return abs(det) <= tol * max(a2, b2, c2) ** 2
 
 
 def brute_force_interpolate(mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:

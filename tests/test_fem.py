@@ -186,10 +186,8 @@ class TestSpectralStructure:
 
 def _shift_invert_matrices(mesh, k_mat, m_mat):
     """The SPD matrices the eigensolves factor: K + sigma M and K_II."""
-    n = k_mat.shape[0]
-    sigma = fem.SIGMA_SHIFT_REL * (k_mat.diagonal().sum() / n)
     idx = np.nonzero(mesh.interior_mask)[0]
-    return {"Neumann": (k_mat + sigma * m_mat).tocsr(),
+    return {"Neumann": (k_mat + fem.neumann_shift(m_mat) * m_mat).tocsr(),
             "Dirichlet": k_mat[np.ix_(idx, idx)].tocsr()}
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from .oracles import (
     all_edges_clearance,
     boundary_distances,
     brute_force_interpolate,
+    canonical_delaunay,
+    cocircular,
     in_circumcircle,
     retriangulating_smooth,
 )
@@ -319,7 +322,7 @@ class TestFixedConnectivitySmoothing:
         assert np.hypot(*(mesh.vertices - ref.vertices).T).max() <= 0.35 * h
         assert msh.quality(mesh).min_angle >= _target_deg(poly)
 
-    def test_generate_triangulates_twice(self, monkeypatch):
+    def test_each_of_two_qhull_calls_sees_a_strip(self, monkeypatch, disk512):
         calls = []
 
         def counting(points):
@@ -327,8 +330,122 @@ class TestFixedConnectivitySmoothing:
             return Delaunay(points)
 
         monkeypatch.setattr(msh, "Delaunay", counting)
-        mesh = msh.generate(geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05)
+        mesh = msh.generate(disk512, 0.02)
+        assert len(calls) == 2
+        assert max(calls) < 0.3 * mesh.vertex_count
+
+    def test_thin_domain_has_no_deep_points(self, monkeypatch):
+        # at h = diam/50 the 2x0.1 rectangle is under 3 h deep everywhere, so
+        # Qhull sees every point
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return Delaunay(points)
+
+        monkeypatch.setattr(msh, "Delaunay", counting)
+        poly = geo.validate([(0, 0), (2, 0), (2, 0.1), (0, 0.1)])
+        mesh = msh.generate(poly, 0.02 * poly.diameter[0])
         assert calls == [mesh.vertex_count, mesh.vertex_count]
+        assert np.array_equal(mesh.triangles, canonical_delaunay(mesh.vertices))
+
+
+def _assert_differences_cocircular(points, got, want):
+    """Every triangle in one set but not the other meets a triangle of the
+    other across an edge, and the two make a cocircular quad."""
+    a, b = set(map(tuple, got.tolist())), set(map(tuple, want.tolist()))
+    for mine, other in ((a - b, b - a), (b - a, a - b)):
+        for t in mine:
+            fourth = [set(u) - set(t) for u in other if len(set(u) & set(t)) == 2]
+            assert fourth, f"triangle {t} has no counterpart across an edge"
+            for q in fourth:
+                assert cocircular(*points[list(t)], points[q.pop()]), t
+
+
+def _assert_full_qhull_mesh(mesh, poly):
+    """The mesh is the canonical Delaunay triangulation of its vertices (up
+    to cocircular quads), with Euler's count and the polygon's area."""
+    want = canonical_delaunay(mesh.vertices)
+    if not np.array_equal(mesh.triangles, want):
+        _assert_differences_cocircular(mesh.vertices, mesh.triangles, want)
+    assert mesh.triangle_count == 2 * mesh.vertex_count - len(mesh.boundary_edges) - 2
+    assert msh._signed_areas(mesh.vertices, mesh.triangles).sum() == pytest.approx(poly.area, rel=1e-12)
+
+
+_ORACLE_CASES = [
+    pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)),
+                 0.02, id="disk512-0.02"),
+    pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)),
+                 0.1, id="disk512-0.1"),
+    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square"),
+    pytest.param(lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04, id="rect"),
+    # too thin for deep points; its smoothed retries insert coinciding circumcenters
+    pytest.param(lambda: realize(DomainSpec(kind="ellipse", a=20.0, b=1.0, polygonization_n=256)),
+                 None, id="ellipse20"),
+] + _SMOOTHING_CASES[2:]
+
+_SHORT_EDGE_DOMAINS = [
+    tuple(map(int, line.split()))
+    for line in (Path(__file__).parent / "short_edge_domains.txt").read_text().splitlines()
+    if not line.startswith("#")
+]
+
+
+class TestMatchesFullQhull:
+    """Qhull sees only the boundary strip; the deep lattice is triangulated
+    by index arithmetic.  The result must be Qhull's on every point."""
+
+    @pytest.mark.parametrize("make, h", _ORACLE_CASES)
+    def test_fixtures(self, make, h):
+        poly = make()
+        h = h if h is not None else 0.02 * poly.diameter[0]
+        _assert_full_qhull_mesh(msh.generate(poly, h), poly)
+
+    def test_short_edge_list(self):
+        assert len(_SHORT_EDGE_DOMAINS) == 664
+        for master_seed, index in _SHORT_EDGE_DOMAINS[::83]:
+            poly = realize(_sweep_domain_spec(master_seed, index))
+            edges = np.hypot(*(np.roll(poly.vertices, -1, axis=0) - poly.vertices).T)
+            assert edges.min() < 0.25 * 0.02 * poly.diameter[0]
+
+    @pytest.mark.parametrize("part", range(8))
+    def test_short_edge_domains(self, part):
+        # the domains whose split rounds insert circumcenters and boundary
+        # midpoints, which demote lattice points from the deep set
+        for master_seed, index in _SHORT_EDGE_DOMAINS[part::8]:
+            poly = realize(_sweep_domain_spec(master_seed, index))
+            _assert_full_qhull_mesh(msh.generate(poly, 0.02 * poly.diameter[0]), poly)
+
+    @pytest.mark.parametrize("make, h", _ORACLE_CASES)
+    def test_smoothing_neighbours_are_delaunay(self, monkeypatch, make, h):
+        # each smoothing run's lists are those of a Delaunay triangulation of
+        # its starting points: Qhull's on all of them up to cocircular quads.
+        # Only the lists of points that move count: boundary samples have
+        # sliver neighbours along collinear chains, which Qhull draws either way.
+        poly = make()
+        h = h if h is not None else 0.02 * poly.diameter[0]
+        runs, smooth = [], msh._smooth
+
+        def spy(points, movable, passes, neighbours):
+            runs.append((points, movable, neighbours))
+            return smooth(points, movable, passes, neighbours)
+
+        monkeypatch.setattr(msh, "_smooth", spy)
+        msh.generate(poly, h)
+        for points, movable, (owner, nbr) in runs:
+            same = owner[1:] == owner[:-1]
+            assert np.all(nbr[1:][same] > nbr[:-1][same])
+            indptr, indices = Delaunay(points).vertex_neighbor_vertices
+            full = set(zip(np.repeat(np.arange(len(points)), np.diff(indptr)).tolist(),
+                           indices.tolist()))
+            mine = set(zip(owner.tolist(), nbr.tolist()))
+            for edges, other in ((mine - full, full), (full - mine, mine)):
+                for u, v in ((u, v) for u, v in edges if movable[u]):
+                    common = ({x for x, y in other if y == u} & {x for x, y in other if y == v})
+                    crossing = [(x, y) for x in common for y in common if x < y and (x, y) in other]
+                    assert len(crossing) == 1, (u, v)
+                    x, y = crossing[0]
+                    assert cocircular(points[u], points[x], points[v], points[y]), (u, v)
 
 
 def _comparison_circle(mesh, poly):
