@@ -124,7 +124,7 @@ def _cmd_verify(args) -> int:
     )
     passed = report.theorem["passed"]
     mu2 = report.spectrum["eigenvalues"][1]
-    print(f"mu2 = {mu2:.6f}  theorem: {'pass' if passed else 'VIOLATION'}  "
+    print(f"mu2 = {mu2:.7g}  theorem: {'pass' if passed else 'VIOLATION'}  "
           f"strong_kroger: {report.inequalities['strong_kroger_holds']}")
     return 0 if passed else 3
 

@@ -54,7 +54,7 @@ class InvalidH(HotspotsError):
 
 
 class QualityFailure(HotspotsError):
-    """Mesh min-angle bound not met after the retry budget."""
+    """Mesh min-angle bound not met after the split rounds."""
 
 
 class PointOutsideMesh(HotspotsError):

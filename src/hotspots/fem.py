@@ -61,48 +61,29 @@ class Spectrum:
     stats: SolveStats
 
 
-def _element_geometry(mesh: TriMesh):
+def _scatter(mesh: TriMesh, entry) -> sp.csr_matrix:
+    """Sum entry(e, area, i, j), the (m,) element values at local vertices
+    (i, j), into an n x n matrix by a COO->CSR reduction."""
     t = mesh.triangles
     p = mesh.vertices
     # e[i] is the edge opposite local vertex i
-    e0 = p[t[:, 2]] - p[t[:, 1]]
-    e1 = p[t[:, 0]] - p[t[:, 2]]
-    e2 = p[t[:, 1]] - p[t[:, 0]]
-    area = 0.5 * (e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0]))
-    return t, (e0, e1, e2), area
+    e = (p[t[:, 2]] - p[t[:, 1]], p[t[:, 0]] - p[t[:, 2]], p[t[:, 1]] - p[t[:, 0]])
+    area = 0.5 * (e[2][:, 0] * (-e[1][:, 1]) - e[2][:, 1] * (-e[1][:, 0]))
+    ij = [(i, j) for i in range(3) for j in range(3)]
+    rows = np.concatenate([t[:, i] for i, _ in ij])
+    cols = np.concatenate([t[:, j] for _, j in ij])
+    vals = np.concatenate([entry(e, area, i, j) for i, j in ij])
+    n = mesh.vertex_count
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """K_ij = sum_elements integral grad(phi_i).grad(phi_j); exact for P1."""
-    t, e, area = _element_geometry(mesh)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(np.einsum("kd,kd->k", e[i], e[j]) / (4.0 * area))
-    n = mesh.vertex_count
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    return _scatter(mesh, lambda e, area, i, j: np.einsum("kd,kd->k", e[i], e[j]) / (4.0 * area))
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
-    t, _, area = _element_geometry(mesh)
-    n = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(area * ((2.0 if i == j else 1.0) / 12.0))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    return _scatter(mesh, lambda e, area, i, j: area * ((2.0 if i == j else 1.0) / 12.0))
 
 
 def rayleigh(k_mat, m_mat, v: np.ndarray) -> float:
@@ -256,17 +237,13 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     return Spectrum(vals, vecs, res, "neumann", stats)
 
 
-def solve_dirichlet(mesh: TriMesh, k: int, tol: float = 1e-8, seed: int = 0,
-                    k_mat=None, m_mat=None) -> Spectrum:
-    """Smallest k Dirichlet pairs; boundary rows/columns eliminated, vectors
-    reported with zeros on boundary vertices."""
+def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8,
+                    seed: int = 0) -> Spectrum:
+    """Smallest k Dirichlet pairs of the mesh's assembled K and M; boundary
+    rows/columns eliminated, vectors reported with zeros on boundary vertices."""
     interior = mesh.interior_mask
     if not np.any(interior):
         raise NoInteriorVertices("Dirichlet problem needs interior vertices")
-    if k_mat is None:
-        k_mat = assemble_stiffness(mesh)
-    if m_mat is None:
-        m_mat = assemble_mass(mesh)
     idx = np.nonzero(interior)[0]
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()

@@ -6,7 +6,10 @@ triangulation is needed.  Interior points start on a hexagonal lattice with
 h/2 clearance from the boundary and are relaxed by barycentric smoothing
 (boundary samples never move).  Smoothing triangulates once and keeps those
 neighbour lists while the points move; the mesh is then the Delaunay
-triangulation of the final point set.
+triangulation of the final point set.  Where it misses the angle bound
+(polygon edges much shorter than h, thin domains), Ruppert-style split
+rounds insert circumcenters and split encroached boundary segments, without
+smoothing again, so the grading they make stays.
 
 Both triangulations rest on Delaunay locality: a triangle belongs iff its
 circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
@@ -33,7 +36,6 @@ from .geometry import ConvexPolygon
 
 MIN_ANGLE_DEG = 20.0
 SMOOTHING_PASSES = 10
-QUALITY_RETRIES = 3
 SPLIT_ROUNDS = 20
 DEPTH_CHUNK = 65_536  # elements per depth chunk: its temporaries stay in cache
 MAX_MESH_SIZE = 4_000_000  # cap on the lattice points of generate, the triangles of refine
@@ -348,7 +350,11 @@ def _smooth(points: np.ndarray, movable: np.ndarray, passes: int,
 def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     """Mesh the polygon at target edge length h; min angle >= 20 deg (or
     just under the sharpest polygon corner, which no triangle there can
-    exceed) or QualityFailure after the circumcenter-insertion retry budget."""
+    exceed) or QualityFailure after SPLIT_ROUNDS split rounds.
+
+    The lattice is smoothed once; split rounds then insert circumcenters of
+    the worst triangles and midpoints of encroached boundary segments until
+    every angle meets the bound."""
     diam, _ = poly.diameter
     if not (0.0 < h < diam / 4.0):
         raise InvalidH(f"need 0 < h < diam/4 = {diam / 4.0:g}, got {h}")
@@ -376,67 +382,53 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
     n_b = len(boundary_pts)
     points = np.vstack([boundary_pts, interior_pts])
-    movable = np.zeros(len(points), dtype=bool)
-    movable[n_b:] = True
+    movable = np.arange(len(points)) >= n_b
     points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
     mesh, lengths = _assemble(points, n_b, lattice)
 
-    retries = 0
-    for _ in range(QUALITY_RETRIES + SPLIT_ROUNDS):
+    # Ruppert-style split rounds (Ruppert, J. Algorithms 18, 1995), without
+    # smoothing, which would undo the grading.  Worst triangles go first; a
+    # circumcenter already chosen inside a triangle's circumcircle destroys
+    # that triangle, so its own circumcenter waits for the next round.
+    for split_round in itertools.count():
         angles = _min_angles_deg(lengths)
         if angles.min() >= target:
             return mesh
+        if split_round == SPLIT_ROUNDS:
+            raise QualityFailure(f"min angle {angles.min():.2f} deg < {target} "
+                                 f"after {SPLIT_ROUNDS} split rounds")
         bad = mesh.triangles[angles < target]
         cc = _circumcenters(mesh.vertices, bad)
-        # clearance proportional to the offending triangle, not the global h:
-        # badly graded boundary layers need insertions near the boundary
-        shortest = lengths[angles < target].min(axis=1)
-        depth = _half_plane_depth(cc, normals, offsets)
-        keep = depth >= 0.45 * shortest
-        if retries < QUALITY_RETRIES and keep.any():
-            retries += 1
-            points = np.vstack([points, cc[keep]])
-            lattice.demote(points[n_b:n_b + m], cc[keep], h)
-            movable = np.zeros(len(points), dtype=bool)
-            movable[n_b:] = True
-            points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
-        else:
-            # What smoothed insertion cannot fix (polygon edges much shorter
-            # than h) is refined Ruppert-style, without smoothing, which would
-            # undo the grading.  Worst triangles go first; a circumcenter
-            # already chosen inside a triangle's circumcircle destroys that
-            # triangle, so its own circumcenter waits for the next round.
-            retries = QUALITY_RETRIES
-            radius = np.hypot(*(cc - mesh.vertices[bad[:, 0]]).T)
-            take: list[int] = []
-            for i in np.argsort(angles[angles < target], kind="stable"):
-                if all(math.dist(cc[i], cc[j]) >= radius[i] for j in take):
-                    take.append(i)
-            cc, depth = cc[take], depth[take]
-            # A boundary segment with a vertex or a chosen circumcenter inside
-            # its diametral circle is split instead; a vertex there is what
-            # puts circumcenters outside the domain.
-            bnd, ends = points[:n_b], np.roll(points[:n_b], -1, axis=0)
-            mids = 0.5 * (bnd + ends)
-            half = 0.5 * np.hypot(*(ends - bnd).T)
-            near = np.hypot(cc[:, None, 0] - mids[:, 0], cc[:, None, 1] - mids[:, 1]) < half
-            crowded = cKDTree(points).query_ball_point(mids, half * (1.0 - 1e-9),
-                                                       return_length=True) > 0
-            split = near.any(axis=0) | crowded
-            order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
-            bnd = np.vstack([bnd, mids[split]])[order]
-            inserted = cc[~near.any(axis=1) & (depth > 0.0)]
-            points = np.vstack([bnd, points[n_b:], inserted])
-            n_b = len(bnd)
-            lattice.demote(points[n_b:n_b + m], inserted, h)
+        radius = np.hypot(*(cc - mesh.vertices[bad[:, 0]]).T)
+        cc = cc[_independent(cc, radius, np.argsort(angles[angles < target], kind="stable"))]
+        # A boundary segment with a vertex or a chosen circumcenter inside
+        # its diametral circle is split instead; a vertex there is what puts
+        # circumcenters outside the domain.
+        bnd, ends = points[:n_b], np.roll(points[:n_b], -1, axis=0)
+        mids = 0.5 * (bnd + ends)
+        half = 0.5 * np.hypot(*(ends - bnd).T)
+        near = np.hypot(cc[:, None, 0] - mids[:, 0], cc[:, None, 1] - mids[:, 1]) < half
+        crowded = cKDTree(points).query_ball_point(mids, half * (1.0 - 1e-9),
+                                                   return_length=True) > 0
+        split = near.any(axis=0) | crowded
+        order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
+        bnd = np.vstack([bnd, mids[split]])[order]
+        inserted = cc[~near.any(axis=1) & (_half_plane_depth(cc, normals, offsets) > 0.0)]
+        points = np.vstack([bnd, points[n_b:], inserted])
+        n_b = len(bnd)
+        lattice.demote(points[n_b:n_b + m], inserted, h)
         mesh, lengths = _assemble(points, n_b, lattice)
 
-    angles = _min_angles_deg(lengths)
-    if angles.min() < target:
-        raise QualityFailure(
-            f"min angle {angles.min():.2f} deg < {target} after retries"
-        )
-    return mesh
+
+def _independent(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The circumcenters taken greedily in ``order``: each one that no
+    circumcenter taken before it lies closer to than its ``radius``.  Only
+    those in a ball of that radius (with a rounding margin) are tested."""
+    ball = cKDTree(cc).query_ball_point(cc, radius * (1.0 + 1e-9))
+    xy, taken = cc.tolist(), [False] * len(cc)
+    for i in order.tolist():
+        taken[i] = all(math.dist(xy[i], xy[j]) >= radius[i] for j in ball[i] if taken[j])
+    return order[np.array(taken)[order]]
 
 
 def _sharpest_corner_deg(verts: np.ndarray) -> float:

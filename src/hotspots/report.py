@@ -30,7 +30,7 @@ from .geometry import Point, exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 _SIDECARS = ("timings_ms", "metrics")
 
 

@@ -355,6 +355,16 @@ def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int,
     return pts
 
 
+def greedy_circumcenters(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> list:
+    """The split rounds' greedy choice, testing each circumcenter against
+    every one taken before it (the mesher's earlier all-pairs loop)."""
+    take = []
+    for i in order:
+        if all(math.dist(cc[i], cc[j]) >= radius[i] for j in take):
+            take.append(i)
+    return take
+
+
 def canonical_delaunay(points: np.ndarray) -> np.ndarray:
     """Qhull's triangulation of all points in the mesher's canonical form:
     vertex ids sorted, then oriented CCW, measure-zero slivers (area at most

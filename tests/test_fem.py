@@ -97,6 +97,10 @@ class TestNeumann:
             fem.solve_neumann(square_solved.K, square_solved.M, k=1)
 
 
+def _dirichlet(mesh):
+    return fem.solve_dirichlet(mesh, fem.assemble_stiffness(mesh), fem.assemble_mass(mesh), k=1)
+
+
 class TestDirichlet:
     def test_square_lambda1(self, square_solved):
         lam1 = square_solved.dirichlet.eigenvalues[0]
@@ -113,13 +117,13 @@ class TestDirichlet:
     def test_domain_monotonicity(self):
         outer = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         inner = geo.validate([(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)])
-        lam_outer = fem.solve_dirichlet(msh.generate(outer, 0.05), k=1).eigenvalues[0]
-        lam_inner = fem.solve_dirichlet(msh.generate(inner, 0.05), k=1).eigenvalues[0]
+        lam_outer = _dirichlet(msh.generate(outer, 0.05)).eigenvalues[0]
+        lam_inner = _dirichlet(msh.generate(inner, 0.05)).eigenvalues[0]
         assert lam_inner >= lam_outer
 
     def test_no_interior_vertices(self):
         with pytest.raises(NoInteriorVertices):
-            fem.solve_dirichlet(single_triangle_mesh(), k=1)
+            _dirichlet(single_triangle_mesh())
 
 
 class TestRayleigh:

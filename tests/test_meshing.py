@@ -20,6 +20,7 @@ from .oracles import (
     brute_force_interpolate,
     canonical_delaunay,
     cocircular,
+    greedy_circumcenters,
     in_circumcircle,
     retriangulating_smooth,
 )
@@ -219,6 +220,13 @@ def _corner_angles_deg(poly):
     return np.array(out)
 
 
+# sweep domains (master seed, index) with a polygon edge much shorter than h
+_SHORT_POLYGON_EDGES = [
+    (15000847, 4), (4000016, 3), (5000021, 5), (701, 5), (2000708, 2),
+    (38000184, 3), (47000298, 3), (50000274, 5),
+]
+
+
 class TestMinAngleTarget:
     """The 20 degree bound is capped just under the sharpest polygon corner,
     which no triangle at that corner can exceed."""
@@ -243,13 +251,10 @@ class TestMinAngleTarget:
         assert msh.quality(msh.generate(square, 0.05)).min_angle >= msh.MIN_ANGLE_DEG
 
 
-    @pytest.mark.parametrize("master_seed, index", [
-        (15000847, 4), (4000016, 3), (5000021, 5), (701, 5), (2000708, 2),
-        (38000184, 3), (47000298, 3), (50000274, 5),
-    ])
+    @pytest.mark.parametrize("master_seed, index", _SHORT_POLYGON_EDGES)
     def test_short_polygon_edges_are_split(self, master_seed, index):
-        # each domain has a polygon edge of 0.01-0.12 h, which smoothed
-        # circumcenter insertion alone left below 20 degrees
+        # each domain has a polygon edge of 0.01-0.12 h, which leaves the
+        # smoothed lattice below 20 degrees until split rounds refine it
         poly, diam = self._sweep_poly(master_seed, index)
         h = 0.02 * diam
         assert np.hypot(*(np.roll(poly.vertices, -1, axis=0) - poly.vertices).T).min() < 0.13 * h
@@ -379,7 +384,7 @@ _ORACLE_CASES = [
                  0.1, id="disk512-0.1"),
     pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square"),
     pytest.param(lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04, id="rect"),
-    # too thin for deep points; its smoothed retries insert coinciding circumcenters
+    # too thin for deep points; split rounds refine its ends
     pytest.param(lambda: realize(DomainSpec(kind="ellipse", a=20.0, b=1.0, polygonization_n=256)),
                  None, id="ellipse20"),
 ] + _SMOOTHING_CASES[2:]
@@ -446,6 +451,81 @@ class TestMatchesFullQhull:
                     assert len(crossing) == 1, (u, v)
                     x, y = crossing[0]
                     assert cocircular(points[u], points[x], points[v], points[y]), (u, v)
+
+
+def _disk(n):
+    return lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=n))
+
+
+def _ellipse20():
+    return realize(DomainSpec(kind="ellipse", a=20.0, b=1.0))
+
+
+_GRADED_CASES = [
+    pytest.param(_disk(2048), 0.05, id="disk2048"),
+    pytest.param(_ellipse20, 0.05, id="ellipse20"),
+] + [
+    pytest.param(lambda s=s, i=i: realize(_sweep_domain_spec(s, i)), 0.02, id=f"short{s}-{i}")
+    for s, i in _SHORT_POLYGON_EDGES
+]
+
+
+class TestSplitRounds:
+    """Smoothing runs once; meshes that miss the angle bound after it are
+    graded by the split rounds alone.  Sizes are relative to the diameter."""
+
+    @pytest.mark.parametrize("make, h_rel, splits", [
+        pytest.param(_disk(512), 0.01, False, id="disk512-h0.02"),
+        pytest.param(_disk(512), 0.05, True, id="disk512-h0.1"),
+        pytest.param(_ellipse20, 0.05, True, id="ellipse20"),
+        pytest.param(lambda: realize(_sweep_domain_spec(*_SHORT_POLYGON_EDGES[0])), 0.02, True,
+                     id="short-edge"),
+    ])
+    def test_smoothing_runs_once(self, monkeypatch, make, h_rel, splits):
+        poly = make()
+        smooth, choose, calls = msh._smooth, msh._independent, {"smooth": 0, "split": 0}
+
+        def smooth_spy(*args):
+            calls["smooth"] += 1
+            return smooth(*args)
+
+        def choose_spy(*args):
+            calls["split"] += 1
+            return choose(*args)
+
+        monkeypatch.setattr(msh, "_smooth", smooth_spy)
+        monkeypatch.setattr(msh, "_independent", choose_spy)
+        mesh = msh.generate(poly, h_rel * poly.diameter[0])
+        assert calls["smooth"] == 1
+        assert (calls["split"] > 0) == splits
+        assert msh.quality(mesh).min_angle >= _target_deg(poly)
+
+    @pytest.mark.parametrize("make, h_rel", _GRADED_CASES)
+    def test_greedy_choice_matches_all_pairs_oracle(self, monkeypatch, make, h_rel):
+        # the chosen circumcenters are tested only against those within
+        # their radius; the oracle tests every one chosen before
+        poly = make()
+        h = h_rel * poly.diameter[0]
+        mesh = msh.generate(poly, h)
+        rounds = []
+
+        def oracle(cc, radius, order):
+            rounds.append(len(cc))
+            return greedy_circumcenters(cc, radius, order)
+
+        with monkeypatch.context() as m:
+            m.setattr(msh, "_independent", oracle)
+            ref = msh.generate(poly, h)
+        assert rounds
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.triangles, ref.triangles)
+
+    @pytest.mark.parametrize("make", [_disk(512), _ellipse20], ids=["disk512", "ellipse20"])
+    def test_mesh_does_not_get_finer_as_h_grows(self, make):
+        poly = make()
+        counts = [msh.generate(poly, h_rel * poly.diameter[0]).vertex_count
+                  for h_rel in (0.02, 0.05, 0.1)]
+        assert all(coarse <= 1.05 * fine for fine, coarse in zip(counts, counts[1:])), counts
 
 
 def _comparison_circle(mesh, poly):

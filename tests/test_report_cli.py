@@ -29,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -167,6 +167,19 @@ class TestCliExitCodes:
         assert code == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_summary_mu2_is_scale_free(self, tmp_path, capsys):
+        # mu2 of a radius-1e4 disk is about 3.4e-8: the summary keeps 7
+        # significant digits of the report's value
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "disk", "radius": 1e4,
+                                    "polygonization_n": 128}))
+        assert cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out.split()[2]
+        mu2 = json.loads((tmp_path / "out" / "report.json").read_text())["spectrum"]["eigenvalues"][1]
+        assert printed == f"{mu2:.7g}"
+        assert float(printed) == pytest.approx(mu2, rel=5e-7)
+        assert 3e-8 < float(printed) < 4e-8
+
     def test_malformed_spec_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 1, "kind": "pentagon"}')
@@ -290,7 +303,7 @@ class TestRegionAndRender:
         path.write_text(json.dumps(doc))
         return cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")])
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)])
+    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)])
     def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
         assert self._render_as(verified, tmp_path, schema) == code
 
