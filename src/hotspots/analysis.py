@@ -80,8 +80,8 @@ class InequalityReport:
     kroger_margin: float              # 4 j0^2 - mu2 diam^2
     payne_weinberger_margin: float    # mu2 diam^2 - pi^2
     strong_kroger_holds: bool         # mu2 diam^2 <= j1^2
-    szego_weinberger_margin: float    # pi jp11^2 / area - mu2
-    polya_margin: float               # lambda1 - mu2
+    szego_weinberger_margin: float    # pi jp11^2 - mu2 area
+    polya_margin: float               # (lambda1 - mu2) diam^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,8 +388,9 @@ def inequality_checks(
 ) -> InequalityReport:
     """Margins of the diameter- and area-based spectral bounds.
 
-    The diameter-based lower bound is used in its dimensionally consistent
-    squared form mu2 * diam^2 >= pi^2.
+    Every margin is dimensionless: eigenvalues enter times diam^2 or times
+    the area, so the diameter-based lower bound is used in its squared form
+    mu2 * diam^2 >= pi^2.
     """
     d, _ = poly.diameter
     mu_d2 = float(mu2) * d * d
@@ -397,8 +398,8 @@ def inequality_checks(
         kroger_margin=float(4.0 * constants.j0 ** 2 - mu_d2),
         payne_weinberger_margin=float(mu_d2 - math.pi ** 2),
         strong_kroger_holds=bool(mu_d2 <= constants.j1 ** 2),
-        szego_weinberger_margin=float(math.pi * constants.jp11 ** 2 / poly.area - mu2),
-        polya_margin=float(lambda1 - mu2),
+        szego_weinberger_margin=float(math.pi * constants.jp11 ** 2 - mu2 * poly.area),
+        polya_margin=float((lambda1 - mu2) * d * d),
     )
 
 

@@ -2,14 +2,19 @@
 
 Stiffness uses the exact edge-vector (cotangent) formula, mass the exact
 consistent element matrix (A/12)[[2,1,1],[1,2,1],[1,1,2]]; both are assembled
-with a deterministic COO->CSR reduction.  Eigenpairs come from shift-invert
-Lanczos (ARPACK) on the sigma-shifted operator K + sigma*M with a fixed,
-seeded starting vector, so repeated runs are bit-identical; small problems
-fall back to a dense solve.  The operator solves go through LAPACK's banded
-Cholesky of the symmetric positive definite matrix (K + sigma*M, or K_II for
-Dirichlet) in reverse Cuthill-McKee order (George & Liu, 1981), or through
-SuperLU when that band would be too large.  The contract is the residual
-bound checked at the end, not the iteration internals.
+with a deterministic COO->CSR reduction.  Eigenpairs of K v = mu M v come
+from Lanczos (ARPACK) on the inverse of the sigma-shifted matrix
+A = K + sigma*M (K_II for Dirichlet), which LAPACK's banded Cholesky factors
+in reverse Cuthill-McKee order (George & Liu, 1981), or SuperLU when that
+band would be too large.  On the banded path the Lanczos runs in standard
+mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so a step
+is two triangular half-solves and one M product; the SuperLU path runs
+shift-invert mode 3.  ARPACK stops at 1e-4 of the residual gate, with a
+Krylov basis of 2k + 4 vectors.  The Neumann start is a fixed seeded random
+vector and the Dirichlet start the all-ones vector (its ground state has one
+sign), so repeated runs are bit-identical; small problems fall back to a
+dense solve.  The contract is the residual bound checked at the end, not
+the iteration internals.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import LinAlgError, cholesky_banded, eigh
+from scipy.linalg.blas import dtbmv, dtbsv
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bessel import find_constants
@@ -133,10 +139,11 @@ class SpdInverse(spla.LinearOperator):
 
     A is ordered by reverse Cuthill-McKee and its upper triangle scattered
     from the COO entries, through the inverse permutation, into a Fortran
-    (kd+1, n) band that LAPACK factors in place.  When that band would hold
-    more than BAND_MAX_ENTRIES entries, SuperLU factors A instead.  A factor
-    that fails, or has a pivot within rounding (n * eps) of zero, raises
-    ConvergenceFailure naming the problem.
+    (kd+1, n) band that LAPACK factors in place, P A P' = U'U with P the RCM
+    permutation; a solve is the two triangular half-solves with U' and U.
+    When that band would hold more than BAND_MAX_ENTRIES entries, SuperLU
+    factors A instead.  A factor that fails, or has a pivot within rounding
+    (n * eps) of zero, raises ConvergenceFailure naming the problem.
     """
 
     def __init__(self, mat, problem: str):
@@ -181,24 +188,63 @@ class SpdInverse(spla.LinearOperator):
         if self.path == "superlu":
             return self._lu.solve(b)
         x = np.empty(len(b))
-        x[self._perm] = cho_solve_banded((self._factor, False), b[self._perm],
-                                         check_finite=False)
+        x[self._perm] = self._half(self._half(b[self._perm], "T"), "N")
         return x
 
+    # In whitened coordinates y = U P v the pencil M v = theta A v is the
+    # standard symmetric problem C y = theta y, C = U^-T (P M P') U^-1, whose
+    # Lanczos steps need no M inner products.  Banded path only.
 
-def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, seed: int, problem: str):
+    def whitened(self, m_mat) -> spla.LinearOperator:
+        """C as an operator; each product is two half-solves and one M
+        product, and counts as one solve."""
+        m_rcm = m_mat.tocsr()[self._perm][:, self._perm]
+
+        def matvec(y):
+            self.solves += 1
+            return self._half(m_rcm @ self._half(np.ravel(y), "N"), "T")
+
+        return spla.LinearOperator(self.shape, matvec=matvec, dtype=float)
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """y = U P v."""
+        return dtbmv(self.kd, self._factor, v[self._perm])
+
+    def unwhiten(self, y: np.ndarray) -> np.ndarray:
+        """v = P' U^-1 y for each column y."""
+        v = np.empty_like(y)
+        v[self._perm] = np.column_stack([self._half(col, "N") for col in y.T])
+        return v
+
+    def _half(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """U^-1 b ('N') or U^-T b ('T')."""
+        return dtbsv(self.kd, self._factor, b, trans=int(trans == "T"))
+
+
+def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, tol: float, v0: np.ndarray,
+                    problem: str):
+    """Smallest k pairs of K v = mu M v, ascending, from Lanczos started at v0.
+
+    ARPACK stops at 1e-4 * tol, inside the residual gate, with a Krylov
+    basis of 2k + 4 vectors.  On the banded path it runs in standard mode on
+    the whitened operator (SpdInverse.whitened), on the SuperLU path in
+    shift-invert mode 3 with M inner products.
+    """
     n = k_mat.shape[0]
     if n <= DENSE_CUTOFF or k >= n - 1:
         vals, vecs = eigh(k_mat.toarray(), m_mat.toarray())
         return vals[:k], vecs[:, :k], SolveStats("dense", n, None, 0, k)
     shifted = k_mat + sigma * m_mat
     inverse = SpdInverse(shifted, problem)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    lanczos = {"k": k, "ncv": 2 * k + 4, "tol": 1e-4 * tol, "maxiter": 500}
     try:
-        vals, vecs = spla.eigsh(
-            shifted, k=k, M=m_mat, sigma=0.0, which="LM", v0=v0, maxiter=500,
-            OPinv=inverse,
-        )
+        if inverse.path == "banded":
+            theta, y = spla.eigsh(inverse.whitened(m_mat), which="LA",
+                                  v0=inverse.whiten(v0), **lanczos)
+            vals, vecs = 1.0 / theta, inverse.unwhiten(y)
+        else:
+            vals, vecs = spla.eigsh(shifted, M=m_mat, sigma=0.0, which="LM", v0=v0,
+                                    OPinv=inverse, **lanczos)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(
             f"ARPACK: {len(exc.eigenvalues)} of {k} pairs converged in 500 iterations"
@@ -219,7 +265,9 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     if k < 2:
         raise ValueError("need k >= 2 for the Neumann problem")
     n = k_mat.shape[0]
-    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), seed, "Neumann")
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), tol, v0,
+                                        "Neumann")
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
@@ -237,10 +285,14 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     return Spectrum(vals, vecs, res, "neumann", stats)
 
 
-def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8,
-                    seed: int = 0) -> Spectrum:
+def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8) -> Spectrum:
     """Smallest k Dirichlet pairs of the mesh's assembled K and M; boundary
-    rows/columns eliminated, vectors reported with zeros on boundary vertices."""
+    rows/columns eliminated, vectors reported with zeros on boundary vertices.
+
+    The ground state has one sign, so Lanczos starts from the all-ones
+    vector.  Sign-changing pairs orthogonal to it (on a symmetric mesh) are
+    still found for k > 1: rounding seeds them.
+    """
     interior = mesh.interior_mask
     if not np.any(interior):
         raise NoInteriorVertices("Dirichlet problem needs interior vertices")
@@ -248,7 +300,8 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8,
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()
     k_eff = min(k, len(idx))
-    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, seed, "Dirichlet")
+    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, tol, np.ones(len(idx)),
+                                            "Dirichlet")
     vecs_red = _fix_signs(_m_orthonormalize(vecs_red, m_red))
     res = _residuals(k_red, m_red, vals, vecs_red)
     if np.any(res > tol):

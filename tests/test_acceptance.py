@@ -156,14 +156,16 @@ def test_criterion_4_theorem_suite(sweep, fixture_reports, unit_square, constant
 def test_criterion_5_inequality_suite(sweep, fixture_reports, constants):
     summary, reports = sweep
     kroger_cap = 4.0 * constants.j0**2
+    # the margins are dimensionless: pi jp11^2 - mu2 area >= -1% of pi jp11^2
+    # is mu2 <= 1.01 pi jp11^2 / area, and (lambda1 - mu2) diam^2 > 0 is
+    # lambda1 > mu2
+    sw_cap = math.pi * constants.jp11**2
     sw_ok = kr_ok = pw_ok = polya_ok = True
     for doc in reports + list(fixture_reports.values()):
         ineq = doc["inequalities"]
-        area = doc["geometry"]["area"]
         kr_ok &= ineq["kroger_margin"] >= -0.01 * kroger_cap
         pw_ok &= ineq["payne_weinberger_margin"] >= 0.0
         polya_ok &= ineq["polya_margin"] > 0.0
-        sw_cap = math.pi * constants.jp11**2 / area
         sw_ok &= ineq["szego_weinberger_margin"] >= -0.01 * sw_cap
     strong_ok = (
         fixture_reports["rectangle"]["inequalities"]["strong_kroger_holds"]

@@ -412,6 +412,11 @@ class TestInequalityChecks:
         assert rep.strong_kroger_holds
         assert rep.polya_margin > 0
         assert mu2 * 4.0 == pytest.approx(13.560, abs=0.05)
+        # dimensionless margins: (j0^2 - jp11^2) diam^2, and Szegoe-Weinberger
+        # is an equality on the disk
+        assert rep.polya_margin == pytest.approx(4.0 * (constants.j0**2 - constants.jp11**2),
+                                                 rel=0.01)
+        assert abs(rep.szego_weinberger_margin) <= 0.01 * math.pi * constants.jp11**2
 
     def test_rectangle(self, rect_solved, constants):
         mu2 = float(rect_solved.neumann.eigenvalues[1])
@@ -420,6 +425,10 @@ class TestInequalityChecks:
         assert mu2 * 5.0 == pytest.approx(12.337, abs=0.05)
         assert rep.strong_kroger_holds
         assert rep.payne_weinberger_margin == pytest.approx(2.467, abs=0.05)
+        # lambda1 = 5 pi^2 / 4, mu2 = pi^2 / 4, diam^2 = 5, area = 2
+        assert rep.polya_margin == pytest.approx(5.0 * math.pi**2, rel=0.01)
+        assert rep.szego_weinberger_margin == pytest.approx(
+            math.pi * constants.jp11**2 - math.pi**2 / 2.0, rel=0.01)
 
     def test_square_strong_kroger_fails(self, square_solved, constants):
         mu2 = float(square_solved.neumann.eigenvalues[1])

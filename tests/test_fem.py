@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
 
 from hotspots import fem
 from hotspots import geometry as geo
@@ -260,3 +261,72 @@ class TestShiftInvert:
         k_mat = fem.assemble_stiffness(msh.generate(unit_square, h))
         with pytest.raises(ConvergenceFailure, match="Neumann matrix is"):
             fem.SpdInverse(k_mat, "Neumann")
+
+
+_NEAR_CUTOFF = {  # meshes whose interior is just above DENSE_CUTOFF vertices
+    "square": ([(0, 0), (1, 0), (1, 1), (0, 1)], 0.036),
+    "triangle": ([(0, 0), (1, 0), (0.3, 0.8)], 0.03),
+    "sweep_1_0": (None, 0.04),
+}
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("name", list(_NEAR_CUTOFF))
+    def test_matches_dense_eigh(self, name):
+        vertices, h_rel = _NEAR_CUTOFF[name]
+        poly = geo.validate(vertices) if vertices else realize(_sweep_domain_spec(1, 0))
+        mesh = msh.generate(poly, h_rel * poly.diameter[0])
+        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        idx = np.nonzero(mesh.interior_mask)[0]
+        assert fem.DENSE_CUTOFF < len(idx) < 1.3 * fem.DENSE_CUTOFF
+        neumann = fem.solve_neumann(k_mat, m_mat, k=4)
+        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, k=1)
+        assert neumann.stats.path == dirichlet.stats.path == "banded"
+        dense = eigh(k_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+        dense_d = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
+                       eigvals_only=True)
+        assert np.allclose(neumann.eigenvalues[1:], dense[1:4], rtol=1e-12, atol=0.0)
+        assert np.allclose(dirichlet.eigenvalues, dense_d[:1], rtol=1e-12, atol=0.0)
+
+    def test_all_ones_start_finds_sign_changing_pairs(self):
+        # a 24 x 24 grid of the unit square, each cell cut by the same
+        # diagonal: the mesh, K and M are symmetric to rounding under the
+        # half turn about (0.5, 0.5), so the all-ones start is orthogonal
+        # (to 1e-15) to the odd pairs 2 and 3, which only rounding can seed
+        n = 24
+        xy = np.stack(np.meshgrid(np.linspace(0, 1, n + 1), np.linspace(0, 1, n + 1),
+                                  indexing="ij"), axis=-1).reshape(-1, 2)
+        ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+        a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+        triangles = np.concatenate([np.stack([a, b, c], -1),
+                                    np.stack([a, c, d], -1)]).reshape(-1, 3)
+        mesh = msh.TriMesh(vertices=xy, triangles=triangles,
+                           boundary_edges=np.zeros((0, 2), dtype=int),
+                           boundary_normals=np.zeros((0, 2)), h_max=math.sqrt(2) / n,
+                           interior_mask=np.all((xy > 0) & (xy < 1), axis=1))
+        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        idx = np.nonzero(mesh.interior_mask)[0]
+        dense = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
+                     eigvals_only=True)
+        spectrum = fem.solve_dirichlet(mesh, k_mat, m_mat, k=4)
+        assert spectrum.stats.path == "banded"
+        assert np.allclose(spectrum.eigenvalues, dense[:4], rtol=1e-12, atol=0.0)
+
+    def test_dirichlet_ground_state_has_one_sign(self, square_solved, disk_solved):
+        for fx in (square_solved, disk_solved):
+            v = fx.dirichlet.eigenvectors[:, 0]
+            assert np.all(v[fx.mesh.interior_mask] > 0.0)
+
+    def test_operator_solve_ceilings(self, disk_solved):
+        # seed 0; the counts repeat exactly from run to run
+        mesh = _rect_refined_mesh()
+        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        spectra = {
+            "disk": (disk_solved.neumann, disk_solved.dirichlet),
+            "rect_refined": (fem.solve_neumann(k_mat, m_mat, k=4),
+                             fem.solve_dirichlet(mesh, k_mat, m_mat, k=1)),
+        }
+        ceilings = {"disk": (30, 10), "rect_refined": (31, 13)}
+        for name, pair in spectra.items():
+            solves = tuple(s.stats.operator_solves for s in pair)
+            assert all(s <= c for s, c in zip(solves, ceilings[name])), (name, solves)

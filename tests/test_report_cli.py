@@ -29,7 +29,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -303,7 +303,8 @@ class TestRegionAndRender:
         path.write_text(json.dumps(doc))
         return cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")])
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)])
+    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0),
+                                              (7, 0)])
     def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
         assert self._render_as(verified, tmp_path, schema) == code
 

@@ -1,7 +1,8 @@
 """Metamorphic test: the claim is invariant under similarity, and so is the
 pipeline.  Scaling a domain by 2^k is exact in binary floating point, so
 every length must scale exactly, every structural field must stay equal and
-mu2 * diam^2 must agree to rounding."""
+mu2 * diam^2 and the dimensionless inequality margins must agree to
+rounding."""
 
 import json
 
@@ -13,6 +14,8 @@ from hotspots.domains import load_spec, realize
 from hotspots.report import _sweep_domain_spec, run_verify
 
 EXPONENTS = [-14, -1, 0, 1, 14]
+MARGINS = ("kroger_margin", "payne_weinberger_margin", "polya_margin",
+           "szego_weinberger_margin")
 
 
 def _disk(scale):
@@ -59,6 +62,9 @@ def test_scaling_by_powers_of_two(tmp_path, make):
         got = rep.spectrum["eigenvalues"][1] * rep.geometry["diameter"] ** 2
         assert got == pytest.approx(mu2_d2, rel=1e-9, abs=0.0), k
         assert max(rep.spectrum["residuals"] + rep.spectrum["dirichlet_residuals"]) <= 1e-8
+        for name in MARGINS:
+            assert rep.inequalities[name] == pytest.approx(
+                base.inequalities[name], rel=1e-9, abs=0.0), (k, name)
         for problem in ("neumann", "dirichlet"):
             solves = rep.metrics["eigensolve"][problem]["operator_solves"]
             reference = base.metrics["eigensolve"][problem]["operator_solves"]
