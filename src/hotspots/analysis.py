@@ -27,14 +27,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .bessel import SpectralConstants, j0_array, j1_array
 from .errors import (
-    AnchorNotVertex,
     AnchorOnBoundary,
     CircleOutsideDomain,
     NotPositiveComponent,
     PointOutsideMesh,
 )
 from .fem import rayleigh
-from .geometry import ConvexPolygon, Point, farthest_boundary_distance
+from .geometry import ConvexPolygon, farthest_boundary_distance
 from .meshing import TriMesh, interpolate
 
 TIE_REL = 1e-12
@@ -47,7 +46,7 @@ BRANCH_TIE_REL = 1e-10
 @dataclass(frozen=True)
 class CriticalPoint:
     vertex_id: int
-    location: Point
+    location: tuple[float, float]
     value: float
     kind: str  # 'max' | 'min' | 'saddle'
     alternations: int
@@ -57,9 +56,8 @@ class CriticalPoint:
 @dataclass(frozen=True, eq=False)
 class ComparisonField:
     """w(x) = psi(x0) * J0(sqrt(mu2) |x - x0|) - psi(x) on mesh vertices,
-    with psi pre-negated so psi(x0) >= 0."""
+    with x0 the vertex ``anchor_index`` and psi pre-negated so psi(x0) >= 0."""
 
-    anchor: Point
     anchor_index: int
     mu2: float
     psi_at_anchor: float
@@ -88,7 +86,6 @@ class InequalityReport:
 class TheoremVerdict:
     threshold: float
     tolerance: float
-    critical_points: tuple[CriticalPoint, ...]
     violations: tuple[CriticalPoint, ...]
     passed: bool
 
@@ -126,15 +123,14 @@ def find_critical_points(
     out = []
     for v in np.nonzero(mesh.interior_mask & (alt != 2))[0]:
         kind = "saddle" if alt[v] >= 4 else ("min" if first_sign[v] > 0 else "max")
-        loc = Point(float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
         out.append(
             CriticalPoint(
                 vertex_id=int(v),
-                location=loc,
+                location=tuple(mesh.vertices[v].tolist()),
                 value=float(psi[v]),
                 kind=kind,
                 alternations=int(alt[v]),
-                farthest_distance=farthest_boundary_distance(poly, loc),
+                farthest_distance=farthest_boundary_distance(poly, mesh.vertices[v]),
             )
         )
     return out
@@ -161,7 +157,6 @@ def theorem_check(
     return TheoremVerdict(
         threshold=threshold,
         tolerance=tolerance,
-        critical_points=tuple(points),
         violations=violations,
         passed=not violations,
     )
@@ -170,26 +165,20 @@ def theorem_check(
 # --- comparison field -----------------------------------------------------------
 
 def build_comparison(
-    mesh: TriMesh, psi: np.ndarray, mu2: float, x0: Point
+    mesh: TriMesh, psi: np.ndarray, mu2: float, anchor_index: int
 ) -> ComparisonField:
-    """Radial Helmholtz comparison field anchored at the mesh vertex x0."""
-    target = np.array([x0.x, x0.y])
-    d = mesh.vertices - target
+    """Radial Helmholtz comparison field anchored at mesh vertex anchor_index."""
+    d = mesh.vertices - mesh.vertices[anchor_index]
     dist = np.hypot(d[:, 0], d[:, 1])
-    idx = int(np.argmin(dist))
-    scale = 1.0 + float(np.abs(mesh.vertices).max())
-    if dist[idx] > 1e-9 * scale:
-        raise AnchorNotVertex(f"{x0} is not a mesh vertex (nearest at {dist[idx]:g})")
     psi = np.asarray(psi, dtype=float)
-    if psi[idx] < 0.0:
+    if psi[anchor_index] < 0.0:
         psi = -psi
     root_mu = math.sqrt(mu2)
-    w = psi[idx] * j0_array(root_mu * dist) - psi
+    w = psi[anchor_index] * j0_array(root_mu * dist) - psi
     return ComparisonField(
-        anchor=Point(float(mesh.vertices[idx, 0]), float(mesh.vertices[idx, 1])),
-        anchor_index=idx,
+        anchor_index=anchor_index,
         mu2=mu2,
-        psi_at_anchor=float(psi[idx]),
+        psi_at_anchor=float(psi[anchor_index]),
         values=w,
     )
 
@@ -199,10 +188,8 @@ def branch_count(mesh: TriMesh, field: ComparisonField, radius: float) -> int:
     if radius < 3.0 * mesh.h_max:
         raise ValueError(f"radius {radius:g} < 3*h_max = {3.0 * mesh.h_max:g}")
     theta = 2.0 * math.pi * np.arange(BRANCH_SAMPLES) / BRANCH_SAMPLES
-    pts = np.column_stack([
-        field.anchor.x + radius * np.cos(theta),
-        field.anchor.y + radius * np.sin(theta),
-    ])
+    x0, y0 = mesh.vertices[field.anchor_index]
+    pts = np.column_stack([x0 + radius * np.cos(theta), y0 + radius * np.sin(theta)])
     try:
         vals = interpolate(mesh, field.values, pts)
     except PointOutsideMesh as exc:
@@ -286,7 +273,7 @@ def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
     """
     if not mesh.interior_mask[field.anchor_index]:
         raise AnchorOnBoundary("comparison anchor lies on the boundary")
-    x0 = np.array([field.anchor.x, field.anchor.y])
+    x0 = mesh.vertices[field.anchor_index]
     mids = 0.5 * (
         mesh.vertices[mesh.boundary_edges[:, 0]]
         + mesh.vertices[mesh.boundary_edges[:, 1]]
@@ -299,12 +286,12 @@ def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
     return field.psi_at_anchor * root_mu * deriv * dots / r
 
 
-def support_positivity(poly: ConvexPolygon, x0: Point) -> float:
+def support_positivity(poly: ConvexPolygon, x0) -> float:
     """min over polygon-edge midpoints of (x - x0).nu; positive for interior x0
     by convexity."""
     normals, _ = poly.edge_normals
     mids = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
-    rel = mids - np.array([x0.x, x0.y])
+    rel = mids - np.asarray(x0, dtype=float)
     return float(np.min(np.einsum("ij,ij->i", rel, normals)))
 
 
@@ -411,9 +398,7 @@ def steinerberger_diagnostic(mesh: TriMesh, psi: np.ndarray, poly: ConvexPolygon
     psi = np.asarray(psi, dtype=float)
     spread = float(psi.max() - psi.min())
     max_set = mesh.vertices[psi >= psi.max() - 1e-9 * spread]
-    _, (p, q) = poly.diameter
-    ends = np.array([[p.x, p.y], [q.x, q.y]])
     dmin = min(
-        float(np.hypot(*(max_set - e).T).min()) for e in ends
+        float(np.hypot(*(max_set - e).T).min()) for e in np.array(poly.diameter[1])
     )
     return dmin / poly.inradius[0]

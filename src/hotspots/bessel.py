@@ -15,7 +15,6 @@ that the tests pin, and ``jn_zeros`` puts it 1 ulp off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,15 +23,6 @@ from scipy import special
 from scipy.optimize import brentq
 
 from .errors import NonFiniteInput
-
-
-def _check_arg(x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise NonFiniteInput(f"argument must be finite, got {x!r}")
-    if x < 0.0:
-        raise ValueError("argument must be >= 0")
-    return x
 
 
 def _check_array(x) -> np.ndarray:
@@ -46,12 +36,12 @@ def _check_array(x) -> np.ndarray:
 
 def j0_eval(x: float) -> float:
     """J0(x) for x >= 0."""
-    return float(special.j0(_check_arg(x)))
+    return float(special.j0(_check_array(x)))
 
 
 def j1_eval(x: float) -> float:
     """J1(x) for x >= 0."""
-    return float(special.j1(_check_arg(x)))
+    return float(special.j1(_check_array(x)))
 
 
 def j0_array(x) -> np.ndarray:

@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Neumann eigenpairs (>= 3)")
     p_verify.add_argument("--tol", type=_POSITIVE, default=1e-8, help="residual tolerance")
     p_verify.add_argument("--out", required=True, help="output directory")
-    p_verify.add_argument("--seed", type=int, default=0, help="eigensolver start seed")
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0,
+                          help="eigensolver start seed")
     p_verify.add_argument("--svg", action="store_true", help="also write figure.svg")
     p_verify.add_argument("--show-nodal", action="store_true")
     p_verify.add_argument("--show-mesh", action="store_true")
@@ -141,7 +142,7 @@ def _cmd_region(args) -> int:
         "ratio": ratio,
         "diameter": poly.diameter[0],
         "threshold": region.threshold,
-        "seed_point": [region.seed.x, region.seed.y],
+        "seed_point": region.seed,
         "boundary": region.boundary.tolist(),
         "binding": list(region.binding),
     }
@@ -161,7 +162,7 @@ def _cmd_region(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    # Schemas 2 to 6 changed no field that rendering reads.
+    # No schema bump so far changed a field that rendering reads.
     if doc.get("schema") not in range(1, REPORT_SCHEMA + 1):
         raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
     write_report_svg(doc, args.out, show_nodal=args.show_nodal)

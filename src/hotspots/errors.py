@@ -73,10 +73,6 @@ class ZeroVector(HotspotsError):
 
 # --- analysis -------------------------------------------------------------
 
-class AnchorNotVertex(HotspotsError):
-    pass
-
-
 class AnchorOnBoundary(HotspotsError):
     pass
 

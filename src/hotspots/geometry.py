@@ -28,15 +28,6 @@ from .errors import (
 RAY_COUNT = 720
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexPolygon:
     """CCW convex polygon; construct through :func:`validate`.
@@ -64,7 +55,7 @@ class ConvexPolygon:
         return normals, offsets
 
     @cached_property
-    def diameter(self) -> tuple[float, tuple[Point, Point]]:
+    def diameter(self) -> tuple[float, tuple[tuple[float, float], tuple[float, float]]]:
         """Max vertex-pair distance via rotating calipers; first attaining pair wins.
 
         The calipers walk the two chains between the lexicographically
@@ -95,10 +86,10 @@ class ConvexPolygon:
                 i += 1
             else:
                 j -= 1
-        return math.sqrt(best), (Point(*best_pair[0]), Point(*best_pair[1]))
+        return math.sqrt(best), best_pair
 
     @cached_property
-    def inradius(self) -> tuple[float, Point]:
+    def inradius(self) -> tuple[float, tuple[float, float]]:
         """Largest inscribed circle: maximize rho s.t. n_i.c + rho <= n_i.v_i."""
         normals, offsets = self.edge_normals
         m = len(normals)
@@ -113,7 +104,7 @@ class ConvexPolygon:
         if not res.success:
             raise InternalInvariantViolation(f"Chebyshev LP failed: {res.message}")
         cx, cy, rho = res.x
-        return float(rho), Point(float(cx), float(cy))
+        return float(rho), (float(cx), float(cy))
 
     @cached_property
     def min_enclosing_circle(self) -> Circle:
@@ -123,7 +114,7 @@ class ConvexPolygon:
 
 @dataclass(frozen=True)
 class Circle:
-    center: Point
+    center: tuple[float, float]
     radius: float
 
 
@@ -138,14 +129,8 @@ class ExclusionRegion:
 
     threshold: float
     boundary: np.ndarray  # (RAY_COUNT, 2), CCW
-    seed: Point
+    seed: tuple[float, float]
     binding: tuple[str, ...] = field(repr=False, default=())
-
-
-def _as_xy(p) -> np.ndarray:
-    if isinstance(p, Point):
-        return np.array([p.x, p.y])
-    return np.asarray(p, dtype=float)
 
 
 def _shoelace(pts: np.ndarray) -> float:
@@ -159,7 +144,7 @@ def validate(raw_vertices) -> ConvexPolygon:
     CW input is reversed; consecutive duplicates and collinear vertices are
     dropped.  Raises TooFewVertices / DegenerateArea / NotConvex.
     """
-    pts = np.array([_as_xy(p) for p in raw_vertices], dtype=float)
+    pts = np.array(raw_vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("vertices must be 2-D points")
     if len(pts) < 3:
@@ -220,8 +205,7 @@ def validate(raw_vertices) -> ConvexPolygon:
 
 def farthest_boundary_distance(poly: ConvexPolygon, p) -> float:
     """F(p) = max over boundary of |p - y|; for polygons the max sits at a vertex."""
-    q = _as_xy(p)
-    d = poly.vertices - q
+    d = poly.vertices - np.asarray(p, dtype=float)
     return math.sqrt(float(np.max(d[:, 0] ** 2 + d[:, 1] ** 2)))
 
 
@@ -298,7 +282,7 @@ def _welzl(pts: list[tuple[float, float]], scale: float) -> Circle:
                 c = left
             else:
                 c = left if left[2] <= right[2] else right
-    return Circle(Point(c[0], c[1]), c[2])
+    return Circle((c[0], c[1]), c[2])
 
 
 # --- the exclusion region ---------------------------------------------------------
@@ -318,7 +302,7 @@ def exclusion_region(poly: ConvexPolygon, ratio: float) -> ExclusionRegion:
         raise ValueError(f"ratio must be in (0.5, 1), got {ratio}")
     threshold = ratio * poly.diameter[0]
     seed = poly.min_enclosing_circle.center
-    seed_xy = seed.as_array()
+    seed_xy = np.array(seed)
 
     normals, offsets = poly.edge_normals
     rel = seed_xy - poly.vertices

@@ -26,7 +26,7 @@ from . import fem
 from .bessel import find_constants
 from .domains import DomainSpec, SplitMix64, load_spec, realize, save_spec
 from .errors import BadArgument, StageError
-from .geometry import Point, exclusion_region
+from .geometry import exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
@@ -79,17 +79,6 @@ def _plain(obj):
     return obj
 
 
-def _critical_point_dict(p: ana.CriticalPoint) -> dict:
-    return {
-        "vertex_id": p.vertex_id,
-        "location": [p.location.x, p.location.y],
-        "value": p.value,
-        "kind": p.kind,
-        "alternations": p.alternations,
-        "farthest_distance": p.farthest_distance,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class _Eigenvector:
     """One analyzed eigenvector of mu2: its entry in each per-eigenvector
@@ -113,16 +102,16 @@ def _analyze_eigenvector(mesh, poly, consts, j: int, psi: np.ndarray) -> _Eigenv
     bverts = np.nonzero(~mesh.interior_mask)[0]
 
     def extremum(i) -> dict:
-        return {"vertex_id": int(i), "location": list(mesh.vertices[i]), "value": float(psi[i])}
+        return {"vertex_id": int(i), "location": mesh.vertices[i], "value": float(psi[i])}
 
     return _Eigenvector(
         theorem=_plain({"passed": verdict.passed,
-                        "violations": [_critical_point_dict(p) for p in verdict.violations]}),
+                        "violations": [asdict(p) for p in verdict.violations]}),
         boundary_extrema=_plain({"eigenvector": j,
                                  "max": extremum(bverts[int(np.argmax(psi[bverts]))]),
                                  "min": extremum(bverts[int(np.argmin(psi[bverts]))])}),
         interior_critical_points=_plain(
-            {"eigenvector": j, "points": [_critical_point_dict(p) for p in cps]}),
+            {"eigenvector": j, "points": [asdict(p) for p in cps]}),
         lemma={"eigenvector": j,
                "components": len(nd.component_signs),
                "positive_components": nd.positive_component_count,
@@ -161,9 +150,8 @@ class _Stages:
 def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
                             diagnostic_only, eig_index):
     consts = find_constants()
-    anchor = Point(float(mesh.vertices[anchor_vertex, 0]),
-                   float(mesh.vertices[anchor_vertex, 1]))
-    fld = ana.build_comparison(mesh, psi, mu2, anchor)
+    anchor = mesh.vertices[anchor_vertex]
+    fld = ana.build_comparison(mesh, psi, mu2, anchor_vertex)
     flux = ana.boundary_flux(fld, mesh)
     f_anchor = ana.farthest_boundary_distance(poly, anchor)
     flux_bound_applies = math.sqrt(mu2) * f_anchor <= consts.j1
@@ -180,20 +168,14 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
             rd = ana.rayleigh_defect(mesh, k_mat, m_mat, fld, nd, int(comp), flux)
         except ana.NotPositiveComponent:
             continue
-        defects.append({
-            "component": int(comp),
-            "dirichlet_energy": rd.dirichlet_energy,
-            "mass_energy": rd.mass_energy,
-            "boundary_term": rd.boundary_term,
-            "combo_rayleigh": rd.combo_rayleigh,
-        })
+        defects.append({"component": int(comp), **asdict(rd)})
         if len(defects) >= 2:
             break
 
     return {
         "eigenvector": eig_index,
         "anchor_vertex": int(anchor_vertex),
-        "anchor": [anchor.x, anchor.y],
+        "anchor": anchor,
         "diagnostic_only": diagnostic_only,
         "psi_at_anchor": fld.psi_at_anchor,
         "support_positivity": ana.support_positivity(poly, anchor),
@@ -273,9 +255,8 @@ def run_verify(
             for cp in rec.critical_points
         ]
         if not out:
-            seed_xy = np.array([mec.center.x, mec.center.y])
             cand = np.nonzero(mesh.interior_mask)[0]
-            rel = mesh.vertices[cand] - seed_xy
+            rel = mesh.vertices[cand] - mec.center
             anchor_vertex = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
             out.append(_comparison_diagnostics(
                 mesh, poly, k_mat, m_mat, records[0].psi, mu2,
@@ -301,26 +282,17 @@ def run_verify(
         domain_spec=_plain(_spec_echo(spec)),
         geometry=_plain({
             "diameter": d,
-            "diameter_endpoints": [[endpoints[0].x, endpoints[0].y],
-                                   [endpoints[1].x, endpoints[1].y]],
+            "diameter_endpoints": endpoints,
             "inradius": rho,
-            "inradius_center": [rho_center.x, rho_center.y],
+            "inradius_center": rho_center,
             "area": poly.area,
             "min_enclosing_circle": {
-                "center": [mec.center.x, mec.center.y],
+                "center": mec.center,
                 "radius": mec.radius,
             },
             "exclusion_threshold": region.threshold,
         }),
-        mesh=_plain({
-            "h_target": h,
-            "refinements": refinements,
-            "min_angle": mq.min_angle,
-            "h_min": mq.h_min,
-            "h_max": mq.h_max,
-            "vertex_count": mq.vertex_count,
-            "triangle_count": mq.triangle_count,
-        }),
+        mesh=_plain({"h_target": h, "refinements": refinements, **asdict(mq)}),
         spectrum=_plain({
             "boundary_condition": "neumann",
             "eigenvalues": neumann.eigenvalues,
@@ -439,7 +411,9 @@ def run_sweep(count: int, seed: int, h_rel: float, out_dir, k: int = 4,
     try:
         workers = int(threads)
     except ValueError:
-        raise BadArgument(f"HSV_THREADS must be an integer, got {threads!r}") from None
+        workers = -1
+    if workers < 0:
+        raise BadArgument(f"HSV_THREADS must be an integer >= 0, got {threads!r}")
     workers = max(1, min(workers or (os.cpu_count() or 1), count))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -57,34 +57,22 @@ def render_svg(
         f'<polygon points="{_points_attr(polygon)}" fill="{GRAY}" stroke="none"/>',
         f'<polygon points="{_points_attr(region_boundary)}" fill="#ffffff" stroke="none"/>',
     ]
-    if mesh_edges is not None:
-        for (a, b) in mesh_edges:
+    for segments, color, width in ((mesh_edges, MESH, 0.25), (nodal_segments, NODAL, 0.8)):
+        for a, b in segments if segments is not None else ():
             lines.append(
                 f'<line x1="{_fmt(float(a[0]))}" y1="{_fmt(-float(a[1]))}" '
                 f'x2="{_fmt(float(b[0]))}" y2="{_fmt(-float(b[1]))}" '
-                f'stroke="{MESH}" stroke-width="{_fmt(0.25 * stroke)}"/>'
-            )
-    if nodal_segments is not None:
-        for seg in nodal_segments:
-            a, b = seg[0], seg[1]
-            lines.append(
-                f'<line x1="{_fmt(float(a[0]))}" y1="{_fmt(-float(a[1]))}" '
-                f'x2="{_fmt(float(b[0]))}" y2="{_fmt(-float(b[1]))}" '
-                f'stroke="{NODAL}" stroke-width="{_fmt(0.8 * stroke)}"/>'
+                f'stroke="{color}" stroke-width="{_fmt(width * stroke)}"/>'
             )
     lines.append(
         f'<polygon points="{_points_attr(polygon)}" fill="none" '
         f'stroke="#000000" stroke-width="{_fmt(stroke)}"/>'
     )
-    for x, y in boundary_extrema:
-        lines.append(
-            f'<circle cx="{_fmt(float(x))}" cy="{_fmt(-float(y))}" r="{_fmt(dot)}" '
-            f'fill="#1f4fd8"/>'
-        )
-    for x, y in critical_points:
-        lines.append(
-            f'<circle cx="{_fmt(float(x))}" cy="{_fmt(-float(y))}" r="{_fmt(dot)}" '
-            f'fill="#d81f1f"/>'
-        )
+    for dots, color in ((boundary_extrema, "#1f4fd8"), (critical_points, "#d81f1f")):
+        for x, y in dots:
+            lines.append(
+                f'<circle cx="{_fmt(float(x))}" cy="{_fmt(-float(y))}" r="{_fmt(dot)}" '
+                f'fill="{color}"/>'
+            )
     lines.append("</svg>")
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")

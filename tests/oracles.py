@@ -111,7 +111,7 @@ def banchoff_critical_points(mesh, psi, poly) -> list:
     """Banchoff classification by walking each interior vertex's angularly
     sorted link; ties within 1e-12*||psi||_inf broken by vertex index."""
     from hotspots.analysis import TIE_REL, CriticalPoint
-    from hotspots.geometry import Point, farthest_boundary_distance
+    from hotspots.geometry import farthest_boundary_distance
 
     tie = TIE_REL * float(np.abs(psi).max())
     links = _vertex_links(mesh)
@@ -126,7 +126,7 @@ def banchoff_critical_points(mesh, psi, poly) -> list:
         if alt == 2:
             continue
         kind = "saddle" if alt >= 4 else ("min" if signs[0] > 0 else "max")
-        loc = Point(float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
+        loc = (float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
         out.append(CriticalPoint(
             vertex_id=int(v), location=loc, value=float(psi[v]), kind=kind,
             alternations=alt, farthest_distance=farthest_boundary_distance(poly, loc),
@@ -290,7 +290,7 @@ def bisection_region(poly, ratio: float, rays: int = 720):
     d = poly.diameter[0]
     threshold = ratio * d
     tol = 1e-6 * d
-    seed_xy = poly.min_enclosing_circle.center.as_array()
+    seed_xy = np.array(poly.min_enclosing_circle.center)
     normals, offsets = poly.edge_normals
     verts = poly.vertices
     inside_tol = 1e-12 * poly.scale

@@ -18,7 +18,6 @@ from hotspots import meshing as msh
 from hotspots import report
 from hotspots.bessel import j1_eval
 from hotspots.domains import DomainSpec, realize, save_spec
-from hotspots.geometry import Point
 
 from .conftest import random_polygon
 from .oracles import brute_force_diameter, brute_force_mec, j0_series_exact, j1_series_exact
@@ -136,7 +135,7 @@ def test_criterion_4_theorem_suite(sweep, fixture_reports, unit_square, constant
     )
 
     # negative control: a planted critical point at the square's center
-    loc = Point(0.5, 0.5)
+    loc = (0.5, 0.5)
     planted = ana.CriticalPoint(
         vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
         farthest_distance=geo.farthest_boundary_distance(unit_square, loc),
@@ -198,7 +197,7 @@ def test_criterion_6_proof_machinery(sweep, fixture_reports, disk_solved, rect_s
 
     def field_of(values):
         return ana.ComparisonField(
-            anchor=Point(*mesh.vertices[center]), anchor_index=center,
+            anchor_index=center,
             mu2=3.39, psi_at_anchor=1.0, values=values,
         )
 
@@ -217,9 +216,9 @@ def test_criterion_6_proof_machinery(sweep, fixture_reports, disk_solved, rect_s
     for target in ([0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]):
         rel = mesh.vertices[interior] - np.array(target)
         idx = int(interior[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
-        anchor = Point(*mesh.vertices[idx])
+        anchor = mesh.vertices[idx]
         assert math.sqrt(mu2) * geo.farthest_boundary_distance(disk_solved.poly, anchor) <= constants.j1
-        fld = ana.build_comparison(mesh, psi, mu2, anchor)
+        fld = ana.build_comparison(mesh, psi, mu2, idx)
         flux = ana.boundary_flux(fld, mesh)
         scale = abs(fld.psi_at_anchor) * math.sqrt(mu2) + 1e-30
         flux_ok &= bool(np.all(flux <= 1e-10 * scale))
@@ -237,7 +236,7 @@ def test_criterion_6_proof_machinery(sweep, fixture_reports, disk_solved, rect_s
     rel = rmesh.vertices - np.array([1.0, 0.5])
     idx = int(np.argmin(np.hypot(rel[:, 0], rel[:, 1])))
     fld = ana.ComparisonField(
-        anchor=Point(*rmesh.vertices[idx]), anchor_index=idx,
+        anchor_index=idx,
         mu2=PI_SQ / 4.0, psi_at_anchor=0.0, values=-psi_rect,
     )
     nd = ana.nodal_decomposition(rmesh, fld.values)

@@ -9,12 +9,7 @@ from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots.bessel import j0_eval, j1_eval
 from hotspots.domains import DomainSpec, realize
-from hotspots.errors import (
-    AnchorNotVertex,
-    AnchorOnBoundary,
-    NotPositiveComponent,
-)
-from hotspots.geometry import Point
+from hotspots.errors import AnchorOnBoundary, NotPositiveComponent
 
 from . import oracles
 
@@ -53,7 +48,7 @@ class TestFindCriticalPoints:
         pts = ana.find_critical_points(mesh, psi, poly)
         mins = [p for p in pts if p.kind == "min"]
         assert len(mins) == 1
-        assert (mins[0].location.x, mins[0].location.y) == tuple(center)
+        assert mins[0].location == tuple(center)
         assert mins[0].alternations == 0
 
     def test_synthetic_saddle(self, coarse_disk):
@@ -65,9 +60,7 @@ class TestFindCriticalPoints:
         dy = mesh.vertices[:, 1] - center[1]
         psi = dx * dx - dy * dy
         pts = ana.find_critical_points(mesh, psi, poly)
-        saddles = [
-            p for p in pts if (p.location.x, p.location.y) == tuple(center)
-        ]
+        saddles = [p for p in pts if p.location == tuple(center)]
         assert len(saddles) == 1
         assert saddles[0].kind == "saddle"
         assert saddles[0].alternations == 4
@@ -84,7 +77,7 @@ class TestTheoremCheck:
         assert verdict.passed and verdict.violations == ()
 
     def test_planted_center_of_square_is_flagged(self, unit_square, constants):
-        loc = Point(0.5, 0.5)
+        loc = (0.5, 0.5)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
             farthest_distance=geo.farthest_boundary_distance(unit_square, loc),
@@ -96,7 +89,7 @@ class TestTheoremCheck:
         assert planted.farthest_distance == pytest.approx(0.7071068, abs=1e-6)
 
     def test_planted_disk_point_outside_region_not_flagged(self, disk512, constants):
-        loc = Point(0.7, 0.0)
+        loc = (0.7, 0.0)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
             farthest_distance=geo.farthest_boundary_distance(disk512, loc),
@@ -112,8 +105,7 @@ class TestComparisonField:
         psi = disk_solved.neumann.eigenvectors[:, 1]
         mu2 = disk_solved.neumann.eigenvalues[1]
         idx = int(np.argmax(np.abs(psi) * mesh.interior_mask))
-        anchor = Point(*mesh.vertices[idx])
-        field = ana.build_comparison(mesh, psi, mu2, anchor)
+        field = ana.build_comparison(mesh, psi, mu2, idx)
         assert field.values[field.anchor_index] == 0.0
         assert field.psi_at_anchor >= 0.0
 
@@ -123,14 +115,8 @@ class TestComparisonField:
         psi = rng.standard_normal(mesh.vertex_count)
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         psi[idx] = 0.0
-        field = ana.build_comparison(mesh, psi, 3.0, Point(*mesh.vertices[idx]))
+        field = ana.build_comparison(mesh, psi, 3.0, idx)
         assert np.array_equal(field.values, -psi)
-
-    def test_anchor_must_be_vertex(self, coarse_disk):
-        poly, mesh = coarse_disk
-        psi = np.zeros(mesh.vertex_count)
-        with pytest.raises(AnchorNotVertex):
-            ana.build_comparison(mesh, psi, 3.0, Point(0.01234567, 0.0456789))
 
     def test_discrete_helmholtz_residual_shrinks(self):
         poly = realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=256))
@@ -143,7 +129,7 @@ class TestComparisonField:
             psi = spectrum.eigenvectors[:, 1]
             mu2 = spectrum.eigenvalues[1]
             idx = int(np.argmax(np.abs(psi) * mesh.interior_mask))
-            field = ana.build_comparison(mesh, psi, mu2, Point(*mesh.vertices[idx]))
+            field = ana.build_comparison(mesh, psi, mu2, idx)
             w = field.values
             res = (k_mat @ w - mu2 * (m_mat @ w))[mesh.interior_mask]
             residuals.append(np.linalg.norm(res) / np.linalg.norm(m_mat @ w))
@@ -155,7 +141,6 @@ class TestBranchCount:
     def _synthetic_field(self, mesh, values):
         idx = int(np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])))
         return ana.ComparisonField(
-            anchor=Point(*mesh.vertices[idx]),
             anchor_index=idx,
             mu2=3.39,
             psi_at_anchor=1.0,
@@ -266,7 +251,7 @@ class TestBoundaryFlux:
         poly, mesh = coarse_disk
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         field = ana.ComparisonField(
-            anchor=Point(*mesh.vertices[idx]), anchor_index=idx,
+            anchor_index=idx,
             mu2=4.0, psi_at_anchor=0.0, values=np.zeros(mesh.vertex_count),
         )
         assert np.all(ana.boundary_flux(field, mesh) == 0.0)
@@ -274,7 +259,7 @@ class TestBoundaryFlux:
     def test_analytic_disk_value(self):
         mesh = circumscribed_fan_mesh()
         field = ana.ComparisonField(
-            anchor=Point(0.0, 0.0), anchor_index=0,
+            anchor_index=0,
             mu2=4.0, psi_at_anchor=1.0, values=np.zeros(mesh.vertex_count),
         )
         flux = ana.boundary_flux(field, mesh)
@@ -289,10 +274,9 @@ class TestBoundaryFlux:
         interior = np.nonzero(mesh.interior_mask)[0]
         rel = mesh.vertices[interior] - np.array([0.3, 0.1])
         idx = int(interior[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
-        anchor = Point(*mesh.vertices[idx])
-        f_anchor = geo.farthest_boundary_distance(disk_solved.poly, anchor)
+        f_anchor = geo.farthest_boundary_distance(disk_solved.poly, mesh.vertices[idx])
         assert math.sqrt(mu2) * f_anchor <= constants.j1
-        field = ana.build_comparison(mesh, psi, mu2, anchor)
+        field = ana.build_comparison(mesh, psi, mu2, idx)
         flux = ana.boundary_flux(field, mesh)
         scale = abs(field.psi_at_anchor) * math.sqrt(mu2)
         assert np.all(flux <= 1e-10 * scale)
@@ -301,24 +285,24 @@ class TestBoundaryFlux:
         poly, mesh = coarse_disk
         idx = int(np.nonzero(~mesh.interior_mask)[0][0])
         psi = np.ones(mesh.vertex_count)
-        field = ana.build_comparison(mesh, psi, 3.0, Point(*mesh.vertices[idx]))
+        field = ana.build_comparison(mesh, psi, 3.0, idx)
         with pytest.raises(AnchorOnBoundary):
             ana.boundary_flux(field, mesh)
 
 
 class TestSupportPositivity:
     def test_square_center(self, unit_square):
-        assert ana.support_positivity(unit_square, Point(0.5, 0.5)) == pytest.approx(
+        assert ana.support_positivity(unit_square, (0.5, 0.5)) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_square_near_edge(self, unit_square):
-        assert ana.support_positivity(unit_square, Point(0.99, 0.5)) == pytest.approx(
+        assert ana.support_positivity(unit_square, (0.99, 0.5)) == pytest.approx(
             0.01, abs=1e-12
         )
 
     def test_outside_point_negative(self, unit_square):
-        assert ana.support_positivity(unit_square, Point(2.0, 0.5)) < 0.0
+        assert ana.support_positivity(unit_square, (2.0, 0.5)) < 0.0
 
 
 class TestRayleighDefect:
@@ -328,7 +312,7 @@ class TestRayleighDefect:
         rel = mesh.vertices - np.array([1.0, 0.5])
         idx = int(np.argmin(np.hypot(rel[:, 0], rel[:, 1])))
         field = ana.ComparisonField(
-            anchor=Point(*mesh.vertices[idx]), anchor_index=idx,
+            anchor_index=idx,
             mu2=PI_SQ / 4.0, psi_at_anchor=0.0, values=-psi,
         )
         return mesh, field
@@ -370,7 +354,7 @@ class TestRayleighDefect:
         w = mesh.boundary_clearance
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         field = ana.ComparisonField(
-            anchor=Point(*mesh.vertices[idx]), anchor_index=idx,
+            anchor_index=idx,
             mu2=PI_SQ / 4.0, psi_at_anchor=0.0, values=w,
         )
         nd = ana.nodal_decomposition(mesh, w)
@@ -388,7 +372,7 @@ class TestRayleighDefect:
         w = np.cos(2.0 * math.pi * mesh.vertices[:, 0])
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         field = ana.ComparisonField(
-            anchor=Point(*mesh.vertices[idx]), anchor_index=idx,
+            anchor_index=idx,
             mu2=float(square_solved.neumann.eigenvalues[1]),
             psi_at_anchor=0.0, values=w,
         )

@@ -532,7 +532,7 @@ def _comparison_circle(mesh, poly):
     """The 256 branch-count samples `run_verify` takes around its anchor."""
     mec = poly.min_enclosing_circle
     cand = np.nonzero(mesh.interior_mask)[0]
-    rel = mesh.vertices[cand] - np.array([mec.center.x, mec.center.y])
+    rel = mesh.vertices[cand] - np.array(mec.center)
     anchor = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
     radius = min(0.9 * mesh.boundary_clearance[anchor],
                  max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))

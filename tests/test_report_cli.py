@@ -251,14 +251,16 @@ class TestCliExitCodes:
     (["sweep", "--count", "x"], {}, "--count"),
     (["sweep", "--count", "1", "--h-rel", "0"], {}, "--h-rel"),
     (["sweep", "--count", "1"], {"HSV_THREADS": "abc"}, "HSV_THREADS"),
+    (["sweep", "--count", "1"], {"HSV_THREADS": "-2"}, "HSV_THREADS"),
     (["region", "--spec", "{spec}", "--ratio", "-1"], {}, "--ratio"),
     (["verify", "--spec", "{spec}", "--h", "-1"], {}, "--h"),
     (["verify", "--spec", "{spec}", "--h", "nan"], {}, "--h"),
     (["verify", "--spec", "{spec}", "--refine", "-1"], {}, "--refine"),
     (["verify", "--spec", "{spec}", "--k", "2"], {}, "--k"),
     (["verify", "--spec", "{spec}", "--tol", "0"], {}, "--tol"),
-], ids=["count-0", "count-x", "h-rel-0", "threads-abc", "ratio-neg", "h-neg", "h-nan",
-        "refine-neg", "k-2", "tol-0"])
+    (["verify", "--spec", "{spec}", "--seed", "-1"], {}, "--seed"),
+], ids=["count-0", "count-x", "h-rel-0", "threads-abc", "threads-neg", "ratio-neg", "h-neg",
+        "h-nan", "refine-neg", "k-2", "tol-0", "seed-neg"])
 def test_bad_flag_exit_one(tmp_path, capsys, monkeypatch, disk_spec_path, argv, env, named):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -303,10 +305,9 @@ class TestRegionAndRender:
         path.write_text(json.dumps(doc))
         return cli.main(["render", "--report", str(path), "--out", str(tmp_path / "f.svg")])
 
-    @pytest.mark.parametrize("schema, code", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0),
-                                              (7, 0)])
-    def test_render_accepts_schemas_1_to_4(self, verified, tmp_path, schema, code):
-        assert self._render_as(verified, tmp_path, schema) == code
+    @pytest.mark.parametrize("schema", range(1, report.REPORT_SCHEMA))
+    def test_render_accepts_every_earlier_schema(self, verified, tmp_path, schema):
+        assert self._render_as(verified, tmp_path, schema) == 0
 
     def test_render_accepts_current_schema_but_not_next(self, verified, tmp_path):
         assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA) == 0

@@ -2,7 +2,8 @@
 pipeline.  Scaling a domain by 2^k is exact in binary floating point, so
 every length must scale exactly, every structural field must stay equal and
 mu2 * diam^2 and the dimensionless inequality margins must agree to
-rounding."""
+rounding.  Relabelling, translation, reflection and quarter turns keep the
+verdict, the critical-point count and mu2 * diam^2."""
 
 import json
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from hotspots import meshing as msh
-from hotspots.domains import load_spec, realize
+from hotspots.domains import DomainSpec, load_spec, realize
 from hotspots.report import _sweep_domain_spec, run_verify
 
 EXPONENTS = [-14, -1, 0, 1, 14]
@@ -69,3 +70,45 @@ def test_scaling_by_powers_of_two(tmp_path, make):
             solves = rep.metrics["eigensolve"][problem]["operator_solves"]
             reference = base.metrics["eigensolve"][problem]["operator_solves"]
             assert abs(solves - reference) <= 0.1 * reference, (k, problem)
+
+
+# Relabelling and translation leave the mesh the same up to rounding.  The
+# mesher's lattice is axis-aligned, so a reflection or a quarter turn meshes
+# the domain differently and mu2 * diam^2 moves by discretization error.
+TRANSFORMS = {
+    "relabel": (lambda v: np.roll(v, -(len(v) // 3), axis=0), True, 1e-12),
+    "translate": (lambda v: v + [0.5, -0.25], True, 1e-12),
+    "reflect": (lambda v: v * [-1.0, 1.0], False, 1e-4),
+    "rotate90": (lambda v: np.column_stack([-v[:, 1], v[:, 0]]), False, 1e-4),
+}
+DOMAINS = {
+    "disk128": lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=128)),
+    "sweep1-0": lambda: realize(_sweep_domain_spec(1, 0)),
+    "sweep1-3": lambda: realize(_sweep_domain_spec(1, 3)),
+    "triangle": lambda: realize(DomainSpec(kind="explicit",
+                                           vertices=((0, 0), (1, 0), (0.3, 0.8)))),
+}
+
+
+def _verify_vertices(path, verts):
+    path.write_text(json.dumps({"schema": 1, "kind": "explicit", "vertices": verts.tolist()}))
+    rep = run_verify(path)
+    critical = sum(len(e["points"]) for e in rep.interior_critical_points)
+    mu2_d2 = rep.spectrum["eigenvalues"][1] * rep.geometry["diameter"] ** 2
+    return rep, critical, mu2_d2
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_rigid_motions_and_relabelling(tmp_path, domain, transform):
+    move, rounding_only, rel = TRANSFORMS[transform]
+    verts = DOMAINS[domain]().vertices
+    base, base_critical, base_mu2_d2 = _verify_vertices(tmp_path / "base.json", verts)
+    rep, critical, mu2_d2 = _verify_vertices(tmp_path / "moved.json", move(verts))
+    assert rep.theorem["passed"] == base.theorem["passed"]
+    assert critical == base_critical
+    if rounding_only:
+        assert rep.mesh["vertex_count"] == base.mesh["vertex_count"]
+        assert (rep.spectrum["analyzed_eigenvectors"]
+                == base.spectrum["analyzed_eigenvectors"])
+    assert mu2_d2 == pytest.approx(base_mu2_d2, rel=rel, abs=0.0)
