@@ -1,7 +1,7 @@
-"""Theorem-specific machinery: discrete critical points of the second Neumann
-eigenfunction, the radial comparison field anchored at a candidate critical
-point, nodal structure, boundary-flux signs, Rayleigh defects, the spectral
-inequality suite, and the final verdict.
+"""Theorem-specific machinery: the eigenvectors of mu2 to analyze, discrete
+critical points of the second Neumann eigenfunction, the radial comparison
+field anchored at a candidate critical point, nodal structure, boundary-flux
+signs, Rayleigh defects, the spectral inequalities, and the final verdict.
 
 Critical points of the continuum eigenfunction are approximated by
 combinatorial (Banchoff) critical vertices of the P1 interpolant: an interior
@@ -32,11 +32,12 @@ from .errors import (
     NotPositiveComponent,
     PointOutsideMesh,
 )
-from .fem import rayleigh
+from .fem import Spectrum, fix_signs, gradients, rayleigh
 from .geometry import ConvexPolygon, farthest_boundary_distance
 from .meshing import TriMesh, interpolate
 
 TIE_REL = 1e-12
+DEGENERACY_FLAG_REL_GAP = 1e-2  # mu3/mu2 - 1 at or below which the mu2 pair is degenerate
 # The two triangle columns other than column i, in order.
 _DUO_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
 BRANCH_SAMPLES = 256
@@ -120,20 +121,12 @@ def find_critical_points(
         alt += np.bincount(v, weights=sa != _link_signs(psi, tie, v, b),
                            minlength=n).astype(int)
         first_sign[v] = sa
-    out = []
-    for v in np.nonzero(mesh.interior_mask & (alt != 2))[0]:
-        kind = "saddle" if alt[v] >= 4 else ("min" if first_sign[v] > 0 else "max")
-        out.append(
-            CriticalPoint(
-                vertex_id=int(v),
-                location=tuple(mesh.vertices[v].tolist()),
-                value=float(psi[v]),
-                kind=kind,
-                alternations=int(alt[v]),
-                farthest_distance=farthest_boundary_distance(poly, mesh.vertices[v]),
-            )
-        )
-    return out
+    crit = np.nonzero(mesh.interior_mask & (alt != 2))[0]
+    kinds = np.where(alt[crit] >= 4, "saddle", np.where(first_sign[crit] > 0, "min", "max"))
+    far = farthest_boundary_distance(poly, mesh.vertices[crit])
+    return [CriticalPoint(vertex_id=int(v), location=tuple(mesh.vertices[v].tolist()),
+                          value=float(psi[v]), kind=str(k), alternations=int(alt[v]),
+                          farthest_distance=float(f)) for v, k, f in zip(crit, kinds, far)]
 
 
 def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -160,6 +153,28 @@ def theorem_check(
         violations=violations,
         passed=not violations,
     )
+
+
+def mu2_eigenvectors(mesh: TriMesh, poly: ConvexPolygon, spectrum: Spectrum,
+                     constants: SpectralConstants) -> list[np.ndarray]:
+    """psi2; for a degenerate pair psi2, psi3 and, if some triangle has all its
+    vertices at F <= threshold - tolerance and clearance > tolerance (theorem_check's
+    numbers), their unit combination of least gradient on such a triangle.  P1
+    gradients are constant per triangle, so there min |grad(a psi2 + b psi3)| over
+    a^2 + b^2 = 1 is the smaller singular value of [grad psi2, grad psi3]."""
+    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    if len(vals) < 3 or (vals[2] - vals[1]) / vals[1] > DEGENERACY_FLAG_REL_GAP:
+        return [vecs[:, 1]]
+    rule = theorem_check([], poly, constants, mesh.h_max)
+    deep = mesh.boundary_clearance > rule.tolerance
+    far = farthest_boundary_distance(poly, mesh.vertices[deep])
+    deep[deep] = far <= rule.threshold - rule.tolerance
+    out = [vecs[:, 1], vecs[:, 2]]
+    grads = gradients(mesh, vecs[:, 1:3])[deep[mesh.triangles].all(axis=1)]
+    if len(grads):
+        _, sigma, vt = np.linalg.svd(grads)  # the least sigma's right singular vector
+        out.append(fix_signs(vecs[:, 1:3] @ vt[np.argmin(sigma[:, 1]), 1, :, None])[:, 0])
+    return out
 
 
 # --- comparison field -----------------------------------------------------------

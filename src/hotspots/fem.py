@@ -2,7 +2,8 @@
 
 Stiffness uses the exact edge-vector (cotangent) formula, mass the exact
 consistent element matrix (A/12)[[2,1,1],[1,2,1],[1,1,2]]; both are assembled
-with a deterministic COO->CSR reduction.  Eigenpairs of K v = mu M v come
+with a deterministic COO->CSR reduction, and the same edge vectors give each
+triangle's constant P1 gradient (``gradients``).  Eigenpairs of K v = mu M v come
 from Lanczos (ARPACK) on the inverse of the sigma-shifted matrix
 A = K + sigma*M (K_II for Dirichlet), which LAPACK's banded Cholesky factors
 in reverse Cuthill-McKee order (George & Liu, 1981), or SuperLU when that
@@ -36,9 +37,6 @@ from .meshing import TriMesh
 SIGMA_SHIFT_REL = 1e-3  # Neumann shift, relative to the Szego-Weinberger bound on mu2
 CONSTANT_MODE_ULPS = 4  # |K 1| may reach CONSTANT_MODE_ULPS * n * eps * max|K_ij|
 DENSE_CUTOFF = 400
-DEGENERACY_REL_GAP = 1e-6  # eigenspace-sampling trigger
-DEGENERACY_FLAG_REL_GAP = 1e-2  # looser report-level "nearly degenerate" flag
-EIGENSPACE_SAMPLES = 8
 # (kd+1)*n band entries above which the shift-invert factor is SuperLU's: past
 # about 12M entries (96 MiB) the banded factor's storage and solves cost more
 BAND_MAX_ENTRIES = 12_000_000
@@ -67,17 +65,21 @@ class Spectrum:
     stats: SolveStats
 
 
+def _edges_and_areas(mesh: TriMesh):
+    """Per triangle, the CCW edge vectors e[i] opposite local vertex i and the area."""
+    p = mesh.vertices[mesh.triangles]
+    e = (p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0])
+    area = 0.5 * (e[2][:, 0] * (-e[1][:, 1]) - e[2][:, 1] * (-e[1][:, 0]))
+    return e, area
+
+
 def _scatter(mesh: TriMesh, entry) -> sp.csr_matrix:
     """Sum entry(e, area, i, j), the (m,) element values at local vertices
     (i, j), into an n x n matrix by a COO->CSR reduction."""
-    t = mesh.triangles
-    p = mesh.vertices
-    # e[i] is the edge opposite local vertex i
-    e = (p[t[:, 2]] - p[t[:, 1]], p[t[:, 0]] - p[t[:, 2]], p[t[:, 1]] - p[t[:, 0]])
-    area = 0.5 * (e[2][:, 0] * (-e[1][:, 1]) - e[2][:, 1] * (-e[1][:, 0]))
+    e, area = _edges_and_areas(mesh)
     ij = [(i, j) for i in range(3) for j in range(3)]
-    rows = np.concatenate([t[:, i] for i, _ in ij])
-    cols = np.concatenate([t[:, j] for _, j in ij])
+    rows = np.concatenate([mesh.triangles[:, i] for i, _ in ij])
+    cols = np.concatenate([mesh.triangles[:, j] for _, j in ij])
     vals = np.concatenate([entry(e, area, i, j) for i, j in ij])
     n = mesh.vertex_count
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
@@ -92,6 +94,13 @@ def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     return _scatter(mesh, lambda e, area, i, j: area * ((2.0 if i == j else 1.0) / 12.0))
 
 
+def gradients(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """(m, 2, c) P1 gradients of the (n, c) values' columns: grad phi_i = rot90(e[i]) / 2A."""
+    e, area = _edges_and_areas(mesh)
+    g = sum(e[i][:, :, None] * values[mesh.triangles[:, i], None, :] for i in range(3))
+    return np.stack([-g[:, 1], g[:, 0]], axis=1) / (2.0 * area)[:, None, None]
+
+
 def rayleigh(k_mat, m_mat, v: np.ndarray) -> float:
     """v'Kv / v'Mv."""
     v = np.asarray(v, dtype=float)
@@ -100,13 +109,9 @@ def rayleigh(k_mat, m_mat, v: np.ndarray) -> float:
     return float(v @ (k_mat @ v)) / float(v @ (m_mat @ v))
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+def fix_signs(vecs: np.ndarray) -> np.ndarray:
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(peak < 0.0, -vecs, vecs)
 
 
 def _m_orthonormalize(vecs: np.ndarray, m_mat) -> np.ndarray:
@@ -273,7 +278,7 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
     const /= np.sqrt(const @ (m_mat @ const))
     vecs = np.column_stack([const, vecs[:, 1:]])
     vals = np.concatenate([[0.0], vals[1:]])
-    vecs = _fix_signs(_m_orthonormalize(vecs, m_mat))
+    vecs = fix_signs(_m_orthonormalize(vecs, m_mat))
 
     constant = np.abs(k_mat @ np.ones(n)).max() / np.abs(k_mat.data).max()
     if constant > CONSTANT_MODE_ULPS * n * np.finfo(float).eps:
@@ -302,35 +307,10 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8) -> S
     k_eff = min(k, len(idx))
     vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, tol, np.ones(len(idx)),
                                             "Dirichlet")
-    vecs_red = _fix_signs(_m_orthonormalize(vecs_red, m_red))
+    vecs_red = fix_signs(_m_orthonormalize(vecs_red, m_red))
     res = _residuals(k_red, m_red, vals, vecs_red)
     if np.any(res > tol):
         raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
     vecs = np.zeros((mesh.vertex_count, k_eff))
     vecs[idx] = vecs_red
     return Spectrum(vals, vecs, res, "dirichlet", stats)
-
-
-def mu2_eigenspace(spectrum: Spectrum, seed: int = 0) -> list[np.ndarray]:
-    """Eigenvectors to analyze for the second Neumann eigenvalue.
-
-    When the mu_2/mu_3 relative gap is below DEGENERACY_REL_GAP the full
-    2-dimensional basis is returned plus EIGENSPACE_SAMPLES seeded random
-    unit combinations, exercising "any second eigenfunction".
-    """
-    vals = spectrum.eigenvalues
-    vecs = spectrum.eigenvectors
-    out = [vecs[:, 1]]
-    if len(vals) >= 3 and (vals[2] - vals[1]) / vals[1] < DEGENERACY_REL_GAP:
-        out.append(vecs[:, 2])
-        rng = np.random.default_rng(seed)
-        for _ in range(EIGENSPACE_SAMPLES):
-            alpha = rng.standard_normal(2)
-            alpha /= np.linalg.norm(alpha)
-            out.append(alpha[0] * vecs[:, 1] + alpha[1] * vecs[:, 2])
-    return out
-
-
-def nearly_degenerate_pair(spectrum: Spectrum) -> bool:
-    vals = spectrum.eigenvalues
-    return len(vals) >= 3 and (vals[2] - vals[1]) / vals[1] <= DEGENERACY_FLAG_REL_GAP

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 RAY_COUNT = 720
+F_CHUNK = 65_536  # elements per farthest_boundary_distance chunk: its temporaries stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +204,14 @@ def validate(raw_vertices) -> ConvexPolygon:
     return ConvexPolygon(vertices=pts, area=float(area), scale=scale)
 
 
-def farthest_boundary_distance(poly: ConvexPolygon, p) -> float:
-    """F(p) = max over boundary of |p - y|; for polygons the max sits at a vertex."""
-    d = poly.vertices - np.asarray(p, dtype=float)
-    return math.sqrt(float(np.max(d[:, 0] ** 2 + d[:, 1] ** 2)))
+def farthest_boundary_distance(poly: ConvexPolygon, points) -> np.ndarray:
+    """(n,) F(p) = max over boundary of |p - y| for each row p of the (n, 2)
+    points, at a vertex for polygons; F_CHUNK point-vertex pairs at a time."""
+    pts = np.asarray(points, dtype=float)
+    vx, vy = poly.vertices.T
+    rows = max(1, F_CHUNK // len(vx))
+    return np.sqrt(np.concatenate([np.max((vx - c[:, :1]) ** 2 + (vy - c[:, 1:]) ** 2, axis=1)
+                                   for c in np.split(pts, range(rows, len(pts), rows))]))
 
 
 # --- minimum enclosing circle (Welzl) ----------------------------------------

@@ -129,7 +129,7 @@ def banchoff_critical_points(mesh, psi, poly) -> list:
         loc = (float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))
         out.append(CriticalPoint(
             vertex_id=int(v), location=loc, value=float(psi[v]), kind=kind,
-            alternations=alt, farthest_distance=farthest_boundary_distance(poly, loc),
+            alternations=alt, farthest_distance=farthest_boundary_distance(poly, [loc])[0],
         ))
     return out
 
@@ -270,7 +270,7 @@ def region_member(poly, region, p) -> bool:
     """Direct predicate the region samples: F(p) <= threshold and p in domain."""
     from hotspots.geometry import farthest_boundary_distance
 
-    return contains(poly, p) and farthest_boundary_distance(poly, p) <= region.threshold
+    return contains(poly, p) and farthest_boundary_distance(poly, [p])[0] <= region.threshold
 
 
 def polyline_contains(boundary: np.ndarray, p) -> bool:
@@ -316,7 +316,7 @@ def bisection_region(poly, ratio: float, rays: int = 720):
                 hi = mid
         q = seed_xy + lo * direction
         boundary[i] = q
-        f_q = farthest_boundary_distance(poly, q)
+        f_q = farthest_boundary_distance(poly, [q])[0]
         binding.append("farthest" if abs(f_q - threshold) <= 2.0 * tol else "domain")
     return boundary, tuple(binding)
 

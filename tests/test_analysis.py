@@ -1,17 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hotspots import analysis as ana
 from hotspots import fem
 from hotspots import geometry as geo
 from hotspots import meshing as msh
-from hotspots.bessel import j0_eval, j1_eval
+from hotspots.bessel import find_constants, j0_eval, j1_eval
 from hotspots.domains import DomainSpec, realize
 from hotspots.errors import AnchorOnBoundary, NotPositiveComponent
+from hotspots.report import _sweep_domain_spec
 
 from . import oracles
+from .conftest import _solve
 
 PI_SQ = math.pi**2
 
@@ -80,7 +85,7 @@ class TestTheoremCheck:
         loc = (0.5, 0.5)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
-            farthest_distance=geo.farthest_boundary_distance(unit_square, loc),
+            farthest_distance=geo.farthest_boundary_distance(unit_square, [loc])[0],
         )
         verdict = ana.theorem_check([planted], unit_square, constants, 0.02)
         assert not verdict.passed
@@ -92,11 +97,134 @@ class TestTheoremCheck:
         loc = (0.7, 0.0)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
-            farthest_distance=geo.farthest_boundary_distance(disk512, loc),
+            farthest_distance=geo.farthest_boundary_distance(disk512, [loc])[0],
         )
         assert planted.farthest_distance == pytest.approx(1.7, abs=1e-4)
         verdict = ana.theorem_check([planted], disk512, constants, 0.02)
         assert verdict.passed
+
+
+@pytest.fixture(scope="module")
+def sweep_6_5():
+    """Sweep seed 6, domain 5 at h = diam/50: mu3/mu2 - 1 = 8.6e-3, a flagged
+    pair whose least-gradient triangle is not tied by a symmetry."""
+    poly = realize(_sweep_domain_spec(6, 5))
+    return _solve(poly, 0.02 * poly.diameter[0])
+
+
+def _admissible(fx, constants):
+    """(m,) mask of the triangles whose vertices all have F <= threshold -
+    tolerance and boundary clearance > tolerance, the verdict's numbers."""
+    rule = ana.theorem_check([], fx.poly, constants, fx.mesh.h_max)
+    far = geo.farthest_boundary_distance(fx.poly, fx.mesh.vertices)
+    deep = (far <= rule.threshold - rule.tolerance) & (fx.mesh.boundary_clearance > rule.tolerance)
+    return deep[fx.mesh.triangles].all(axis=1)
+
+
+class TestMu2Eigenvectors:
+    """psi2 alone for a separated mu2; psi2, psi3 and the unit combination
+    of least gradient on the admissible triangles for a flagged pair."""
+
+    @pytest.mark.parametrize("name, rel_gap", [("square_solved", 1e-5), ("sweep_6_5", 1e-2)])
+    def test_degenerate_pair_gets_three_eigenvectors(self, request, constants, name, rel_gap):
+        # every vector lies in span(psi2, psi3): its Rayleigh quotient is in
+        # [mu2, mu3], within rel_gap of mu2 (the square's pair is 4.0e-7 apart at
+        # h=0.02, sweep 6/5's 8.6e-3)
+        fx = request.getfixturevalue(name)
+        mu2, mu3 = fx.neumann.eigenvalues[1:3]
+        assert mu3 / mu2 - 1.0 <= ana.DEGENERACY_FLAG_REL_GAP
+        vecs = ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants)
+        assert len(vecs) == 3
+        np.testing.assert_array_equal(vecs[0], fx.neumann.eigenvectors[:, 1])
+        np.testing.assert_array_equal(vecs[1], fx.neumann.eigenvectors[:, 2])
+        for v in vecs:
+            q = fem.rayleigh(fx.K, fx.M, v)
+            assert mu2 * (1.0 - 1e-9) <= q <= mu3 * (1.0 + 1e-9)
+            assert q == pytest.approx(mu2, rel=rel_gap)
+        assert vecs[2][np.argmax(np.abs(vecs[2]))] > 0.0
+
+    def test_separated_pair_gets_psi2_alone(self, rect_solved, constants):
+        mu2, mu3 = rect_solved.neumann.eigenvalues[1:3]
+        assert mu3 / mu2 - 1.0 > ana.DEGENERACY_FLAG_REL_GAP
+        vecs = ana.mu2_eigenvectors(rect_solved.mesh, rect_solved.poly, rect_solved.neumann,
+                                    constants)
+        assert len(vecs) == 1
+        np.testing.assert_array_equal(vecs[0], rect_solved.neumann.eigenvectors[:, 1])
+
+    def test_least_gradient_matches_angle_scan(self, disk_solved, constants):
+        # the closed form is the minimum over all unit combinations: a
+        # 2,000-angle scan can only come down to it
+        admissible = _admissible(disk_solved, constants)
+        grads = fem.gradients(disk_solved.mesh, disk_solved.neumann.eigenvectors[:, 1:3])[admissible]
+        assert len(grads) == 5186
+        third = ana.mu2_eigenvectors(disk_solved.mesh, disk_solved.poly, disk_solved.neumann,
+                                     constants)[2]
+        g3 = fem.gradients(disk_solved.mesh, third[:, None])
+        g3 = g3[admissible, :, 0]
+        least = np.hypot(*g3.T).min()
+        assert least == pytest.approx(np.linalg.svd(grads, compute_uv=False)[:, 1].min(),
+                                      rel=1e-14)
+        theta = np.linspace(0.0, math.pi, 2000, endpoint=False)
+        scan = min(np.hypot(*(grads @ (math.cos(t), math.sin(t))).T).min() for t in theta)
+        assert least <= scan * (1.0 + 1e-14)
+        assert least == pytest.approx(scan, rel=1e-7)
+
+    @pytest.mark.parametrize("angle", [0.3, 1.0, 2.5, math.pi, 4.0, 5.9])
+    def test_combination_does_not_depend_on_basis(self, sweep_6_5, constants, angle):
+        # here the least-gradient triangle is 2.3e-3 (in sigma^2) below the
+        # next one, so rotating the basis (psi2, psi3) cannot change it
+        fx = sweep_6_5
+        third = ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants)[2]
+        turn = np.array([[math.cos(angle), -math.sin(angle)],
+                         [math.sin(angle), math.cos(angle)]])
+        vecs = fx.neumann.eigenvectors.copy()
+        vecs[:, 1:3] = vecs[:, 1:3] @ turn
+        turned = dataclasses.replace(fx.neumann, eigenvectors=vecs)
+        np.testing.assert_allclose(
+            ana.mu2_eigenvectors(fx.mesh, fx.poly, turned, constants)[2], third, rtol=0,
+            atol=1e-9)
+
+    def test_pair_alone_without_admissible_triangles(self, constants):
+        # an 8x1 rectangle has no vertex both deep in E and 2 h_max inside;
+        # a pair forced to be degenerate there falls back to psi2 and psi3
+        fx = _solve(geo.validate([(0, 0), (8, 0), (8, 1), (0, 1)]), 0.2)
+        assert not _admissible(fx, constants).any()
+        vals = fx.neumann.eigenvalues.copy()
+        vals[2] = vals[1]
+        forced = dataclasses.replace(fx.neumann, eigenvalues=vals)
+        vecs = ana.mu2_eigenvectors(fx.mesh, fx.poly, forced, constants)
+        assert len(vecs) == 2
+        np.testing.assert_array_equal(np.column_stack(vecs), fx.neumann.eigenvectors[:, 1:3])
+
+
+def _triangle_critical_counts(apex, constants):
+    """Interior critical vertices of each analyzed mu2 eigenvector of the
+    triangle (0, 0), (1, 0), apex at h = diam/50."""
+    poly = geo.validate([(0, 0), (1, 0), apex])
+    mesh = msh.generate(poly, poly.diameter[0] / 50.0)
+    k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+    spectrum = fem.solve_neumann(k_mat, m_mat, k=4)
+    vecs = ana.mu2_eigenvectors(mesh, poly, spectrum, constants)
+    return [len(ana.find_critical_points(mesh, v, poly)) for v in vecs]
+
+
+class TestJudgeMondal:
+    """A second Neumann eigenfunction of a triangle has no interior critical
+    point (Judge & Mondal, Ann. of Math. 191, 2020), so no analyzed vector
+    may have an interior critical vertex."""
+
+    def test_equilateral_eigenspace(self, constants):
+        # mu2 is double: psi2, psi3 and the least-gradient combination
+        assert _triangle_critical_counts((0.5, math.sqrt(3.0) / 2.0), constants) == [0, 0, 0]
+
+    # apexes over obtuse (x < 0, x > 1 or near the base) and near-degenerate
+    # (height down to 0.02 of the base) triangles; about 15 ms each
+    @settings(max_examples=40, deadline=None)
+    @example(x=0.5, y=math.sqrt(3.0) / 2.0)
+    @example(x=-2.0, y=0.02)
+    @given(x=st.floats(-2.0, 3.0), y=st.floats(0.02, 2.0))
+    def test_no_interior_critical_vertices(self, x, y):
+        assert not any(_triangle_critical_counts((x, y), find_constants()))
 
 
 class TestComparisonField:
@@ -274,7 +402,7 @@ class TestBoundaryFlux:
         interior = np.nonzero(mesh.interior_mask)[0]
         rel = mesh.vertices[interior] - np.array([0.3, 0.1])
         idx = int(interior[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
-        f_anchor = geo.farthest_boundary_distance(disk_solved.poly, mesh.vertices[idx])
+        f_anchor = geo.farthest_boundary_distance(disk_solved.poly, mesh.vertices[[idx]])[0]
         assert math.sqrt(mu2) * f_anchor <= constants.j1
         field = ana.build_comparison(mesh, psi, mu2, idx)
         flux = ana.boundary_flux(field, mesh)
@@ -425,7 +553,7 @@ class TestInequalityChecks:
     def test_certification_consistency(self, disk_solved, rect_solved, constants):
         # strong Kroeger holds on both; no interior critical vertex may exist
         for fx in (disk_solved, rect_solved):
-            for psi in fem.mu2_eigenspace(fx.neumann):
+            for psi in ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants):
                 assert ana.find_critical_points(fx.mesh, psi, fx.poly) == []
 
 

@@ -61,6 +61,31 @@ class TestAssembly:
         ones = np.ones(m_mat.shape[0])
         assert ones @ (m_mat @ ones) == pytest.approx(1.0, rel=1e-10)
 
+    def test_fix_signs_makes_each_peak_positive(self):
+        vecs = np.random.default_rng(3).standard_normal((50, 6))
+        vecs[7, 5] = -10.0
+        fixed = fem.fix_signs(vecs)
+        for j in range(6):
+            i = int(np.argmax(np.abs(vecs[:, j])))
+            np.testing.assert_array_equal(fixed[:, j], vecs[:, j] * np.sign(vecs[i, j]))
+        assert fixed[7, 5] == 10.0
+
+    def test_gradients_exact_for_linear_fields(self, square_solved):
+        # P1 reproduces linear fields, so each triangle's gradient is exact;
+        # a fourth-power field has the gradient of its linear interpolant,
+        # whose energy is the stiffness form
+        mesh = square_solved.mesh
+        x, y = mesh.vertices.T
+        fields = np.column_stack([2.0 * x - 3.0 * y, np.ones_like(x), x ** 4])
+        grads = fem.gradients(mesh, fields)
+        assert grads.shape == (mesh.triangle_count, 2, 3)
+        np.testing.assert_allclose(grads[:, :, 0], np.tile([2.0, -3.0], (len(grads), 1)),
+                                   rtol=0, atol=1e-11)
+        assert np.abs(grads[:, :, 1]).max() <= 1e-11
+        area = msh._signed_areas(mesh.vertices, mesh.triangles)
+        energy = float(np.sum(area * np.einsum("md,md->m", grads[:, :, 2], grads[:, :, 2])))
+        assert energy == pytest.approx(fields[:, 2] @ (square_solved.K @ fields[:, 2]), rel=1e-12)
+
 
 class TestNeumann:
     def test_square_mu2_bracket(self, square_solved):
@@ -177,16 +202,6 @@ class TestSpectralStructure:
             mesh = msh.refine(mesh)
         assert 3.5 <= errors[0] / errors[1] <= 4.5
         assert 3.5 <= errors[1] / errors[2] <= 4.5
-
-    def test_eigenspace_sampling_on_degenerate_square(self, square_solved):
-        vecs = fem.mu2_eigenspace(square_solved.neumann)
-        assert len(vecs) == 2 + fem.EIGENSPACE_SAMPLES
-        for v in vecs:
-            q = fem.rayleigh(square_solved.K, square_solved.M, v)
-            assert q == pytest.approx(square_solved.neumann.eigenvalues[1], rel=1e-5)
-
-    def test_no_sampling_for_separated_pair(self, rect_solved):
-        assert len(fem.mu2_eigenspace(rect_solved.neumann)) == 1
 
 
 def _shift_invert_matrices(mesh, k_mat, m_mat):

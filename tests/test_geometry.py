@@ -103,20 +103,19 @@ class TestInradius:
 class TestFarthestBoundaryDistance:
     def test_square_center(self):
         poly = geo.validate(SQUARE)
-        assert geo.farthest_boundary_distance(poly, (0.5, 0.5)) == pytest.approx(
+        assert geo.farthest_boundary_distance(poly, [(0.5, 0.5)])[0] == pytest.approx(
             math.sqrt(2) / 2, abs=1e-14
         )
 
     def test_polygonized_disk(self):
         disk = realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512))
-        f = geo.farthest_boundary_distance(disk, (0.2, 0.0))
+        f = geo.farthest_boundary_distance(disk, [(0.2, 0.0)])[0]
         assert f == pytest.approx(1.2, abs=2e-5)
 
     def test_vertex_bounded_by_diameter(self):
         poly = random_polygon(11, 20)
         d, _ = poly.diameter
-        v = poly.vertices[0]
-        assert geo.farthest_boundary_distance(poly, v) <= d + 1e-12
+        assert np.all(geo.farthest_boundary_distance(poly, poly.vertices) <= d + 1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -124,9 +123,21 @@ class TestFarthestBoundaryDistance:
     )
     def test_lipschitz(self, px, py, qx, qy):
         poly = random_polygon(3, 25)
-        fp = geo.farthest_boundary_distance(poly, (px, py))
-        fq = geo.farthest_boundary_distance(poly, (qx, qy))
+        fp, fq = geo.farthest_boundary_distance(poly, [(px, py), (qx, qy)])
         assert abs(fp - fq) <= math.hypot(px - qx, py - qy) + 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 700, 65_536])
+    def test_chunks_match_pointwise_bits(self, monkeypatch, chunk):
+        # one point at a time, as the vertex-by-vertex maximum was computed
+        # before it took arrays; the chunk size must not change a bit
+        disk = realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512))
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))
+        pointwise = [math.sqrt(float(np.max((disk.vertices[:, 0] - x) ** 2
+                                            + (disk.vertices[:, 1] - y) ** 2)))
+                     for x, y in pts]
+        monkeypatch.setattr(geo, "F_CHUNK", chunk)
+        np.testing.assert_array_equal(geo.farthest_boundary_distance(disk, pts), pointwise)
+        assert geo.farthest_boundary_distance(disk, np.empty((0, 2))).shape == (0,)
 
 
 class TestMinEnclosingCircle:
@@ -175,9 +186,8 @@ class TestExclusionRegion:
     def test_disk_boundary_hits_threshold(self, disk512, constants):
         region = geo.exclusion_region(disk512, constants.c_excl)
         d, _ = disk512.diameter
-        for p in region.boundary[::7]:
-            f = geo.farthest_boundary_distance(disk512, p)
-            assert abs(f - region.threshold) <= 1e-3 * d
+        f = geo.farthest_boundary_distance(disk512, region.boundary[::7])
+        assert np.all(np.abs(f - region.threshold) <= 1e-3 * d)
 
     def test_thin_rectangle_band(self, constants):
         poly = geo.validate([(0, 0), (1, 0), (1, 0.01), (0, 0.01)])
@@ -194,7 +204,7 @@ class TestExclusionRegion:
     def test_seed_strictly_inside(self, constants):
         poly = random_polygon(23, 33)
         region = geo.exclusion_region(poly, constants.c_excl)
-        f_seed = geo.farthest_boundary_distance(poly, region.seed)
+        f_seed = geo.farthest_boundary_distance(poly, [region.seed])[0]
         assert f_seed < region.threshold - 1e-6 * poly.diameter[0]
 
     def test_membership_band_agreement(self, unit_square, constants):
@@ -208,7 +218,7 @@ class TestExclusionRegion:
             direct = region_member(unit_square, region, p)
             poly_based = polyline_contains(region.boundary, p)
             if direct != poly_based:
-                f = geo.farthest_boundary_distance(unit_square, p)
+                f = geo.farthest_boundary_distance(unit_square, [p])[0]
                 near_f_boundary = abs(f - region.threshold) <= 2e-3 * d
                 near_domain_boundary = (
                     min(p[0], p[1], 1 - p[0], 1 - p[1]) <= 2.0 * 1e-6 * d
@@ -242,7 +252,7 @@ class TestExclusionRegion:
             assert np.max(np.hypot(*(region.boundary - boundary).T)) <= 1e-6 * d
             assert region.binding == binding
             far = np.array(region.binding) == "farthest"
-            f = np.array([geo.farthest_boundary_distance(poly, q) for q in region.boundary[far]])
+            f = geo.farthest_boundary_distance(poly, region.boundary[far])
             assert np.all(np.abs(f - region.threshold) <= 1e-12 * d)
             normals, offsets = poly.edge_normals
             gap = np.abs(offsets[None, :] - region.boundary[~far] @ normals.T).min(axis=1)

@@ -651,6 +651,16 @@ class TestMeshSizeCap:
         # the 53k-point lattice alone would take 850 kB
         assert peak < 100_000
 
+    def test_generate_refuses_h_over_inradius_cap(self):
+        # a 1600 x 1 rectangle: its default h, diam/50, is 64.0003 inradii;
+        # 0.999 of that meshes, its boundary split down to the width
+        thin = geo.validate([(0, 0), (1600, 0), (1600, 1), (0, 1)])
+        h = thin.diameter[0] / 50.0
+        with pytest.raises(InvalidH, match=r"h <= 64 \* inradius = 32, got"):
+            msh.generate(thin, h)
+        mesh = msh.generate(thin, 0.999 * h)
+        assert mesh.vertex_count >= 1600
+
     def test_refine_refuses_over_cap(self, monkeypatch, square_mesh):
         n = 4 * square_mesh.triangle_count
         monkeypatch.setattr(msh, "MAX_MESH_SIZE", n - 1)

@@ -1,4 +1,5 @@
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -29,7 +30,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 8
+        assert doc["schema"] == 9
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -244,6 +245,18 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "stage 'mesh'" in err and "InvalidH" in err and "h = 0.02" in err
+
+    def test_hair_thin_domain_refused_by_name(self, tmp_path, capsys):
+        # the default h of a 1000 x 0.001 rectangle is 40,000 inradii; split
+        # rounds would double its boundary samples for minutes
+        spec = tmp_path / "thin.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "rectangle", "length": 1000.0,
+                                    "width": 0.001}))
+        start = time.perf_counter()
+        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 2 and time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "stage 'mesh'" in err and "InvalidH" in err and "inradius" in err
 
 
 @pytest.mark.parametrize("argv, env, named", [
