@@ -13,7 +13,9 @@ so no angular sort of the link is needed.  Ties within 1e-12*||psi||_inf are
 resolved by vertex index (simulation of simplicity).  The verdict flags a
 critical vertex only if its farthest-boundary distance undercuts the
 exclusion threshold by more than 2*h_max, absorbing the O(h) localization
-error.
+error.  The comparison field's zero set is exactly its P1 nodal segments, so
+its branches around the anchor are counted as circle-segment crossings in
+closed form, not by sampling the circle.
 """
 
 from __future__ import annotations
@@ -26,22 +28,15 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .bessel import SpectralConstants, j0_array, j1_array
-from .errors import (
-    AnchorOnBoundary,
-    CircleOutsideDomain,
-    NotPositiveComponent,
-    PointOutsideMesh,
-)
+from .errors import AnchorOnBoundary, CircleOutsideDomain, NotPositiveComponent
 from .fem import Spectrum, fix_signs, gradients, rayleigh
 from .geometry import ConvexPolygon, farthest_boundary_distance
-from .meshing import TriMesh, interpolate
+from .meshing import TriMesh
 
 TIE_REL = 1e-12
 DEGENERACY_FLAG_REL_GAP = 1e-2  # mu3/mu2 - 1 at or below which the mu2 pair is degenerate
 # The two triangle columns other than column i, in order.
 _DUO_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
-BRANCH_SAMPLES = 256
-BRANCH_TIE_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -198,25 +193,32 @@ def build_comparison(
     )
 
 
-def branch_count(mesh: TriMesh, field: ComparisonField, radius: float) -> int:
-    """Sign changes of w around a circle about the anchor (nodal branches)."""
+def branch_count(mesh: TriMesh, anchor_index: int, segments: np.ndarray,
+                 radius: float) -> int:
+    """Nodal branches of a P1 field crossing the circle of `radius` about
+    vertex `anchor_index`: the circle's crossings of the field's zero-crossing
+    `segments` (nodal_decomposition), which are its sign changes around it.
+
+    On P + t d, t in [0, 1], |P + t d - x0|^2 - r^2 is convex in t: the
+    segment crosses once if its ends lie on opposite sides of the circle,
+    and twice if both ends lie outside and its nearest point, at
+    t = -(P - x0).d / |d|^2 in (0, 1), lies inside.
+    """
     if radius < 3.0 * mesh.h_max:
         raise ValueError(f"radius {radius:g} < 3*h_max = {3.0 * mesh.h_max:g}")
-    theta = 2.0 * math.pi * np.arange(BRANCH_SAMPLES) / BRANCH_SAMPLES
-    x0, y0 = mesh.vertices[field.anchor_index]
-    pts = np.column_stack([x0 + radius * np.cos(theta), y0 + radius * np.sin(theta)])
-    try:
-        vals = interpolate(mesh, field.values, pts)
-    except PointOutsideMesh as exc:
-        raise CircleOutsideDomain(
-            f"circle of radius {radius:g} leaves the domain"
-        ) from exc
-    tie = BRANCH_TIE_REL * float(np.abs(field.values).max())
-    signs = np.sign(vals)
-    signs = signs[np.abs(vals) > tie]
-    if len(signs) == 0:
-        return 0
-    return int(np.sum(signs != np.roll(signs, 1)))
+    if radius >= mesh.boundary_clearance[anchor_index]:
+        raise CircleOutsideDomain(f"circle of radius {radius:g} leaves the domain")
+    p = segments[:, 0] - mesh.vertices[anchor_index]
+    d = segments[:, 1] - segments[:, 0]
+    r2 = radius * radius
+    in0 = np.einsum("ij,ij->i", p, p) < r2
+    in1 = np.einsum("ij,ij->i", p + d, p + d) < r2
+    dd, pd = np.einsum("ij,ij->i", d, d), -np.einsum("ij,ij->i", p, d)
+    cross = p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]
+    # the nearest point, at t = pd/dd in (0, 1), is inside iff cross^2 < r^2 dd;
+    # a zero-length segment (w = 0 at a vertex) has dd = 0 and never dips
+    dips = ~in0 & ~in1 & (0.0 < pd) & (pd < dd) & (cross * cross < r2 * dd)
+    return int(np.sum(in0 != in1) + 2 * np.sum(dips))
 
 
 # --- nodal structure -------------------------------------------------------------

@@ -56,9 +56,6 @@ def _float_between(lo: float, hi: float):
     return parse
 
 
-_POSITIVE = _float_between(0.0, math.inf)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hsv",
@@ -69,13 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     p_verify.add_argument("--spec", required=True, help="domain spec JSON path")
-    p_verify.add_argument("--h", type=_POSITIVE, default=None,
+    p_verify.add_argument("--h", type=_float_between(0.0, math.inf), default=None,
                           help="target mesh size (default: diam/50)")
     p_verify.add_argument("--refine", type=_int_at_least(0), default=0,
                           help="uniform refinements")
-    p_verify.add_argument("--k", type=_int_at_least(3), default=4,
-                          help="Neumann eigenpairs (>= 3)")
-    p_verify.add_argument("--tol", type=_POSITIVE, default=1e-8, help="residual tolerance")
     p_verify.add_argument("--out", required=True, help="output directory")
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0,
                           help="eigensolver start seed")
@@ -87,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="compute the exclusion region only")
     p_region.add_argument("--spec", required=True)
-    p_region.add_argument("--ratio", type=_float_between(0.5, 1.0), default=None,
-                          help="threshold/diameter ratio (default: j1/(2 j0))")
     p_region.add_argument("--out", required=True, help="output directory")
     p_region.add_argument("--svg", action="store_true")
 
@@ -103,8 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the mesher needs h < diam/4
     p_sweep.add_argument("--h-rel", type=_float_between(0.0, 0.25), default=0.02,
                          help="mesh size relative to each diameter")
-    p_sweep.add_argument("--k", type=_int_at_least(3), default=4)
-    p_sweep.add_argument("--tol", type=_POSITIVE, default=1e-8)
     p_sweep.add_argument("--out", required=True)
     return parser
 
@@ -114,8 +104,6 @@ def _cmd_verify(args) -> int:
         args.spec,
         h=args.h,
         refinements=args.refine,
-        k=args.k,
-        tol=args.tol,
         out_dir=args.out,
         svg=args.svg,
         show_nodal=args.show_nodal,
@@ -133,13 +121,12 @@ def _cmd_verify(args) -> int:
 def _cmd_region(args) -> int:
     spec = load_spec(args.spec)
     poly = realize(spec)
-    ratio = args.ratio if args.ratio is not None else find_constants().c_excl
-    region = exclusion_region(poly, ratio)
+    region = exclusion_region(poly)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": REPORT_SCHEMA,
-        "ratio": ratio,
+        "ratio": find_constants().c_excl,
         "diameter": poly.diameter[0],
         "threshold": region.threshold,
         "seed_point": region.seed,
@@ -162,17 +149,23 @@ def _cmd_region(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(f"report {args.report}: not a JSON object")
     # No schema bump so far changed a field that rendering reads.
     if doc.get("schema") not in range(1, REPORT_SCHEMA + 1):
         raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
-    write_report_svg(doc, args.out, show_nodal=args.show_nodal)
+    try:
+        write_report_svg(doc, args.out, show_nodal=args.show_nodal)
+    except KeyError as exc:
+        raise ParseError(f"report {args.report}: field {exc} is missing") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"report {args.report}: malformed field ({exc})") from exc
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    summary = run_sweep(args.count, args.seed, args.h_rel, args.out,
-                        k=args.k, tol=args.tol)
+    summary = run_sweep(args.count, args.seed, args.h_rel, args.out)
     print(f"sweep: {summary['pass_count']}/{args.count} passed, "
           f"{summary['violation_count']} violations, "
           f"{len(summary['failures'])} failures")
@@ -194,7 +187,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if exc.stage in _INPUT_STAGES else 2
-    except (BadArgument, ParseError, SchemaVersionMismatch, FileNotFoundError,
+    except (BadArgument, ParseError, SchemaVersionMismatch, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

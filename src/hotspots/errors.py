@@ -57,10 +57,6 @@ class QualityFailure(HotspotsError):
     """Mesh min-angle bound not met after the split rounds."""
 
 
-class PointOutsideMesh(HotspotsError):
-    pass
-
-
 # --- fem ------------------------------------------------------------------
 
 class NoInteriorVertices(HotspotsError):

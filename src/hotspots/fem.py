@@ -10,12 +10,14 @@ in reverse Cuthill-McKee order (George & Liu, 1981), or SuperLU when that
 band would be too large.  On the banded path the Lanczos runs in standard
 mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so a step
 is two triangular half-solves and one M product; the SuperLU path runs
-shift-invert mode 3.  ARPACK stops at 1e-4 of the residual gate, with a
-Krylov basis of 2k + 4 vectors.  The Neumann start is a fixed seeded random
-vector and the Dirichlet start the all-ones vector (its ground state has one
-sign), so repeated runs are bit-identical; small problems fall back to a
-dense solve.  The contract is the residual bound checked at the end, not
-the iteration internals.
+shift-invert mode 3.  Every pair's relative residual must be within
+RESIDUAL_GATE; ARPACK stops at 1e-4 of it, with a Krylov basis of 2k + 4
+vectors, and sees M times a power of 4 near 1/area, so that its Ritz values
+are of order one on a domain of any size.  The Neumann start is a fixed
+seeded random vector and the Dirichlet start the all-ones vector (its ground
+state has one sign), so repeated runs are bit-identical; small problems fall
+back to a dense solve.  The contract is the residual bound checked at the
+end, not the iteration internals.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .meshing import TriMesh
 SIGMA_SHIFT_REL = 1e-3  # Neumann shift, relative to the Szego-Weinberger bound on mu2
 CONSTANT_MODE_ULPS = 4  # |K 1| may reach CONSTANT_MODE_ULPS * n * eps * max|K_ij|
 DENSE_CUTOFF = 400
+RESIDUAL_GATE = 1e-8  # bound on every reported pair's relative residual
 # (kd+1)*n band entries above which the shift-invert factor is SuperLU's: past
 # about 12M entries (96 MiB) the banded factor's storage and solves cost more
 BAND_MAX_ENTRIES = 12_000_000
@@ -200,10 +203,11 @@ class SpdInverse(spla.LinearOperator):
     # standard symmetric problem C y = theta y, C = U^-T (P M P') U^-1, whose
     # Lanczos steps need no M inner products.  Banded path only.
 
-    def whitened(self, m_mat) -> spla.LinearOperator:
-        """C as an operator; each product is two half-solves and one M
-        product, and counts as one solve."""
+    def whitened(self, m_mat, scale: float) -> spla.LinearOperator:
+        """scale * C as an operator; each product is two half-solves and one
+        M product, and counts as one solve."""
         m_rcm = m_mat.tocsr()[self._perm][:, self._perm]
+        m_rcm.data *= scale
 
         def matvec(y):
             self.solves += 1
@@ -226,11 +230,10 @@ class SpdInverse(spla.LinearOperator):
         return dtbsv(self.kd, self._factor, b, trans=int(trans == "T"))
 
 
-def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, tol: float, v0: np.ndarray,
-                    problem: str):
+def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem: str):
     """Smallest k pairs of K v = mu M v, ascending, from Lanczos started at v0.
 
-    ARPACK stops at 1e-4 * tol, inside the residual gate, with a Krylov
+    ARPACK stops at 1e-4 * RESIDUAL_GATE, inside the gate, with a Krylov
     basis of 2k + 4 vectors.  On the banded path it runs in standard mode on
     the whitened operator (SpdInverse.whitened), on the SuperLU path in
     shift-invert mode 3 with M inner products.
@@ -241,15 +244,20 @@ def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, tol: float, v0: np.ndarr
         return vals[:k], vecs[:, :k], SolveStats("dense", n, None, 0, k)
     shifted = k_mat + sigma * m_mat
     inverse = SpdInverse(shifted, problem)
-    lanczos = {"k": k, "ncv": 2 * k + 4, "tol": 1e-4 * tol, "maxiter": 500}
+    lanczos = {"k": k, "ncv": 2 * k + 4, "tol": 1e-4 * RESIDUAL_GATE, "maxiter": 500}
+    # ARPACK's stopping test turns absolute for Ritz values below eps^(2/3).
+    # M times a power of 4 near 1/area keeps them, c/(mu + sigma), of order
+    # one on a domain of any size, and scales every step exactly.
+    c = math.ldexp(1.0, -2 * round(math.log(float(m_mat.sum()), 4)))
     try:
         if inverse.path == "banded":
-            theta, y = spla.eigsh(inverse.whitened(m_mat), which="LA",
+            theta, y = spla.eigsh(inverse.whitened(m_mat, c), which="LA",
                                   v0=inverse.whiten(v0), **lanczos)
-            vals, vecs = 1.0 / theta, inverse.unwhiten(y)
+            vals, vecs = c / theta, inverse.unwhiten(y)
         else:
-            vals, vecs = spla.eigsh(shifted, M=m_mat, sigma=0.0, which="LM", v0=v0,
+            vals, vecs = spla.eigsh(shifted, M=c * m_mat, sigma=0.0, which="LM", v0=v0,
                                     OPinv=inverse, **lanczos)
+            vals = c * vals
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(
             f"ARPACK: {len(exc.eigenvalues)} of {k} pairs converged in 500 iterations"
@@ -259,7 +267,7 @@ def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, tol: float, v0: np.ndarr
     return vals[order] - sigma, vecs[:, order], stats
 
 
-def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spectrum:
+def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
     """Smallest k Neumann pairs of K v = mu M v.
 
     mu_1 = 0 is reported exactly, with the M-normalized constant vector; the
@@ -271,8 +279,7 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
         raise ValueError("need k >= 2 for the Neumann problem")
     n = k_mat.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(n)
-    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), tol, v0,
-                                        "Neumann")
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), v0, "Neumann")
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
@@ -285,12 +292,12 @@ def solve_neumann(k_mat, m_mat, k: int, tol: float = 1e-8, seed: int = 0) -> Spe
         raise ConvergenceFailure(f"stiffness matrix does not annihilate constants: "
                                  f"||K 1||_inf / max|K_ij| = {constant:.3g}")
     res = np.concatenate([[constant], _residuals(k_mat, m_mat, vals[1:], vecs[:, 1:])])
-    if np.any(res[1:] > tol):
-        raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
+    if np.any(res[1:] > RESIDUAL_GATE):
+        raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
     return Spectrum(vals, vecs, res, "neumann", stats)
 
 
-def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8) -> Spectrum:
+def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int) -> Spectrum:
     """Smallest k Dirichlet pairs of the mesh's assembled K and M; boundary
     rows/columns eliminated, vectors reported with zeros on boundary vertices.
 
@@ -305,12 +312,12 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, tol: float = 1e-8) -> S
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()
     k_eff = min(k, len(idx))
-    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, tol, np.ones(len(idx)),
+    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, np.ones(len(idx)),
                                             "Dirichlet")
     vecs_red = fix_signs(_m_orthonormalize(vecs_red, m_red))
     res = _residuals(k_red, m_red, vals, vecs_red)
-    if np.any(res > tol):
-        raise ConvergenceFailure(f"residuals {res} exceed tol {tol}")
+    if np.any(res > RESIDUAL_GATE):
+        raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
     vecs = np.zeros((mesh.vertex_count, k_eff))
     vecs[idx] = vecs_red
     return Spectrum(vals, vecs, res, "dirichlet", stats)

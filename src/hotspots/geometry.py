@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 
+from .bessel import find_constants
 from .errors import (
     DegenerateArea,
     InternalInvariantViolation,
@@ -292,20 +293,19 @@ def _welzl(pts: list[tuple[float, float]], scale: float) -> Circle:
 
 # --- the exclusion region ---------------------------------------------------------
 
-def exclusion_region(poly: ConvexPolygon, ratio: float) -> ExclusionRegion:
-    """Extract {p in domain : F(p) <= ratio * diam} as a 720-ray polyline.
+def exclusion_region(poly: ConvexPolygon) -> ExclusionRegion:
+    """Extract {p in domain : F(p) <= c_excl * diam}, c_excl = j1/(2 j0), as a
+    720-ray polyline.
 
     The sublevel set is the domain intersected with one disk of radius
     threshold around each vertex, hence convex; rays from the
-    min-enclosing-circle center (always a member by Jung's theorem for
-    ratio >= 1/sqrt(3)) leave it exactly once.  Along s + t*u the exit is
-    the smallest of the half-plane exits (offset - n.s)/(n.u) over edges
-    with n.u > 0 and the disk exits -b + sqrt(b^2 - c) over vertices v,
-    where b = u.(s - v) and c = |s - v|^2 - threshold^2.
+    min-enclosing-circle center (a member by Jung's theorem, since
+    c_excl ~ 0.797 >= 1/sqrt(3)) leave it exactly once.  Along s + t*u the
+    exit is the smallest of the half-plane exits (offset - n.s)/(n.u) over
+    edges with n.u > 0 and the disk exits -b + sqrt(b^2 - c) over vertices
+    v, where b = u.(s - v) and c = |s - v|^2 - threshold^2.
     """
-    if not 0.5 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0.5, 1), got {ratio}")
-    threshold = ratio * poly.diameter[0]
+    threshold = find_constants().c_excl * poly.diameter[0]
     seed = poly.min_enclosing_circle.center
     seed_xy = np.array(seed)
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .errors import InvalidH, PointOutsideMesh, QualityFailure
+from .errors import InvalidH, QualityFailure
 from .geometry import ConvexPolygon
 
 MIN_ANGLE_DEG = 20.0
@@ -520,46 +520,6 @@ def quality(mesh: TriMesh) -> MeshQuality:
         vertex_count=mesh.vertex_count,
         triangle_count=mesh.triangle_count,
     )
-
-
-def interpolate(mesh: TriMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """P1 interpolation of vertex values at arbitrary points inside the mesh.
-
-    Each point is located among the triangles whose centroids are near it,
-    in index order, so the lowest-index containing triangle wins.  Raises
-    PointOutsideMesh.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tris = mesh.triangles
-    a = mesh.vertices[tris[:, 0]]
-    b = mesh.vertices[tris[:, 1]]
-    c = mesh.vertices[tris[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    centroids = (a + b + c) / 3.0
-    # A point of triangle t, or of the 1e-6 micro-gap band around it, lies
-    # within (1 + 3e-6) R_t of t's centroid, R_t its farthest vertex.
-    reach = max(np.hypot(*(v - centroids).T).max() for v in (a, b, c))
-    near = cKDTree(centroids).query_ball_point(pts, 1.01 * reach, return_sorted=True)
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(pts))
-    t = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=counts.sum())
-    owner = np.repeat(np.arange(len(pts)), counts)
-    px, py = pts[owner, 0], pts[owner, 1]
-    l1 = ((b[t, 0] - px) * (c[t, 1] - py) - (b[t, 1] - py) * (c[t, 0] - px)) / det[t]
-    l2 = ((c[t, 0] - px) * (a[t, 1] - py) - (c[t, 1] - py) * (a[t, 0] - px)) / det[t]
-    l3 = 1.0 - l1 - l2
-    worst = np.minimum(np.minimum(l1, l2), l3)
-    starts = np.cumsum(counts) - counts
-    hit = np.flatnonzero(worst >= -1e-12)
-    pick = np.full(len(pts), len(t))
-    np.minimum.at(pick, owner[hit], hit)
-    for i in np.flatnonzero(pick == len(t)):
-        # heal micro-gaps left by the degenerate-sliver filter
-        seg = worst[starts[i]:starts[i] + counts[i]]
-        if not len(seg) or seg.max() < -1e-6:
-            raise PointOutsideMesh(f"point {pts[i]} is outside the mesh")
-        pick[i] = starts[i] + int(np.argmax(seg))
-    tp = tris[t[pick]]
-    return l1[pick] * values[tp[:, 0]] + l2[pick] * values[tp[:, 1]] + l3[pick] * values[tp[:, 2]]
 
 
 def dump_mesh(mesh: TriMesh, path) -> None:

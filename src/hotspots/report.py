@@ -157,11 +157,11 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
     flux_bound_applies = math.sqrt(mu2) * f_anchor <= consts.j1
     clearance = float(mesh.boundary_clearance[anchor_vertex])
     radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
+    nd = ana.nodal_decomposition(mesh, fld.values)
     branches = None
     if radius >= 3.0 * mesh.h_max:
-        branches = ana.branch_count(mesh, fld, radius)
+        branches = ana.branch_count(mesh, anchor_vertex, nd.segments, radius)
 
-    nd = ana.nodal_decomposition(mesh, fld.values)
     defects = []
     for comp in np.nonzero(nd.component_signs > 0)[0]:
         try:
@@ -195,8 +195,6 @@ def run_verify(
     spec_path,
     h: float | None = None,
     refinements: int = 0,
-    k: int = 4,
-    tol: float = 1e-8,
     out_dir=None,
     svg: bool = False,
     show_nodal: bool = False,
@@ -208,6 +206,8 @@ def run_verify(
     (and figure.svg / mesh.txt on request) into out_dir when given."""
     stages = _Stages()
     consts = find_constants()
+    if out_dir is not None:  # an unusable out_dir fails before any stage runs
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     spec = stages.run("input", lambda: load_spec(spec_path))
 
@@ -226,13 +226,11 @@ def run_verify(
 
     k_mat = stages.run("assemble", lambda: fem.assemble_stiffness(mesh))
     m_mat = stages.run("assemble_mass", lambda: fem.assemble_mass(mesh))
-    k_eig = max(k, 3)
     neumann = stages.run(
-        "solve_neumann", lambda: fem.solve_neumann(k_mat, m_mat, k=k_eig, tol=tol, seed=seed)
+        "solve_neumann", lambda: fem.solve_neumann(k_mat, m_mat, k=4, seed=seed)
     )
     dirichlet = stages.run(
-        "solve_dirichlet",
-        lambda: fem.solve_dirichlet(mesh, k=1, tol=tol, k_mat=k_mat, m_mat=m_mat),
+        "solve_dirichlet", lambda: fem.solve_dirichlet(mesh, k=1, k_mat=k_mat, m_mat=m_mat)
     )
     mu2 = float(neumann.eigenvalues[1])
     lambda1 = float(dirichlet.eigenvalues[0])
@@ -240,7 +238,7 @@ def run_verify(
     (rho, rho_center), mec = stages.run(
         "geometry", lambda: (poly.inradius, poly.min_enclosing_circle)
     )
-    region = stages.run("exclusion_region", lambda: exclusion_region(poly, consts.c_excl))
+    region = stages.run("exclusion_region", lambda: exclusion_region(poly))
 
     records = stages.run("analysis", lambda: [
         _analyze_eigenvector(mesh, poly, consts, j, psi)
@@ -321,7 +319,6 @@ def run_verify(
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "timings.json").write_text(
             json.dumps(report.timings_ms, indent=2) + "\n", encoding="utf-8"
@@ -374,7 +371,7 @@ def _sweep_domain_spec(master_seed: int, index: int) -> DomainSpec:
 
 
 def _sweep_one(args: tuple) -> dict:
-    master_seed, index, h_rel, out_root, k, tol = args
+    master_seed, index, h_rel, out_root = args
     spec = _sweep_domain_spec(master_seed, index)
     out_dir = Path(out_root) / f"domain_{index:03d}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,7 +379,7 @@ def _sweep_one(args: tuple) -> dict:
     save_spec(spec, spec_path)
     try:
         d, _ = _Stages().run("realize", lambda: realize(spec).diameter)
-        report = run_verify(spec_path, h=h_rel * d, k=k, tol=tol, out_dir=out_dir)
+        report = run_verify(spec_path, h=h_rel * d, out_dir=out_dir)
     except StageError as exc:
         return {"index": index, "error": str(exc), "stage": exc.stage}
     ineq = report.inequalities
@@ -398,8 +395,7 @@ def _sweep_one(args: tuple) -> dict:
     }
 
 
-def run_sweep(count: int, seed: int, h_rel: float, out_dir, k: int = 4,
-              tol: float = 1e-8) -> dict:
+def run_sweep(count: int, seed: int, h_rel: float, out_dir) -> dict:
     """Verify `count` seeded random convex domains; deterministic given seed.
 
     Parallelism is capped by the HSV_THREADS environment variable; results
@@ -417,7 +413,7 @@ def run_sweep(count: int, seed: int, h_rel: float, out_dir, k: int = 4,
     workers = max(1, min(workers or (os.cpu_count() or 1), count))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(seed, i, h_rel, str(out), k, tol) for i in range(count)]
+    jobs = [(seed, i, h_rel, str(out)) for i in range(count)]
     if workers == 1:
         results = [_sweep_one(j) for j in jobs]
     else:

@@ -394,11 +394,12 @@ def cocircular(a, b, c, p, tol: float = 1e-10) -> bool:
     return abs(det) <= tol * max(a2, b2, c2) ** 2
 
 
-def brute_force_interpolate(mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """P1 interpolation that scans every triangle for every point (the
-    mesher's earlier `interpolate`)."""
-    from hotspots.errors import PointOutsideMesh
+class OutsideMesh(Exception):
+    """A point of brute_force_interpolate lies in no triangle."""
 
+
+def brute_force_interpolate(mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """P1 interpolation that scans every triangle for every point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tris = mesh.triangles
     a = mesh.vertices[tris[:, 0]]
@@ -419,7 +420,7 @@ def brute_force_interpolate(mesh, values: np.ndarray, points: np.ndarray) -> np.
             # heal micro-gaps left by the degenerate-sliver filter
             t = int(np.argmax(worst))
             if worst[t] < -1e-6:
-                raise PointOutsideMesh(f"point {p} is outside the mesh")
+                raise OutsideMesh(f"point {p} is outside the mesh")
         out[i] = (
             l1[t] * values[tris[t, 0]]
             + l2[t] * values[tris[t, 1]]

@@ -203,10 +203,11 @@ def test_criterion_6_proof_machinery(sweep, fixture_reports, disk_solved, rect_s
 
     j2_field = np.array([j2_eval(root_mu * ri) for ri in r]) * np.cos(2 * theta)
     j1_field = np.array([j1_eval(root_mu * ri) for ri in r]) * np.cos(theta)
-    branches_ok = (
-        ana.branch_count(mesh, field_of(j2_field), 0.3) == 4
-        and ana.branch_count(mesh, field_of(j1_field), 0.3) == 2
-    )
+    def branches(field):
+        segments = ana.nodal_decomposition(mesh, field.values).segments
+        return ana.branch_count(mesh, field.anchor_index, segments, 0.3)
+
+    branches_ok = branches(field_of(j2_field)) == 4 and branches(field_of(j1_field)) == 2
 
     # flux sign whenever sqrt(mu2) F(anchor) <= j1 and psi(anchor) >= 0
     psi = disk_solved.neumann.eigenvectors[:, 1]
@@ -276,7 +277,7 @@ def test_criterion_7_geometry_oracles(disk512, constants):
         c = poly.min_enclosing_circle
         mec_ok &= abs(c.radius - brute_force_mec(poly.vertices)[2]) <= 1e-9
 
-    region = geo.exclusion_region(disk512, constants.c_excl)
+    region = geo.exclusion_region(disk512)
     d, _ = disk512.diameter
     f_vals = geo.farthest_boundary_distance(disk512, region.boundary)
     band_ok = bool(np.max(np.abs(f_vals - region.threshold)) <= 1e-3 * d)

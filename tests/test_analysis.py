@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +266,31 @@ class TestComparisonField:
         assert residuals[1] <= residuals[0] / 1.5
 
 
+def _branches(mesh, field, radius):
+    segments = ana.nodal_decomposition(mesh, field.values).segments
+    return ana.branch_count(mesh, field.anchor_index, segments, radius)
+
+
+def _sampled_branches(mesh, field, radius, samples=1024):
+    """Sign changes of the brute-force P1 interpolant at `samples` points of
+    the circle, ignoring values within 1e-10 * max|w| of zero."""
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    circle = mesh.vertices[field.anchor_index] + radius * np.column_stack(
+        [np.cos(theta), np.sin(theta)])
+    vals = oracles.brute_force_interpolate(mesh, field.values, circle)
+    signs = np.sign(vals[np.abs(vals) > 1e-10 * np.abs(field.values).max()])
+    return int(np.sum(signs != np.roll(signs, 1)))
+
+
+@pytest.fixture(scope="module")
+def rect_refined(rect21):
+    """The benchmark's rect_refined mesh (h=0.04, 2 refinements) and psi2."""
+    mesh = msh.refine(msh.refine(msh.generate(rect21, 0.04)))
+    k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+    return SimpleNamespace(poly=rect21, mesh=mesh,
+                           neumann=fem.solve_neumann(k_mat, m_mat, k=4))
+
+
 class TestBranchCount:
     def _synthetic_field(self, mesh, values):
         idx = int(np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])))
@@ -275,40 +301,96 @@ class TestBranchCount:
             values=values,
         )
 
-    def test_second_order_zero_has_four_branches(self, disk_solved):
-        mesh = disk_solved.mesh
+    @staticmethod
+    def _bessel_field(mesh, order):
         root_mu = math.sqrt(3.39)
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         theta = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-        values = np.array([j2_eval(root_mu * ri) for ri in r]) * np.cos(2 * theta)
-        field = self._synthetic_field(mesh, values)
-        assert ana.branch_count(mesh, field, 0.3) == 4
+        radial = j2_eval if order == 2 else j1_eval
+        return np.array([radial(root_mu * ri) for ri in r]) * np.cos(order * theta)
+
+    def test_second_order_zero_has_four_branches(self, disk_solved):
+        mesh = disk_solved.mesh
+        field = self._synthetic_field(mesh, self._bessel_field(mesh, 2))
+        assert _branches(mesh, field, 0.3) == 4
 
     def test_simple_zero_has_two_branches(self, disk_solved):
         mesh = disk_solved.mesh
-        root_mu = math.sqrt(3.39)
-        r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        theta = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-        values = np.array([j1_eval(root_mu * ri) for ri in r]) * np.cos(theta)
-        field = self._synthetic_field(mesh, values)
-        assert ana.branch_count(mesh, field, 0.3) == 2
+        field = self._synthetic_field(mesh, self._bessel_field(mesh, 1))
+        assert _branches(mesh, field, 0.3) == 2
 
     def test_positive_field_has_no_branches(self, disk_solved):
         mesh = disk_solved.mesh
         field = self._synthetic_field(mesh, np.ones(mesh.vertex_count))
-        assert ana.branch_count(mesh, field, 0.3) == 0
+        assert _branches(mesh, field, 0.3) == 0
 
     def test_radius_below_mesh_resolution_rejected(self, disk_solved):
         mesh = disk_solved.mesh
         field = self._synthetic_field(mesh, np.ones(mesh.vertex_count))
         with pytest.raises(ValueError):
-            ana.branch_count(mesh, field, 2.0 * mesh.h_max)
+            _branches(mesh, field, 2.0 * mesh.h_max)
 
     def test_circle_outside_domain(self, disk_solved):
         mesh = disk_solved.mesh
         field = self._synthetic_field(mesh, np.ones(mesh.vertex_count))
         with pytest.raises(ana.CircleOutsideDomain):
-            ana.branch_count(mesh, field, 1.5)
+            _branches(mesh, field, 1.5)
+        clearance = mesh.boundary_clearance[field.anchor_index]
+        with pytest.raises(ana.CircleOutsideDomain):
+            _branches(mesh, field, clearance)
+        assert _branches(mesh, field, 0.999 * clearance) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ends, expected", [
+        (((0.1, 0.0), (0.5, 0.0)), 1),
+        (((0.5, 0.0), (0.1, 0.0)), 1),
+        (((-0.5, 0.1), (0.5, 0.1)), 2),
+        (((0.05, 0.05), (0.1, -0.1)), 0),
+        (((0.4, 0.0), (0.6, 0.0)), 0),    # its line passes the anchor, but beyond t = 0
+        (((-0.5, 0.4), (0.5, 0.4)), 0),   # its nearest point lies outside
+        (((0.0, 0.0), (0.0, 0.0)), 0),    # zero length, at the anchor
+        (((0.5, 0.0), (0.5, 0.0)), 0),    # zero length, outside
+    ], ids=["straddles", "straddles-reversed", "dips-inside", "inside", "outside-collinear",
+            "outside-chord", "zero-length-anchor", "zero-length-outside"])
+    def test_hand_made_segments(self, disk_solved, ends, expected):
+        mesh = disk_solved.mesh
+        anchor = self._synthetic_field(mesh, np.ones(mesh.vertex_count)).anchor_index
+        segments = mesh.vertices[anchor] + np.array([ends], dtype=float)
+        assert ana.branch_count(mesh, anchor, segments, 0.3) == expected
+
+    def test_matches_sampled_oracle(self, disk_solved, rect_refined):
+        """The closed form equals the sign changes of the brute-force P1
+        interpolant at 1,024 points of the circle, for the report's diagnostic
+        anchor on the disk and on rect_refined, random deep anchors at random
+        radii, the planted J1 and J2 fields, and a wavy field on wide circles."""
+        cases = []
+        for solved in (disk_solved, rect_refined):
+            mesh, poly = solved.mesh, solved.poly
+            psi, mu2 = solved.neumann.eigenvectors[:, 1], solved.neumann.eigenvalues[1]
+            cand = np.nonzero(mesh.interior_mask)[0]
+            rel = mesh.vertices[cand] - np.array(poly.min_enclosing_circle.center)
+            anchor = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
+            radius = min(0.9 * mesh.boundary_clearance[anchor],  # run_verify's rule
+                         max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
+            cases.append((mesh, ana.build_comparison(mesh, psi, mu2, anchor), radius))
+            rng = np.random.default_rng(11)
+            deep = np.flatnonzero(mesh.boundary_clearance > 4.0 * mesh.h_max)
+            for anchor in rng.choice(deep, 3, replace=False):
+                clearance = mesh.boundary_clearance[anchor]
+                cases.append((mesh, ana.build_comparison(mesh, psi, mu2, int(anchor)),
+                              rng.uniform(3.0 * mesh.h_max, 0.9 * clearance)))
+        mesh = disk_solved.mesh
+        for order in (1, 2):
+            cases.append((mesh, self._synthetic_field(mesh, self._bessel_field(mesh, order)),
+                          0.3))
+        x, y = mesh.vertices.T
+        wavy = np.cos(5.0 * x + 1.0) * np.cos(4.0 * y - 0.5) + 0.3 * np.sin(7.0 * x - 3.0 * y)
+        for radius in (0.3, 0.6, 0.9):
+            cases.append((mesh, self._synthetic_field(mesh, wavy), radius))
+        counts = [(_branches(mesh, field, radius), _sampled_branches(mesh, field, radius))
+                  for mesh, field, radius in cases]
+        assert all(closed == sampled for closed, sampled in counts), counts
+        assert {closed for closed, _ in counts} == {2, 4, 6, 8}
 
 
 class TestNodalDecomposition:

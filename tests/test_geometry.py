@@ -177,39 +177,34 @@ class TestContains:
 
 class TestExclusionRegion:
     def test_disk_region_is_centered_disk(self, disk512, constants):
-        region = geo.exclusion_region(disk512, constants.c_excl)
+        region = geo.exclusion_region(disk512)
         radii = np.hypot(region.boundary[:, 0], region.boundary[:, 1])
         expected = 2.0 * constants.c_excl - 1.0  # F(p) = 1 + |p| on the disk
         assert np.max(np.abs(radii - expected)) <= 5e-3
         assert all(b == "farthest" for b in region.binding)
 
-    def test_disk_boundary_hits_threshold(self, disk512, constants):
-        region = geo.exclusion_region(disk512, constants.c_excl)
+    def test_disk_boundary_hits_threshold(self, disk512):
+        region = geo.exclusion_region(disk512)
         d, _ = disk512.diameter
         f = geo.farthest_boundary_distance(disk512, region.boundary[::7])
         assert np.all(np.abs(f - region.threshold) <= 1e-3 * d)
 
     def test_thin_rectangle_band(self, constants):
         poly = geo.validate([(0, 0), (1, 0), (1, 0.01), (0, 0.01)])
-        region = geo.exclusion_region(poly, constants.c_excl)
+        region = geo.exclusion_region(poly)
         xs = region.boundary[:, 0]
         assert xs.min() == pytest.approx(1.0 - constants.c_excl, abs=1e-3)
         assert xs.max() == pytest.approx(constants.c_excl, abs=1e-3)
 
-    def test_wide_ratio_contains_mec_center(self):
-        poly = random_polygon(5, 18)
-        region = geo.exclusion_region(poly, 0.999)
-        assert region_member(poly, region, np.array(region.seed))
-
-    def test_seed_strictly_inside(self, constants):
+    def test_seed_strictly_inside(self):
         poly = random_polygon(23, 33)
-        region = geo.exclusion_region(poly, constants.c_excl)
+        region = geo.exclusion_region(poly)
         f_seed = geo.farthest_boundary_distance(poly, [region.seed])[0]
         assert f_seed < region.threshold - 1e-6 * poly.diameter[0]
 
-    def test_membership_band_agreement(self, unit_square, constants):
+    def test_membership_band_agreement(self, unit_square):
         # polyline membership vs the direct predicate, away from a 2*tol band
-        region = geo.exclusion_region(unit_square, constants.c_excl)
+        region = geo.exclusion_region(unit_square)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(10_000, 2))
         d, _ = unit_square.diameter
@@ -227,9 +222,9 @@ class TestExclusionRegion:
                 disagreements += 1
         assert disagreements < 500
 
-    def test_region_convexity_midpoints(self, constants):
+    def test_region_convexity_midpoints(self):
         poly = random_polygon(41, 28)
-        region = geo.exclusion_region(poly, constants.c_excl)
+        region = geo.exclusion_region(poly)
         rng = np.random.default_rng(3)
         members = []
         while len(members) < 200:
@@ -247,7 +242,7 @@ class TestExclusionRegion:
         randoms = [random_polygon(seed, n) for seed, n in ((5, 18), (23, 33), (41, 8))]
         for poly in (disk512, thin, *randoms):
             d = poly.diameter[0]
-            region = geo.exclusion_region(poly, constants.c_excl)
+            region = geo.exclusion_region(poly)
             boundary, binding = bisection_region(poly, constants.c_excl)
             assert np.max(np.hypot(*(region.boundary - boundary).T)) <= 1e-6 * d
             assert region.binding == binding
@@ -257,10 +252,6 @@ class TestExclusionRegion:
             normals, offsets = poly.edge_normals
             gap = np.abs(offsets[None, :] - region.boundary[~far] @ normals.T).min(axis=1)
             assert np.all(gap <= 1e-12 * poly.scale)
-
-    def test_bad_ratio_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            geo.exclusion_region(unit_square, 0.3)
 
 
 class TestJung:

@@ -8,16 +8,14 @@ from scipy.spatial import Delaunay
 
 from hotspots import geometry as geo
 from hotspots import meshing as msh
-from hotspots.analysis import BRANCH_SAMPLES
 from hotspots.domains import DomainSpec, realize
-from hotspots.errors import InvalidH, PointOutsideMesh
+from hotspots.errors import InvalidH
 from hotspots.report import _sweep_domain_spec
 
 from .conftest import random_polygon
 from .oracles import (
     all_edges_clearance,
     boundary_distances,
-    brute_force_interpolate,
     canonical_delaunay,
     cocircular,
     greedy_circumcenters,
@@ -186,16 +184,6 @@ def test_quality_known_triangles(square_mesh):
         interior_mask=np.array([False, False, False]),
     )
     assert msh.quality(eq).min_angle == pytest.approx(60.0, abs=1e-12)
-
-
-def test_interpolate_linear_exact(square_mesh):
-    values = 2.0 * square_mesh.vertices[:, 0] - 3.0 * square_mesh.vertices[:, 1] + 0.5
-    pts = np.array([[0.3, 0.4], [0.91, 0.07], [0.5, 0.5]])
-    out = msh.interpolate(square_mesh, values, pts)
-    expected = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5
-    assert np.max(np.abs(out - expected)) <= 1e-12
-    with pytest.raises(PointOutsideMesh):
-        msh.interpolate(square_mesh, values, np.array([[2.0, 2.0]]))
 
 
 def test_dump_format(square_mesh, tmp_path):
@@ -526,75 +514,6 @@ class TestSplitRounds:
         counts = [msh.generate(poly, h_rel * poly.diameter[0]).vertex_count
                   for h_rel in (0.02, 0.05, 0.1)]
         assert all(coarse <= 1.05 * fine for fine, coarse in zip(counts, counts[1:])), counts
-
-
-def _comparison_circle(mesh, poly):
-    """The 256 branch-count samples `run_verify` takes around its anchor."""
-    mec = poly.min_enclosing_circle
-    cand = np.nonzero(mesh.interior_mask)[0]
-    rel = mesh.vertices[cand] - np.array(mec.center)
-    anchor = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
-    radius = min(0.9 * mesh.boundary_clearance[anchor],
-                 max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
-    theta = 2.0 * math.pi * np.arange(BRANCH_SAMPLES) / BRANCH_SAMPLES
-    return mesh.vertices[anchor] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-class TestInterpolateMatchesOracle:
-    """Local point location returns the full triangle scan's values bit for
-    bit, and raises PointOutsideMesh exactly where the scan does."""
-
-    @pytest.fixture(scope="class")
-    def meshes(self, disk_solved, rect21):
-        fine = msh.refine(msh.refine(msh.generate(rect21, 0.04)))
-        return {"disk": (disk_solved.mesh, disk_solved.poly), "rect_refined": (fine, rect21)}
-
-    @staticmethod
-    def _probe_points(mesh, poly, rng):
-        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-        e = mesh.edges[rng.choice(len(mesh.edges), 200, replace=False)]
-        s = rng.uniform(size=(200, 1))
-        return np.vstack([
-            _comparison_circle(mesh, poly),
-            lo + (hi - lo) * rng.uniform(size=(300, 2)),
-            mesh.vertices[rng.choice(mesh.vertex_count, 200, replace=False)],
-            0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]]),
-            (1.0 - s) * mesh.vertices[e[:, 0]] + s * mesh.vertices[e[:, 1]],
-        ])
-
-    @pytest.mark.parametrize("name", ["disk", "rect_refined"])
-    def test_bit_equal_on_circle_and_probes(self, meshes, name):
-        mesh, poly = meshes[name]
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(mesh.vertex_count)
-        circle = _comparison_circle(mesh, poly)
-        assert np.array_equal(msh.interpolate(mesh, values, circle),
-                              brute_force_interpolate(mesh, values, circle))
-        inside, expected = [], []
-        for p in self._probe_points(mesh, poly, rng):
-            try:
-                expected.append(brute_force_interpolate(mesh, values, p)[0])
-                inside.append(p)
-            except PointOutsideMesh:
-                with pytest.raises(PointOutsideMesh):
-                    msh.interpolate(mesh, values, p)
-        assert np.array_equal(msh.interpolate(mesh, values, np.array(inside)), expected)
-
-    @pytest.mark.parametrize("name", ["disk", "rect_refined"])
-    def test_micro_gap_healed_and_far_points_raise(self, meshes, name):
-        mesh, _ = meshes[name]
-        values = np.random.default_rng(3).standard_normal(mesh.vertex_count)
-        i, j = mesh.boundary_edges[0]
-        mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-        normal = mesh.boundary_normals[0]
-        gap = mid + 1e-9 * mesh.h_max * normal
-        expected = brute_force_interpolate(mesh, values, gap)
-        assert np.array_equal(msh.interpolate(mesh, values, gap), expected)
-        for far in (mid + 1e-3 * mesh.h_max * normal, mid + 10.0 * mesh.h_max * normal):
-            with pytest.raises(PointOutsideMesh):
-                brute_force_interpolate(mesh, values, far)
-            with pytest.raises(PointOutsideMesh):
-                msh.interpolate(mesh, values, far)
 
 
 _CHUNK_CASES = [

@@ -265,15 +265,12 @@ class TestCliExitCodes:
     (["sweep", "--count", "1", "--h-rel", "0"], {}, "--h-rel"),
     (["sweep", "--count", "1"], {"HSV_THREADS": "abc"}, "HSV_THREADS"),
     (["sweep", "--count", "1"], {"HSV_THREADS": "-2"}, "HSV_THREADS"),
-    (["region", "--spec", "{spec}", "--ratio", "-1"], {}, "--ratio"),
     (["verify", "--spec", "{spec}", "--h", "-1"], {}, "--h"),
     (["verify", "--spec", "{spec}", "--h", "nan"], {}, "--h"),
     (["verify", "--spec", "{spec}", "--refine", "-1"], {}, "--refine"),
-    (["verify", "--spec", "{spec}", "--k", "2"], {}, "--k"),
-    (["verify", "--spec", "{spec}", "--tol", "0"], {}, "--tol"),
     (["verify", "--spec", "{spec}", "--seed", "-1"], {}, "--seed"),
-], ids=["count-0", "count-x", "h-rel-0", "threads-abc", "threads-neg", "ratio-neg", "h-neg",
-        "h-nan", "refine-neg", "k-2", "tol-0", "seed-neg"])
+], ids=["count-0", "count-x", "h-rel-0", "threads-abc", "threads-neg", "h-neg", "h-nan",
+        "refine-neg", "seed-neg"])
 def test_bad_flag_exit_one(tmp_path, capsys, monkeypatch, disk_spec_path, argv, env, named):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -287,6 +284,33 @@ def test_bad_flag_exit_one(tmp_path, capsys, monkeypatch, disk_spec_path, argv, 
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["render", "--report", "{list}", "--out", "{tmp}/f.svg"], "not a JSON object"),
+    (["render", "--report", "{bare}", "--out", "{tmp}/f.svg"], "'interior_critical_points'"),
+    (["render", "--report", "{tmp}", "--out", "{tmp}/f.svg"], "{tmp}"),
+    (["verify", "--spec", "{spec}", "--out", "{file}"], "{file}"),
+    (["region", "--spec", "{spec}", "--out", "{file}"], "{file}"),
+    (["sweep", "--count", "1", "--out", "{file}"], "{file}"),
+], ids=["render-list", "render-schema-only", "render-directory", "verify-out-file",
+        "region-out-file", "sweep-out-file"])
+def test_input_fault_exit_one(tmp_path, capsys, disk_spec_path, argv, named):
+    """A report that is not one, or a path of the wrong kind, exits 1 with a
+    message naming the field or path; `verify` fails before its first stage."""
+    paths = {"tmp": tmp_path, "spec": disk_spec_path, "list": tmp_path / "list.json",
+             "bare": tmp_path / "bare.json", "file": tmp_path / "taken"}
+    paths["list"].write_text("[]")
+    paths["bare"].write_text('{"schema": 9}')
+    paths["file"].write_text("")
+    start = time.perf_counter()
+    code = cli.main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named.format(**paths) in err
+    assert "Traceback" not in err
+    if argv[0] == "verify":
+        assert "stage" not in err and time.perf_counter() - start < 1.0
 
 
 class TestRegionAndRender:
