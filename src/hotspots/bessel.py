@@ -5,12 +5,12 @@ against 40-digit references at 4,001 points of [0, 40] the largest absolute
 errors are 3.7e-16 and 2.6e-16) that keep this package's argument contract:
 non-finite input raises ``NonFiniteInput``, negative input ``ValueError``.
 
-The zeros j0 (of J0), j1 (of J1) and j'_{1,1} (of J1' = J0 - J1/x) are found
-once by Brent's method on these evaluators, bracketed in [2, 3], [3, 4] and
-[1, 2], and cached; ``c_excl = j1/(2 j0)`` is the exclusion-region ratio
-derived from them.  Brent to full precision, not ``jn_zeros``: every
-exclusion threshold and ``region.json`` is built on the bits of ``c_excl``
-that the tests pin, and ``jn_zeros`` puts it 1 ulp off.
+The zeros j0 (of J0), j1 (of J1) and j'_{1,1} (of J1' = J0 - J1/x) are
+pinned: the floats Brent's method finds on these evaluators, which every
+report since schema 4 is built on.  ``c_excl = j1/(2 j0)`` is the
+exclusion-region ratio.  ``jn_zeros`` would put ``c_excl`` 1 ulp off, and
+bisection j'_{1,1} (hence the Neumann shift).  On first use each zero is
+checked to lie within 2 ulps of a sign change of its own evaluator.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
-from .errors import NonFiniteInput
+from .errors import InternalInvariantViolation, NonFiniteInput
 
 
 def _check_array(x) -> np.ndarray:
@@ -67,14 +66,12 @@ class SpectralConstants:
     c_excl: float
 
 
-def _zero(f, lo: float, hi: float) -> float:
-    return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-
-
 @lru_cache(maxsize=1)
 def find_constants() -> SpectralConstants:
-    """Locate j0 in [2,3], j1 in [3,4], j'_{1,1} in [1,2]; cached."""
-    j0 = _zero(j0_eval, 2.0, 3.0)
-    j1 = _zero(j1_eval, 3.0, 4.0)
-    jp11 = _zero(lambda x: j0_eval(x) - j1_eval(x) / x, 1.0, 2.0)
+    """The pinned zeros, each checked once against its evaluator; cached."""
+    j0, j1, jp11 = 2.404825557695773, 3.8317059702075125, 1.8411837813406589
+    for z, f in ((j0, j0_eval), (j1, j1_eval), (jp11, lambda x: j0_eval(x) - j1_eval(x) / x)):
+        vals = [f(float(x)) for x in z + np.arange(-2, 3) * np.spacing(z)]
+        if all(u * v > 0.0 for u, v in zip(vals, vals[1:])):
+            raise InternalInvariantViolation(f"no sign change within 2 ulps of the zero {z!r}")
     return SpectralConstants(j0=j0, j1=j1, jp11=jp11, c_excl=j1 / (2.0 * j0))

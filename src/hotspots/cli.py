@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     p_verify.add_argument("--spec", required=True, help="domain spec JSON path")
     p_verify.add_argument("--h", type=_float_between(0.0, math.inf), default=None,
-                          help="target mesh size (default: diam/50)")
+                          help="target mesh size (default: min(diam/50, 0.866 * inradius))")
     p_verify.add_argument("--refine", type=_int_at_least(0), default=0,
                           help="uniform refinements")
     p_verify.add_argument("--out", required=True, help="output directory")

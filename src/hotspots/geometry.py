@@ -5,18 +5,20 @@ All tolerances are relative to the domain's length scale so domains of any
 size behave identically.  The boundary supremum of ``|p - y|`` over a polygon
 is attained at a vertex (on each edge the distance to a fixed point is a
 convex function of the parameter), so ``farthest_boundary_distance`` only
-inspects vertices.
+inspects vertices.  The straight skeleton gives the inradius and Welzl the
+enclosing circle, with no optimizer.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bessel import find_constants
 from .errors import (
@@ -92,21 +94,54 @@ class ConvexPolygon:
 
     @cached_property
     def inradius(self) -> tuple[float, tuple[float, float]]:
-        """Largest inscribed circle: maximize rho s.t. n_i.c + rho <= n_i.v_i."""
+        """Largest inscribed circle (rho, Chebyshev centre) by the straight
+        skeleton: the edge lines move inward at unit speed, the edge whose
+        neighbours meet on it first leaves, and the last three lines meet at
+        the centre.  It is re-solved on three near-active lines about 120
+        degrees apart, and rho is the least edge slack there, so the circle
+        is feasible by construction.  A centre that can slide between
+        antiparallel binding edges (rectangles) is the segment's midpoint.
+        """
         normals, offsets = self.edge_normals
-        m = len(normals)
-        a_ub = np.column_stack([normals, np.ones(m)])
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=a_ub,
-            b_ub=offsets,
-            bounds=[(None, None), (None, None), (0.0, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise InternalInvariantViolation(f"Chebyshev LP failed: {res.message}")
-        cx, cy, rho = res.x
-        return float(rho), (float(cx), float(cy))
+        n = len(offsets)
+        prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
+        t0 = _meet(normals[prev].T, normals.T, normals[nxt].T,
+                   offsets[prev], offsets, offsets[nxt])[2]
+        heap = [(t, i, prev[i], nxt[i]) for i, t in enumerate(t0.tolist())]
+        heapq.heapify(heap)
+        nb = list(zip(map(tuple, normals.tolist()), offsets.tolist()))
+        for _ in range(n - 3):
+            _, i, p, q = heapq.heappop(heap)
+            while prev[i] != p or nxt[i] != q:  # stale: its neighbours changed
+                _, i, p, q = heapq.heappop(heap)
+            nxt[p], prev[q], prev[i] = q, p, -1
+            for e in (p, q):
+                (na, ba), (ne, be), (nc, bc) = nb[prev[e]], nb[e], nb[nxt[e]]
+                heapq.heappush(heap, (_meet(na, ne, nc, ba, be, bc)[2], e, prev[e], nxt[e]))
+        last = [i for i in range(n) if prev[i] >= 0]
+        centre = np.array(_meet(*normals[last], *offsets[last])[:2])
+        # near-active: within 1e-9 * scale of binding (a 2,048-gon's skeleton
+        # centre is 1.5e-10 off); one that does not bind must not lower rho
+        slack = offsets - normals @ centre
+        near = np.flatnonzero(slack <= slack.min() + 1e-9 * self.scale)
+        trio = [int(near[np.argmin(slack[near])])]
+        a = normals[trio[0]]
+        for sign in (1.0, -1.0):  # a turned by +-120 degrees
+            u = -0.5 * a + sign * math.sqrt(0.75) * np.array([-a[1], a[0]])
+            score = np.where(np.isin(near, trio), -2.0, normals[near] @ u)
+            trio.append(int(near[np.argmax(score)]))
+        polished = np.array(_meet(*normals[trio], *offsets[trio])[:2])
+        if (offsets - normals @ polished).min() >= slack.min():
+            centre = polished
+        for (ax, ay), (cx, cy) in itertools.combinations(normals[trio], 2):
+            if ax * cx + ay * cy < 0.0 and abs(ax * cy - ay * cx) <= 4.0 * np.finfo(float).eps:
+                d = np.array([-ay, ax])
+                gap = offsets - normals @ centre
+                along = normals @ d
+                fwd, back = along > 1e-12, along < -1e-12
+                lo, hi = ((gap - gap.min())[m] / along[m] for m in (back, fwd))
+                centre += 0.5 * (lo.max() + hi.min()) * d
+        return float((offsets - normals @ centre).min()), (float(centre[0]), float(centre[1]))
 
     @cached_property
     def min_enclosing_circle(self) -> Circle:
@@ -133,6 +168,17 @@ class ExclusionRegion:
     boundary: np.ndarray  # (RAY_COUNT, 2), CCW
     seed: tuple[float, float]
     binding: tuple[str, ...] = field(repr=False, default=())
+
+
+def _meet(na, nb, nc, ba, bb, bc):
+    """(x, y, t) where the lines n.p = b - t of three edges meet: one (x, y)
+    normal and one offset per edge, or (2, m) normals and (m,) offsets.
+    Never singular: three distinct unit normals are never collinear."""
+    ux, uy, vx, vy = nb[0] - na[0], nb[1] - na[1], nc[0] - na[0], nc[1] - na[1]
+    det = ux * vy - uy * vx
+    x = ((bb - ba) * vy - uy * (bc - ba)) / det
+    y = (ux * (bc - ba) - (bb - ba) * vx) / det
+    return x, y, ba - na[0] * x - na[1] * y
 
 
 def _shoelace(pts: np.ndarray) -> float:
@@ -249,45 +295,22 @@ def _in_circle(c, p, scale) -> bool:
 
 
 def _welzl(pts: list[tuple[float, float]], scale: float) -> Circle:
+    """Three-loop move-to-front Welzl: a point outside the circle so far
+    lies on the circle of the points before it."""
     shuffled = list(pts)
     random.Random(1729).shuffle(shuffled)
-
-    c = None
+    c = (*shuffled[0], 0.0)
     for i, p in enumerate(shuffled):
-        if c is not None and _in_circle(c, p, scale):
+        if _in_circle(c, p, scale):
             continue
         c = (p[0], p[1], 0.0)
-        for j, q in enumerate(shuffled[: i + 1]):
+        for j, q in enumerate(shuffled[:i]):
             if _in_circle(c, q, scale):
                 continue
-            if c[2] == 0.0:
-                c = _circle_from_two(p, q)
-                continue
-            c2 = _circle_from_two(p, q)
-            left = None
-            right = None
-            px, py = p
-            qx, qy = q
-            for s in shuffled[: j + 1]:
-                if _in_circle(c2, s, scale):
-                    continue
-                cross = (qx - px) * (s[1] - py) - (qy - py) * (s[0] - px)
-                cand = _circle_from_three(p, q, s)
-                if cand is None:
-                    continue
-                cand_cross = (qx - px) * (cand[1] - py) - (qy - py) * (cand[0] - px)
-                if cross > 0.0 and (left is None or cand_cross > (qx - px) * (left[1] - py) - (qy - py) * (left[0] - px)):
-                    left = cand
-                elif cross < 0.0 and (right is None or cand_cross < (qx - px) * (right[1] - py) - (qy - py) * (right[0] - px)):
-                    right = cand
-            if left is None and right is None:
-                c = c2
-            elif left is None:
-                c = right
-            elif right is None:
-                c = left
-            else:
-                c = left if left[2] <= right[2] else right
+            c = _circle_from_two(p, q)
+            for r in shuffled[:j]:
+                if not _in_circle(c, r, scale):
+                    c = _circle_from_three(p, q, r) or c
     return Circle((c[0], c[1]), c[2])
 
 

@@ -30,7 +30,7 @@ from .geometry import exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 9
+REPORT_SCHEMA = 10
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -216,8 +216,8 @@ def run_verify(
         return poly, poly.diameter
 
     poly, (d, endpoints) = stages.run("realize", realize_domain)
-    if h is None:
-        h = d / 50.0
+    if h is None:  # an interior lattice point lies within rho/2 of the Chebyshev centre
+        h = min(d / 50.0, math.sqrt(3.0) / 2.0 * poly.inradius[0])
 
     mesh = stages.run("mesh", lambda: generate(poly, h))
     for _ in range(max(0, refinements)):

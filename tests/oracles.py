@@ -88,6 +88,19 @@ def brute_force_mec(vertices: np.ndarray) -> tuple[float, float, float]:
     return best
 
 
+def chebyshev_lp(poly) -> tuple[float, np.ndarray]:
+    """Inradius and one Chebyshev centre by the LP: maximize rho subject to
+    n_i.c + rho <= offset_i for every edge (HiGHS)."""
+    from scipy.optimize import linprog
+
+    normals, offsets = poly.edge_normals
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([normals, np.ones(len(normals))]),
+                  b_ub=offsets, bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    assert res.success, res.message
+    return float(res.x[2]), res.x[:2]
+
+
 # --- per-vertex reference loops for the vectorized mesh analysis -------------
 
 def _vertex_links(mesh) -> list:

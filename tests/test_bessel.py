@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from hotspots import bessel
-from hotspots.errors import NonFiniteInput
+from hotspots.errors import InternalInvariantViolation, NonFiniteInput
 
 from .oracles import j0_series_exact, j1_series_exact
 
 # Frozen expected values, computed by the exact-rational series oracle
 # (tests/oracles.py) and cross-checked against the 2.4048 / 3.8317 / 0.7967
-# published roundings.  The zeros and C_EXCL are the bits of report schema 4.
+# published roundings.  The zeros and C_EXCL are the bits of report schema 4;
+# JP11 is 2 ulps above the pinned j'_{1,1}.
 J0_AT_2 = 0.2238907791412357
 J1_AT_2 = 0.5767248077568734
 J0_ZERO = 2.404825557695773
@@ -131,11 +133,43 @@ class TestFindConstants:
         assert c.c_excl == pytest.approx(0.7967, abs=1e-4)  # published rounding
 
     def test_bits_of_schema_4(self):
-        # Brent on j0_eval/j1_eval; jn_zeros would put c_excl 1 ulp off and
-        # move every exclusion threshold and region.json
+        # the pinned literals; jn_zeros would put c_excl 1 ulp off and move
+        # every exclusion threshold and region.json
         c = bessel.find_constants()
         assert (c.j0, c.j1, c.c_excl) == (J0_ZERO, J1_ZERO, C_EXCL)
+        assert c.jp11 == 1.8411837813406589  # 2 ulps below JP11: the Neumann shift's bits
         assert abs(c.jp11 - JP11) <= 2.0 * np.spacing(JP11)
+
+    @pytest.mark.parametrize("name, fn", [
+        ("j0", bessel.j0_eval),
+        ("j1", bessel.j1_eval),
+        ("jp11", lambda x: bessel.j0_eval(x) - bessel.j1_eval(x) / x),
+    ])
+    def test_zeros_sit_at_sign_changes(self, name, fn):
+        z = getattr(bessel.find_constants(), name)
+        vals = [fn(z + k * np.spacing(z)) for k in range(-2, 3)]
+        assert any(u * v <= 0.0 for u, v in zip(vals, vals[1:])), vals
+
+    def test_zeros_equal_brent_on_the_old_brackets(self):
+        from scipy.optimize import brentq
+
+        def zero(f, lo, hi):
+            return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+        c = bessel.find_constants()
+        assert c.j0 == zero(bessel.j0_eval, 2.0, 3.0)
+        assert c.j1 == zero(bessel.j1_eval, 3.0, 4.0)
+        assert c.jp11 == zero(lambda x: bessel.j0_eval(x) - bessel.j1_eval(x) / x, 1.0, 2.0)
+
+    def test_zero_off_its_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(bessel, "j1_eval", lambda x: special.j1(x) + 1e-9)
+        bessel.find_constants.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantViolation, match="3.8317059702075125"):
+                bessel.find_constants()
+        finally:
+            monkeypatch.undo()
+            bessel.find_constants.cache_clear()
 
     def test_cached(self):
         assert bessel.find_constants() is bessel.find_constants()

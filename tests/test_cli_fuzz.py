@@ -77,7 +77,7 @@ def report_docs(draw):
     """Report-shaped documents, often with fields missing or malformed."""
     if draw(st.booleans()):
         return draw(ANY_JSON)
-    doc = {"schema": draw(st.integers(1, 9) | st.integers(0, 10) | JUNK)}
+    doc = {"schema": draw(st.integers(1, 10) | st.integers(0, 11) | JUNK)}
     for name in draw(st.sets(st.sampled_from(sorted(REPORT_FIELDS)))):
         doc[name] = draw(REPORT_FIELDS[name] | REPORT_FIELDS[name] | ANY_JSON)
     return doc

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from hotspots import geometry as geo
 from hotspots.domains import DomainSpec, realize
 from hotspots.errors import DegenerateArea, NotConvex, TooFewVertices
+from hotspots.report import _sweep_domain_spec
 
 from .conftest import random_polygon
 from .oracles import (
     bisection_region,
     brute_force_diameter,
     brute_force_mec,
+    chebyshev_lp,
     contains,
     polyline_contains,
     region_member,
 )
+from .test_meshing import _SHORT_EDGE_DOMAINS
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -95,9 +98,49 @@ class TestInradius:
         assert rho == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-9)
 
     def test_rectangle_nonunique_center(self):
-        rho, center = geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]).inradius
-        assert rho == pytest.approx(0.5, abs=1e-9)
-        assert 0.5 - 1e-9 <= center[0] <= 1.5 + 1e-9  # any optimizer pick is fine
+        # every centre on the segment x in [0.5, 1.5] is optimal; the
+        # segment's midpoint is reported, whatever the vertex order
+        corners = [(0, 0), (2, 0), (2, 1), (0, 1)]
+        for order in (corners[s:] + corners[:s] for s in range(4)):
+            for verts in (order, [(2 - x, y) for x, y in order], [(x, 1 - y) for x, y in order]):
+                assert geo.validate(verts).inradius == (0.5, (1.0, 0.5))
+
+    def test_cut_just_outside_the_incircle(self):
+        # a fourth edge 1e-9 beyond the incircle is near-active but not
+        # binding, so rho stays the triangle's (HiGHS misses it by 1e-9)
+        tri = geo.validate([(0, 0), (1, 0), (0.3, 0.8)])
+        rho, center = tri.inradius
+        for degrees in range(0, 360, 5):
+            u = np.array([math.cos(math.radians(degrees)), math.sin(math.radians(degrees))])
+            depth = tri.vertices @ u - (u @ center + rho + 1e-9)
+            cut = []
+            for p, q, dp, dq in zip(tri.vertices, np.roll(tri.vertices, -1, axis=0),
+                                    depth, np.roll(depth, -1)):
+                cut += [p] * bool(dp <= 0) + [p + dp / (dp - dq) * (q - p)] * bool(dp * dq < 0)
+            assert abs(geo.validate(cut).inradius[0] - rho) <= 2e-15 * rho, degrees
+
+    def test_matches_lp(self):
+        """The skeleton against HiGHS on short-edge sweep domains, regular
+        3- to 12-gons, 64- to 2048-gon disks, random triangles, thin
+        rectangles and the 20:1 ellipse: rho within 2e-15 relative, and the
+        circle inside every edge."""
+        rng = np.random.default_rng(11)
+        polys = [realize(_sweep_domain_spec(s, i)) for s, i in _SHORT_EDGE_DOMAINS]
+        polys += [realize(DomainSpec(kind="regular_polygon", k=k, circumradius=1.0))
+                  for k in range(3, 13)]
+        polys += [realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=n))
+                  for n in (64, 128, 256, 512, 1024, 2048)]
+        polys += [geo.validate([(0, 0), (1, 0), (x, y)])
+                  for x, y in zip(rng.uniform(-2, 3, 200), rng.uniform(0.02, 2, 200))]
+        polys += [realize(DomainSpec(kind="rectangle", length=a, width=b))
+                  for a, b in ((2, 1), (8, 1), (2, 0.05), (1000, 0.001))]
+        polys.append(realize(DomainSpec(kind="ellipse", a=20.0, b=1.0, polygonization_n=256)))
+        for poly in polys:
+            rho, center = poly.inradius
+            rho_lp, _ = chebyshev_lp(poly)
+            normals, offsets = poly.edge_normals
+            assert abs(rho - rho_lp) <= 2e-15 * rho_lp
+            assert np.min(offsets - normals @ np.array(center)) == rho
 
 
 class TestFarthestBoundaryDistance:
@@ -157,6 +200,19 @@ class TestMinEnclosingCircle:
         c = poly.min_enclosing_circle
         _, _, r_oracle = brute_force_mec(poly.vertices)
         assert c.radius == pytest.approx(r_oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda k=k: realize(DomainSpec(kind="regular_polygon", k=k, circumradius=1.0))
+          for k in range(3, 13)),
+        *(lambda s=s, i=i: realize(_sweep_domain_spec(s, i)) for s, i in ((1, 0), (4, 2), (6, 5))),
+        lambda: geo.validate([(0, 0), (1, 0), (0.3, 0.8)]),
+    ])
+    def test_center_matches_brute_force(self, make):
+        poly = make()
+        c = poly.min_enclosing_circle
+        cx, cy, r = brute_force_mec(poly.vertices)
+        assert math.dist(c.center, (cx, cy)) <= 1e-12 * poly.scale
+        assert abs(c.radius - r) <= 1e-12 * poly.scale
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -1,6 +1,11 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 9
+        assert doc["schema"] == 10
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -247,16 +252,46 @@ class TestCliExitCodes:
         assert "stage 'mesh'" in err and "InvalidH" in err and "h = 0.02" in err
 
     def test_hair_thin_domain_refused_by_name(self, tmp_path, capsys):
-        # the default h of a 1000 x 0.001 rectangle is 40,000 inradii; split
-        # rounds would double its boundary samples for minutes
+        # at h = diam/50 a 1000 x 0.001 rectangle is 40,000 inradii, where
+        # split rounds would double its boundary samples for minutes; at the
+        # default h of 0.866 inradius its lattice is over the mesh-size cap
         spec = tmp_path / "thin.json"
         spec.write_text(json.dumps({"schema": 1, "kind": "rectangle", "length": 1000.0,
                                     "width": 0.001}))
-        start = time.perf_counter()
-        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
-        assert code == 2 and time.perf_counter() - start < 5.0
-        err = capsys.readouterr().err
-        assert "stage 'mesh'" in err and "InvalidH" in err and "inradius" in err
+        for h, named in ((["--h", "20"], "inradius"), ([], "lattice points")):
+            start = time.perf_counter()
+            code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out"), *h])
+            assert code == 2 and time.perf_counter() - start < 5.0
+            err = capsys.readouterr().err
+            assert "stage 'mesh'" in err and "InvalidH" in err and named in err
+
+    @pytest.mark.parametrize("length, width", [(2.0, 0.05), (1.0, 0.01)])
+    def test_thin_rectangle_passes_at_default_h(self, tmp_path, length, width):
+        # at h = diam/50 neither had an interior vertex (NoInteriorVertices)
+        spec = tmp_path / "thin.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "rectangle", "length": length,
+                                    "width": width}))
+        assert cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["mesh"]["h_target"] == pytest.approx(math.sqrt(3.0) / 4.0 * width, rel=1e-15)
+
+
+def test_run_path_imports_no_scipy_optimize(tmp_path, disk_spec_path):
+    """A verify and a one-domain sweep load no scipy.optimize module.  In a
+    fresh interpreter: this test session imports it."""
+    script = "\n".join([
+        "import sys",
+        "from hotspots import cli, report",
+        f"assert cli.main(['verify', '--spec', {str(disk_spec_path)!r}, '--h', '0.25', "
+        f"'--svg', '--out', {str(tmp_path / 'verify')!r}]) == 0",
+        f"report.run_sweep(1, seed=1, h_rel=0.1, out_dir={str(tmp_path / 'sweep')!r})",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+    ])
+    src = Path(report.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "HSV_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv, env, named", [
