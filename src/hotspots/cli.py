@@ -151,9 +151,14 @@ def _cmd_render(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ParseError(f"report {args.report}: not a JSON object")
+    schema = doc.get("schema")
+    # True and 1.0 are in range(1, 2), but are not schema 1
+    if isinstance(schema, bool) or not isinstance(schema, int):
+        raise ParseError(f"report {args.report}: field 'schema': expected an integer, "
+                         f"got {schema!r}")
     # No schema bump so far changed a field that rendering reads.
-    if doc.get("schema") not in range(1, REPORT_SCHEMA + 1):
-        raise SchemaVersionMismatch(f"unsupported report schema {doc.get('schema')!r}")
+    if schema not in range(1, REPORT_SCHEMA + 1):
+        raise SchemaVersionMismatch(f"unsupported report schema {schema!r}")
     try:
         write_report_svg(doc, args.out, show_nodal=args.show_nodal)
     except KeyError as exc:

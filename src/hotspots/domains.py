@@ -26,6 +26,10 @@ _INT_FIELDS = ("k", "seed", "n", "polygonization_n")
 # The vertex-count field of a kind and its least value.
 _VERTEX_COUNTS = {"disk": ("polygonization_n", 32), "ellipse": ("polygonization_n", 32),
                   "regular_polygon": ("k", 3), "random_convex": ("n", 3)}
+# Kinds sampled at n uniform angles as (a cos t, b sin t): the fields of a, b and n.
+_SAMPLED = {"disk": ("radius", "radius", "polygonization_n"),
+            "ellipse": ("a", "b", "polygonization_n"),
+            "regular_polygon": ("circumradius", "circumradius", "k")}
 
 
 class SplitMix64:
@@ -145,29 +149,15 @@ def realize(spec: DomainSpec) -> ConvexPolygon:
     """Build the polygon a spec describes.  Deterministic, including
     random_convex (fixed splitmix64 stream)."""
     spec = _check_spec(spec)
-    if spec.kind == "disk":
-        n = spec.polygonization_n
+    if spec.kind in _SAMPLED:
+        a, b, n = (getattr(spec, name) for name in _SAMPLED[spec.kind])
         pts = [
-            (spec.radius * math.cos(2.0 * math.pi * i / n),
-             spec.radius * math.sin(2.0 * math.pi * i / n))
-            for i in range(n)
-        ]
-    elif spec.kind == "ellipse":
-        n = spec.polygonization_n
-        pts = [
-            (spec.a * math.cos(2.0 * math.pi * i / n),
-             spec.b * math.sin(2.0 * math.pi * i / n))
+            (a * math.cos(2.0 * math.pi * i / n), b * math.sin(2.0 * math.pi * i / n))
             for i in range(n)
         ]
     elif spec.kind == "rectangle":
         length, width = spec.length, spec.width
         pts = [(0.0, 0.0), (length, 0.0), (length, width), (0.0, width)]
-    elif spec.kind == "regular_polygon":
-        pts = [
-            (spec.circumradius * math.cos(2.0 * math.pi * i / spec.k),
-             spec.circumradius * math.sin(2.0 * math.pi * i / spec.k))
-            for i in range(spec.k)
-        ]
     elif spec.kind == "random_convex":
         rng = SplitMix64(spec.seed)
         big_r = spec.diameter / 2.0
@@ -205,10 +195,11 @@ def load_spec(path) -> DomainSpec:
             raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"expected schema {SCHEMA_VERSION}, got {doc.get('schema')!r}"
-        )
+    schema = doc.get("schema")
+    if not _is_int(schema):  # True and 1.0 compare equal to 1
+        raise ParseError(f"field 'schema': expected an integer, got {schema!r}")
+    if schema != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"expected schema {SCHEMA_VERSION}, got {schema!r}")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"field 'kind': unknown value {kind!r}")
@@ -228,7 +219,7 @@ def load_spec(path) -> DomainSpec:
                 raise ParseError("field 'vertices': expected [[x, y], ...]")
             val = tuple((float(x), float(y)) for x, y in val)
         elif name in _INT_FIELDS:
-            if isinstance(val, bool) or not isinstance(val, int):
+            if not _is_int(val):
                 raise ParseError(f"field '{name}': expected an integer, got {val!r}")
         elif not _is_number(val):
             raise ParseError(f"field '{name}': expected a number, got {val!r}")
@@ -236,7 +227,11 @@ def load_spec(path) -> DomainSpec:
     return _check_spec(DomainSpec(kind=kind, **kwargs))
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _is_number(val) -> bool:
-    if isinstance(val, int) and not isinstance(val, bool):
+    if _is_int(val):
         return abs(val) <= sys.float_info.max  # a larger int has no float value
     return isinstance(val, float)

@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bessel import find_constants
 from .errors import ConvergenceFailure, NoInteriorVertices, ZeroVector
-from .meshing import TriMesh
+from .meshing import TriMesh, element_edges
 
 SIGMA_SHIFT_REL = 1e-3  # Neumann shift, relative to the Szego-Weinberger bound on mu2
 CONSTANT_MODE_ULPS = 4  # |K 1| may reach CONSTANT_MODE_ULPS * n * eps * max|K_ij|
@@ -64,22 +64,13 @@ class Spectrum:
     eigenvectors: np.ndarray  # (n, k)
     residuals: np.ndarray     # (k,) ||K v - mu M v|| / (mu ||M v||); Neumann mu_1 = 0
                               # reports ||K 1||_inf / max|K_ij| instead
-    boundary_condition: str   # 'neumann' | 'dirichlet'
     stats: SolveStats
-
-
-def _edges_and_areas(mesh: TriMesh):
-    """Per triangle, the CCW edge vectors e[i] opposite local vertex i and the area."""
-    p = mesh.vertices[mesh.triangles]
-    e = (p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0])
-    area = 0.5 * (e[2][:, 0] * (-e[1][:, 1]) - e[2][:, 1] * (-e[1][:, 0]))
-    return e, area
 
 
 def _scatter(mesh: TriMesh, entry) -> sp.csr_matrix:
     """Sum entry(e, area, i, j), the (m,) element values at local vertices
     (i, j), into an n x n matrix by a COO->CSR reduction."""
-    e, area = _edges_and_areas(mesh)
+    e, area = element_edges(mesh.vertices, mesh.triangles)
     ij = [(i, j) for i in range(3) for j in range(3)]
     rows = np.concatenate([mesh.triangles[:, i] for i, _ in ij])
     cols = np.concatenate([mesh.triangles[:, j] for _, j in ij])
@@ -99,7 +90,7 @@ def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
 
 def gradients(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
     """(m, 2, c) P1 gradients of the (n, c) values' columns: grad phi_i = rot90(e[i]) / 2A."""
-    e, area = _edges_and_areas(mesh)
+    e, area = element_edges(mesh.vertices, mesh.triangles)
     g = sum(e[i][:, :, None] * values[mesh.triangles[:, i], None, :] for i in range(3))
     return np.stack([-g[:, 1], g[:, 0]], axis=1) / (2.0 * area)[:, None, None]
 
@@ -143,15 +134,16 @@ def neumann_shift(m_mat) -> float:
 
 
 class SpdInverse(spla.LinearOperator):
-    """x = A^-1 b for a sparse symmetric positive definite A, counting solves.
+    """The factor of a sparse symmetric positive definite A, counting solves.
 
     A is ordered by reverse Cuthill-McKee and its upper triangle scattered
     from the COO entries, through the inverse permutation, into a Fortran
     (kd+1, n) band that LAPACK factors in place, P A P' = U'U with P the RCM
-    permutation; a solve is the two triangular half-solves with U' and U.
-    When that band would hold more than BAND_MAX_ENTRIES entries, SuperLU
-    factors A instead.  A factor that fails, or has a pivot within rounding
-    (n * eps) of zero, raises ConvergenceFailure naming the problem.
+    permutation; that factor is used through `whitened`, `whiten` and
+    `unwhiten`.  When the band would hold more than BAND_MAX_ENTRIES
+    entries, SuperLU factors A instead, and the operator is x = A^-1 b.  A
+    factor that fails, or has a pivot within rounding (n * eps) of zero,
+    raises ConvergenceFailure naming the problem.
     """
 
     def __init__(self, mat, problem: str):
@@ -191,13 +183,9 @@ class SpdInverse(spla.LinearOperator):
             )
 
     def _matvec(self, b):
+        """A^-1 b, SuperLU path only: the banded path is used whitened."""
         self.solves += 1
-        b = np.ravel(b)
-        if self.path == "superlu":
-            return self._lu.solve(b)
-        x = np.empty(len(b))
-        x[self._perm] = self._half(self._half(b[self._perm], "T"), "N")
-        return x
+        return self._lu.solve(np.ravel(b))
 
     # In whitened coordinates y = U P v the pencil M v = theta A v is the
     # standard symmetric problem C y = theta y, C = U^-T (P M P') U^-1, whose
@@ -294,7 +282,7 @@ def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
     res = np.concatenate([[constant], _residuals(k_mat, m_mat, vals[1:], vecs[:, 1:])])
     if np.any(res[1:] > RESIDUAL_GATE):
         raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
-    return Spectrum(vals, vecs, res, "neumann", stats)
+    return Spectrum(vals, vecs, res, stats)
 
 
 def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int) -> Spectrum:
@@ -320,4 +308,4 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int) -> Spectrum:
         raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
     vecs = np.zeros((mesh.vertex_count, k_eff))
     vecs[idx] = vecs_red
-    return Spectrum(vals, vecs, res, "dirichlet", stats)
+    return Spectrum(vals, vecs, res, stats)

@@ -51,16 +51,16 @@ MAX_H_INRADII = 64.0
 class TriMesh:
     """Conforming triangulation of a convex polygon.
 
-    ``boundary_edges`` lists vertex index pairs forming one closed CCW loop;
-    ``boundary_normals`` are the outward unit normals.
+    Stored is what the mesher decides: ``boundary_edges`` lists vertex index
+    pairs forming one closed CCW loop, ``boundary_normals`` their outward
+    unit normals (`refine` repeats a parent edge's normal on both halves).
+    Element geometry, ``h_max`` and the interior mask are derived.
     """
 
     vertices: np.ndarray            # (n, 2)
     triangles: np.ndarray           # (m, 3) int, CCW
     boundary_edges: np.ndarray      # (b, 2) int, ordered CCW loop
     boundary_normals: np.ndarray    # (b, 2)
-    h_max: float
-    interior_mask: np.ndarray       # (n,) bool
 
     @property
     def vertex_count(self) -> int:
@@ -77,6 +77,25 @@ class TriMesh:
         pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
         keys = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1])
         return np.column_stack(np.divmod(keys, self.vertex_count))
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """(m, 3) length of the edge opposite each triangle's local vertex i.
+        Not cached: it is cheap, and an (m, 3) array would stay resident."""
+        e, _ = element_edges(self.vertices, self.triangles)
+        return np.hypot(*np.stack(e).T)
+
+    @cached_property
+    def h_max(self) -> float:
+        """The longest edge."""
+        return float(self.lengths.max())
+
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        """(n,) True for vertices off the boundary loop."""
+        interior = np.ones(self.vertex_count, dtype=bool)
+        interior[self.boundary_edges] = False
+        return interior
 
     @cached_property
     def boundary_clearance(self) -> np.ndarray:
@@ -122,23 +141,13 @@ def _half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarr
     return out
 
 
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-
-
-def _edge_lengths(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return np.column_stack([
-        np.hypot(*(b - a).T),
-        np.hypot(*(c - b).T),
-        np.hypot(*(a - c).T),
-    ])
+def element_edges(vertices: np.ndarray, triangles: np.ndarray):
+    """Per triangle (a, b, c), the edge vectors e[i] opposite local vertex i,
+    e = (c - b, a - c, b - a), and the signed area, positive when CCW."""
+    p = np.take(vertices, triangles, axis=0)  # several times faster than vertices[triangles]
+    e = (p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0])
+    area = 0.5 * (e[2][:, 0] * (-e[1][:, 1]) - e[2][:, 1] * (-e[1][:, 0]))
+    return e, area
 
 
 def _min_angles_deg(lengths: np.ndarray) -> np.ndarray:
@@ -285,8 +294,8 @@ def _neighbours(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[np.nda
             np.concatenate([nbr[order], (lattice_nbrs + n_b).ravel()]))
 
 
-def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[TriMesh, np.ndarray]:
-    """The Delaunay mesh of the points and its (m, 3) edge lengths.
+def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
+    """The Delaunay mesh of the points.
 
     Triangles are canonical: vertex ids sorted, then oriented CCW, then the
     rows lexsorted.  Qhull's triangles count when they touch a strip point;
@@ -297,19 +306,15 @@ def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[TriMesh,
         raise QualityFailure(f"{len(tri.coplanar)} input points omitted by Qhull")
     t = ids[tri.simplices]
     t = np.sort(t[strip[t].any(axis=1)], axis=1)
-    areas = _signed_areas(points, t)
+    e, areas = element_edges(points, t)
     flip = areas < 0.0
     t[flip, 1], t[flip, 2] = t[flip, 2], t[flip, 1]
-    lengths = _edge_lengths(points, t)
     # Exactly-collinear boundary chains make Qhull emit measure-zero slivers;
     # drop anything area-degenerate relative to its longest edge.
-    longest = lengths.max(axis=1)
+    longest = np.hypot(*np.stack(e).T).max(axis=1)
     fine = np.abs(areas) > 1e-9 * longest * longest
-    deep = lattice.triangles() + n_b
-    triangles = np.vstack([t[fine], deep])
-    lengths = np.vstack([lengths[fine], _edge_lengths(points, deep)])
-    order = np.lexsort(triangles.T[::-1])
-    triangles, lengths = triangles[order].astype(np.int32), lengths[order]
+    triangles = np.vstack([t[fine], lattice.triangles() + n_b])
+    triangles = triangles[np.lexsort(triangles.T[::-1])].astype(np.int32)
     used = np.zeros(len(points), dtype=bool)
     used[triangles.ravel()] = True
     if not used.all():
@@ -319,18 +324,12 @@ def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[TriMesh,
     loop = np.column_stack([
         np.arange(n_b), (np.arange(n_b) + 1) % n_b
     ])
-    normals = _outward_normals(points, loop)
-    interior = np.ones(len(points), dtype=bool)
-    interior[:n_b] = False
-    mesh = TriMesh(
+    return TriMesh(
         vertices=points,
         triangles=triangles,
         boundary_edges=loop,
-        boundary_normals=normals,
-        h_max=float(lengths.max()),
-        interior_mask=interior,
+        boundary_normals=_outward_normals(points, loop),
     )
-    return mesh, lengths
 
 
 def _smooth(points: np.ndarray, movable: np.ndarray, passes: int,
@@ -393,14 +392,14 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     points = np.vstack([boundary_pts, interior_pts])
     movable = np.arange(len(points)) >= n_b
     points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
-    mesh, lengths = _assemble(points, n_b, lattice)
+    mesh = _assemble(points, n_b, lattice)
 
     # Ruppert-style split rounds (Ruppert, J. Algorithms 18, 1995), without
     # smoothing, which would undo the grading.  Worst triangles go first; a
     # circumcenter already chosen inside a triangle's circumcircle destroys
     # that triangle, so its own circumcenter waits for the next round.
     for split_round in itertools.count():
-        angles = _min_angles_deg(lengths)
+        angles = _min_angles_deg(mesh.lengths)
         if angles.min() >= target:
             return mesh
         if split_round == SPLIT_ROUNDS:
@@ -432,7 +431,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         points = np.vstack([bnd, points[n_b:], inserted])
         n_b = len(bnd)
         lattice.demote(points[n_b:n_b + m], inserted, h)
-        mesh, lengths = _assemble(points, n_b, lattice)
+        mesh = _assemble(points, n_b, lattice)
 
 
 def _independent(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -456,16 +455,12 @@ def _sharpest_corner_deg(verts: np.ndarray) -> float:
 
 
 def _circumcenters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    d = 2.0 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-               - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    b2 = np.einsum("ij,ij->i", b - a, b - a)
-    c2 = np.einsum("ij,ij->i", c - a, c - a)
-    ux = (c[:, 1] - a[:, 1]) * b2 - (b[:, 1] - a[:, 1]) * c2
-    uy = (b[:, 0] - a[:, 0]) * c2 - (c[:, 0] - a[:, 0]) * b2
-    return a + np.column_stack([ux, uy]) / d[:, None]
+    e, area = element_edges(vertices, triangles)
+    ab, ac = e[2], -e[1]
+    b2 = np.einsum("ij,ij->i", ab, ab)
+    c2 = np.einsum("ij,ij->i", ac, ac)
+    u = np.column_stack([ac[:, 1] * b2 - ab[:, 1] * c2, ab[:, 0] * c2 - ac[:, 0] * b2])
+    return vertices[triangles[:, 0]] + u / (4.0 * area)[:, None]
 
 
 def refine(mesh: TriMesh) -> TriMesh:
@@ -497,29 +492,18 @@ def refine(mesh: TriMesh) -> TriMesh:
     bm = mid(ba, bb)
     loops = np.column_stack([ba, bm, bm, bb]).reshape(-1, 2)
 
-    interior = np.ones(len(new_verts), dtype=bool)
-    interior[:n0] = mesh.interior_mask
-    interior[loops.ravel()] = False
-
     return TriMesh(
         vertices=new_verts,
         triangles=new_tris,
         boundary_edges=loops,
         boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
-        h_max=float(_edge_lengths(new_verts, new_tris).max()),
-        interior_mask=interior,
     )
 
 
 def quality(mesh: TriMesh) -> MeshQuality:
-    ls = _edge_lengths(mesh.vertices, mesh.triangles)
-    return MeshQuality(
-        min_angle=float(_min_angles_deg(ls).min()),
-        h_min=float(ls.min()),
-        h_max=float(ls.max()),
-        vertex_count=mesh.vertex_count,
-        triangle_count=mesh.triangle_count,
-    )
+    ls = mesh.lengths
+    return MeshQuality(float(_min_angles_deg(ls).min()), float(ls.min()), mesh.h_max,
+                       mesh.vertex_count, mesh.triangle_count)
 
 
 def dump_mesh(mesh: TriMesh, path) -> None:

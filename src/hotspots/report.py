@@ -164,10 +164,7 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
 
     defects = []
     for comp in np.nonzero(nd.component_signs > 0)[0]:
-        try:
-            rd = ana.rayleigh_defect(mesh, k_mat, m_mat, fld, nd, int(comp), flux)
-        except ana.NotPositiveComponent:
-            continue
+        rd = ana.rayleigh_defect(mesh, k_mat, m_mat, fld, nd, int(comp), flux)
         defects.append({"component": int(comp), **asdict(rd)})
         if len(defects) >= 2:
             break

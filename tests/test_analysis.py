@@ -444,15 +444,11 @@ def circumscribed_fan_mesh(n=64):
     verts = np.vstack([[0.0, 0.0], ring])
     tris = np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
     loop = np.array([[1 + i, 1 + (i + 1) % n] for i in range(n)])
-    interior = np.zeros(n + 1, dtype=bool)
-    interior[0] = True
     return msh.TriMesh(
         vertices=verts,
         triangles=tris,
         boundary_edges=loop,
         boundary_normals=msh._outward_normals(verts, loop),
-        h_max=float(msh._edge_lengths(verts, tris).max()),
-        interior_mask=interior,
     )
 
 

@@ -21,6 +21,8 @@ from hotspots.domains import KINDS
 JUNK = (st.none() | st.booleans() | st.text(max_size=3)
         | st.sampled_from([0, -1, 0.0, -0.5, 1e300, -1e300, 10**30, 5_000_000])
         | st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+# equal to a valid schema number, but not an integer
+NON_INT_SCHEMA = st.sampled_from([True, 1.0, 10.0])
 SIZE = st.floats(0.5, 2.0)
 POINT = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
 VALID = {
@@ -60,8 +62,14 @@ def mutated_specs(draw):
     return doc
 
 
+@st.composite
+def non_int_schema_specs(draw):
+    """A valid spec whose schema is True, 1.0 or 10.0."""
+    return {**draw(valid_specs()), "schema": draw(NON_INT_SCHEMA)}
+
+
 # valid specs first: hypothesis leans toward the first branch
-SPEC_DOCS = valid_specs() | valid_specs() | mutated_specs() | ANY_JSON
+SPEC_DOCS = valid_specs() | valid_specs() | mutated_specs() | non_int_schema_specs() | ANY_JSON
 
 
 REPORT_FIELDS = {
@@ -77,7 +85,7 @@ def report_docs(draw):
     """Report-shaped documents, often with fields missing or malformed."""
     if draw(st.booleans()):
         return draw(ANY_JSON)
-    doc = {"schema": draw(st.integers(1, 10) | st.integers(0, 11) | JUNK)}
+    doc = {"schema": draw(st.integers(1, 10) | st.integers(0, 11) | NON_INT_SCHEMA | JUNK)}
     for name in draw(st.sets(st.sampled_from(sorted(REPORT_FIELDS)))):
         doc[name] = draw(REPORT_FIELDS[name] | REPORT_FIELDS[name] | ANY_JSON)
     return doc
@@ -127,6 +135,10 @@ def test_cli_exits_with_a_code_and_no_traceback(data):
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+        doc_path = Path(tmp) / ("report.json" if argv[0] == "render" else "spec.json")
+        doc = json.loads(doc_path.read_text()) if doc_path.exists() else None
+    if isinstance(doc, dict) and isinstance(doc.get("schema"), (bool, float)):
+        assert code == 1, (argv, doc, code)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv

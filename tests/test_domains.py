@@ -66,7 +66,7 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _SPEC_DOCS = st.sampled_from(domains.KINDS).flatmap(lambda kind: st.fixed_dictionaries(
-    {"schema": st.just(1), "kind": st.just(kind)},
+    {"schema": st.just(1) | st.sampled_from([True, 1.0]), "kind": st.just(kind)},
     optional={name: _NUMBER | _JSON | st.lists(st.lists(_NUMBER, min_size=2, max_size=2))
               for name in domains._KIND_FIELDS[kind]},
 ))
@@ -103,6 +103,16 @@ class TestPersistence:
         path.write_text('{"schema": 2, "kind": "disk", "radius": 1.0}')
         with pytest.raises(SchemaVersionMismatch):
             domains.load_spec(path)
+
+    @pytest.mark.parametrize("schema", ["true", "1.0", "null", '"1"'])
+    def test_schema_must_be_an_integer(self, tmp_path, capsys, schema):
+        # true and 1.0 compare equal to 1 but are not schema 1
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"schema": {schema}, "kind": "disk", "radius": 1.0}}')
+        with pytest.raises(ParseError, match="field 'schema': expected an integer"):
+            domains.load_spec(path)
+        assert cli.main(["verify", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "schema" in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -165,6 +175,7 @@ class TestPersistence:
             except (ParseError, SchemaVersionMismatch):
                 return
             assert isinstance(spec, domains.DomainSpec)
+            assert type(doc["schema"]) is int
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from hotspots import fem
@@ -22,8 +21,6 @@ def single_triangle_mesh(v0=(0, 0), v1=(1, 0), v2=(0, 1)):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         boundary_normals=msh._outward_normals(verts, np.array([[0, 1], [1, 2], [2, 0]])),
-        h_max=float(msh._edge_lengths(verts, np.array([[0, 1, 2]])).max()),
-        interior_mask=np.zeros(3, dtype=bool),
     )
 
 
@@ -82,7 +79,7 @@ class TestAssembly:
         np.testing.assert_allclose(grads[:, :, 0], np.tile([2.0, -3.0], (len(grads), 1)),
                                    rtol=0, atol=1e-11)
         assert np.abs(grads[:, :, 1]).max() <= 1e-11
-        area = msh._signed_areas(mesh.vertices, mesh.triangles)
+        _, area = msh.element_edges(mesh.vertices, mesh.triangles)
         energy = float(np.sum(area * np.einsum("md,md->m", grads[:, :, 2], grads[:, :, 2])))
         assert energy == pytest.approx(fields[:, 2] @ (square_solved.K @ fields[:, 2]), rel=1e-12)
 
@@ -238,11 +235,13 @@ class TestShiftInvert:
             inverse = fem.SpdInverse(mat, problem)
             assert inverse.path == "banded"
             assert (inverse.kd + 1) * mat.shape[0] <= fem.BAND_MAX_ENTRIES
+            # P A P' = U'U, so |U P b|^2 = b.(A b), and unwhitening undoes U P
             b = rng.standard_normal(mat.shape[0])
-            x = inverse @ b
-            ref = spla.spsolve(mat.tocsc(), b)
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-            assert inverse.solves == 1
+            y = inverse.whiten(b)
+            assert y @ y == pytest.approx(b @ (mat @ b), rel=1e-12)
+            back = inverse.unwhiten(y[:, None])[:, 0]
+            assert np.linalg.norm(back - b) <= 1e-10 * np.linalg.norm(b)
+            assert inverse.solves == 0
 
     def test_superlu_side_agrees_with_banded(self, square_solved, monkeypatch):
         monkeypatch.setattr(fem, "BAND_MAX_ENTRIES", 0)
@@ -315,10 +314,11 @@ class TestLanczos:
         a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
         triangles = np.concatenate([np.stack([a, b, c], -1),
                                     np.stack([a, c, d], -1)]).reshape(-1, 3)
-        mesh = msh.TriMesh(vertices=xy, triangles=triangles,
-                           boundary_edges=np.zeros((0, 2), dtype=int),
-                           boundary_normals=np.zeros((0, 2)), h_max=math.sqrt(2) / n,
-                           interior_mask=np.all((xy > 0) & (xy < 1), axis=1))
+        ring = np.concatenate([ids[:-1, 0], ids[-1, :-1], ids[:0:-1, -1], ids[0, :0:-1]])
+        loop = np.column_stack([ring, np.roll(ring, -1)])
+        mesh = msh.TriMesh(vertices=xy, triangles=triangles, boundary_edges=loop,
+                           boundary_normals=msh._outward_normals(xy, loop))
+        assert np.array_equal(mesh.interior_mask, np.all((xy > 0) & (xy < 1), axis=1))
         k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
         idx = np.nonzero(mesh.interior_mask)[0]
         dense = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),

@@ -48,7 +48,7 @@ def test_invalid_h():
 def test_exact_area_cover_coarse():
     poly = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
     mesh = msh.generate(poly, 0.3)
-    areas = msh._signed_areas(mesh.vertices, mesh.triangles)
+    _, areas = msh.element_edges(mesh.vertices, mesh.triangles)
     assert np.all(areas > 0.0)
     assert areas.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -94,6 +94,43 @@ def test_interior_mask(square_mesh):
     assert square_mesh.interior_mask.sum() + len(b) == square_mesh.vertex_count
 
 
+@pytest.mark.parametrize("make, h_rel", [
+    (lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.07),
+    (lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04),
+    (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.05),
+    *[(lambda i=i: realize(_sweep_domain_spec(1, i)), 0.04) for i in range(3)],
+], ids=["square", "rect21", "disk512", "sweep1-0", "sweep1-1", "sweep1-2"])
+def test_derived_facts_match_the_constructors(make, h_rel):
+    # generate lays the boundary samples down first, and refine keeps the
+    # parent's mask and marks the new loop's midpoints
+    poly = make()
+    coarse = msh.generate(poly, h_rel * poly.diameter[0])
+    n_b = len(coarse.boundary_edges)
+    assert np.array_equal(coarse.interior_mask, np.arange(coarse.vertex_count) >= n_b)
+    fine = msh.refine(coarse)
+    interior = np.ones(fine.vertex_count, dtype=bool)
+    interior[:coarse.vertex_count] = coarse.interior_mask
+    interior[fine.boundary_edges.ravel()] = False
+    assert np.array_equal(fine.interior_mask, interior)
+    for mesh in (coarse, fine):
+        a, b = mesh.vertices[mesh.edges.T]
+        assert mesh.h_max == mesh.lengths.max() == np.hypot(*(b - a).T).max()
+        t = mesh.triangles
+        for i in range(3):
+            tail, head = mesh.vertices[t[:, (i + 1) % 3]], mesh.vertices[t[:, (i + 2) % 3]]
+            assert np.array_equal(mesh.lengths[:, i], np.hypot(*(head - tail).T))
+
+
+def test_element_edges_area_is_the_cross_product(square_mesh):
+    e, area = msh.element_edges(square_mesh.vertices, square_mesh.triangles)
+    a, b, c = np.moveaxis(square_mesh.vertices[square_mesh.triangles], 1, 0)
+    assert np.array_equal(e[0], c - b) and np.array_equal(e[1], a - c)
+    assert np.array_equal(e[2], b - a)
+    cross = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    assert np.array_equal(area, cross) and np.all(area > 0.0)
+
+
 def test_determinism():
     poly = random_polygon(42, 24)
     m1 = msh.generate(poly, 0.07)
@@ -137,8 +174,8 @@ class TestRefine:
     def test_counts_and_area(self, square_mesh):
         fine = msh.refine(square_mesh)
         assert fine.triangle_count == 4 * square_mesh.triangle_count
-        a0 = msh._signed_areas(square_mesh.vertices, square_mesh.triangles).sum()
-        a1 = msh._signed_areas(fine.vertices, fine.triangles).sum()
+        a0 = msh.element_edges(square_mesh.vertices, square_mesh.triangles)[1].sum()
+        a1 = msh.element_edges(fine.vertices, fine.triangles)[1].sum()
         assert a1 == pytest.approx(a0, rel=1e-14)
 
     def test_h_max_halves(self, square_mesh):
@@ -171,8 +208,6 @@ def test_quality_known_triangles(square_mesh):
         boundary_normals=np.array([[0.0, -1.0],
                                    [1 / math.sqrt(2), 1 / math.sqrt(2)],
                                    [-1.0, 0.0]]),
-        h_max=math.sqrt(2.0),
-        interior_mask=np.array([False, False, False]),
     )
     assert msh.quality(right).min_angle == pytest.approx(45.0, abs=1e-12)
     eq = msh.TriMesh(
@@ -180,8 +215,6 @@ def test_quality_known_triangles(square_mesh):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         boundary_normals=np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]),
-        h_max=1.0,
-        interior_mask=np.array([False, False, False]),
     )
     assert msh.quality(eq).min_angle == pytest.approx(60.0, abs=1e-12)
 
@@ -248,7 +281,8 @@ class TestMinAngleTarget:
         assert np.hypot(*(np.roll(poly.vertices, -1, axis=0) - poly.vertices).T).min() < 0.13 * h
         mesh = msh.generate(poly, h)
         assert msh.quality(mesh).min_angle >= msh.MIN_ANGLE_DEG
-        assert msh._signed_areas(mesh.vertices, mesh.triangles).sum() == pytest.approx(poly.area, rel=1e-12)
+        _, area = msh.element_edges(mesh.vertices, mesh.triangles)
+        assert area.sum() == pytest.approx(poly.area, rel=1e-12)
         normals, offsets = poly.edge_normals
         loop = mesh.vertices[mesh.boundary_edges[:, 0]]
         assert np.abs(offsets[None, :] - loop @ normals.T).min(axis=1).max() <= 1e-12 * poly.scale
@@ -362,7 +396,8 @@ def _assert_full_qhull_mesh(mesh, poly):
     if not np.array_equal(mesh.triangles, want):
         _assert_differences_cocircular(mesh.vertices, mesh.triangles, want)
     assert mesh.triangle_count == 2 * mesh.vertex_count - len(mesh.boundary_edges) - 2
-    assert msh._signed_areas(mesh.vertices, mesh.triangles).sum() == pytest.approx(poly.area, rel=1e-12)
+    _, area = msh.element_edges(mesh.vertices, mesh.triangles)
+    assert area.sum() == pytest.approx(poly.area, rel=1e-12)
 
 
 _ORACLE_CASES = [

@@ -385,6 +385,12 @@ class TestRegionAndRender:
         assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA) == 0
         assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA + 1) == 1
 
+    @pytest.mark.parametrize("schema", [True, 1.0, float(report.REPORT_SCHEMA)])
+    def test_render_rejects_a_schema_that_is_not_an_integer(self, verified, tmp_path, capsys,
+                                                            schema):
+        assert self._render_as(verified, tmp_path, schema) == 1
+        assert "field 'schema': expected an integer" in capsys.readouterr().err
+
     def test_render_determinism(self, verified, tmp_path):
         rep, out = verified
         a = tmp_path / "a.svg"
