@@ -7,10 +7,12 @@ triangle's constant P1 gradient (``gradients``).  Eigenpairs of K v = mu M v com
 from Lanczos (ARPACK) on the inverse of the sigma-shifted matrix
 A = K + sigma*M (K_II for Dirichlet), which LAPACK's banded Cholesky factors
 in reverse Cuthill-McKee order (George & Liu, 1981), or SuperLU when that
-band would be too large.  On the banded path the Lanczos runs in standard
-mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so a step
-is two triangular half-solves and one M product; the SuperLU path runs
-shift-invert mode 3.  Every pair's relative residual must be within
+band would be too large.  The Dirichlet factor takes the Neumann order
+restricted to the interior vertices: deleting rows and columns from a band
+ordering cannot widen its band.  On the banded path the Lanczos runs in
+standard mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so
+a step is two triangular half-solves and one M product; the SuperLU path
+runs shift-invert mode 3.  Every pair's relative residual must be within
 RESIDUAL_GATE; ARPACK stops at 1e-4 of it, with a Krylov basis of 2k + 4
 vectors, and sees M times a power of 4 near 1/area, so that its Ritz values
 are of order one on a domain of any size.  The Neumann start is a fixed
@@ -65,6 +67,7 @@ class Spectrum:
     residuals: np.ndarray     # (k,) ||K v - mu M v|| / (mu ||M v||); Neumann mu_1 = 0
                               # reports ||K 1||_inf / max|K_ij| instead
     stats: SolveStats
+    order: np.ndarray | None = None  # Neumann: the RCM vertex order both factors take
 
 
 def _scatter(mesh: TriMesh, entry) -> sp.csr_matrix:
@@ -136,23 +139,22 @@ def neumann_shift(m_mat) -> float:
 class SpdInverse(spla.LinearOperator):
     """The factor of a sparse symmetric positive definite A, counting solves.
 
-    A is ordered by reverse Cuthill-McKee and its upper triangle scattered
-    from the COO entries, through the inverse permutation, into a Fortran
-    (kd+1, n) band that LAPACK factors in place, P A P' = U'U with P the RCM
-    permutation; that factor is used through `whitened`, `whiten` and
-    `unwhiten`.  When the band would hold more than BAND_MAX_ENTRIES
-    entries, SuperLU factors A instead, and the operator is x = A^-1 b.  A
-    factor that fails, or has a pivot within rounding (n * eps) of zero,
-    raises ConvergenceFailure naming the problem.
+    A is ordered by ``perm`` and its upper triangle scattered from the COO
+    entries, through the inverse permutation, into a Fortran (kd+1, n) band
+    that LAPACK factors in place, P A P' = U'U with P that permutation; that
+    factor is used through `whitened`, `whiten` and `unwhiten`.  When the band would hold
+    more than BAND_MAX_ENTRIES entries, SuperLU factors A instead, and the
+    operator is x = A^-1 b.  A factor that fails, or has a pivot within
+    rounding (n * eps) of zero, raises ConvergenceFailure naming the problem.
     """
 
-    def __init__(self, mat, problem: str):
+    def __init__(self, mat, problem: str, perm: np.ndarray):
         n = mat.shape[0]
         super().__init__(np.dtype(float), (n, n))
         self.solves = 0
-        self._perm = reverse_cuthill_mckee(mat.tocsr(), symmetric_mode=True)
+        self.perm = perm
         inv = np.empty(n, dtype=np.intp)
-        inv[self._perm] = np.arange(n)
+        inv[self.perm] = np.arange(n)
         coo = mat.tocoo()
         rows, cols = inv[coo.row], inv[coo.col]
         upper = rows <= cols
@@ -194,7 +196,7 @@ class SpdInverse(spla.LinearOperator):
     def whitened(self, m_mat, scale: float) -> spla.LinearOperator:
         """scale * C as an operator; each product is two half-solves and one
         M product, and counts as one solve."""
-        m_rcm = m_mat.tocsr()[self._perm][:, self._perm]
+        m_rcm = m_mat.tocsr()[self.perm][:, self.perm]
         m_rcm.data *= scale
 
         def matvec(y):
@@ -205,12 +207,12 @@ class SpdInverse(spla.LinearOperator):
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
         """y = U P v."""
-        return dtbmv(self.kd, self._factor, v[self._perm])
+        return dtbmv(self.kd, self._factor, v[self.perm])
 
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
         """v = P' U^-1 y for each column y."""
         v = np.empty_like(y)
-        v[self._perm] = np.column_stack([self._half(col, "N") for col in y.T])
+        v[self.perm] = np.column_stack([self._half(col, "N") for col in y.T])
         return v
 
     def _half(self, b: np.ndarray, trans: str) -> np.ndarray:
@@ -218,8 +220,10 @@ class SpdInverse(spla.LinearOperator):
         return dtbsv(self.kd, self._factor, b, trans=int(trans == "T"))
 
 
-def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem: str):
-    """Smallest k pairs of K v = mu M v, ascending, from Lanczos started at v0.
+def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem: str,
+                    order: np.ndarray):
+    """Smallest k pairs of K v = mu M v, ascending, from Lanczos started at v0
+    on the inverse of K + sigma M factored in ``order``.
 
     ARPACK stops at 1e-4 * RESIDUAL_GATE, inside the gate, with a Krylov
     basis of 2k + 4 vectors.  On the banded path it runs in standard mode on
@@ -231,7 +235,7 @@ def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem:
         vals, vecs = eigh(k_mat.toarray(), m_mat.toarray())
         return vals[:k], vecs[:, :k], SolveStats("dense", n, None, 0, k)
     shifted = k_mat + sigma * m_mat
-    inverse = SpdInverse(shifted, problem)
+    inverse = SpdInverse(shifted, problem, order)
     lanczos = {"k": k, "ncv": 2 * k + 4, "tol": 1e-4 * RESIDUAL_GATE, "maxiter": 500}
     # ARPACK's stopping test turns absolute for Ritz values below eps^(2/3).
     # M times a power of 4 near 1/area keeps them, c/(mu + sigma), of order
@@ -250,9 +254,9 @@ def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem:
         raise ConvergenceFailure(
             f"ARPACK: {len(exc.eigenvalues)} of {k} pairs converged in 500 iterations"
         ) from exc
-    order = np.argsort(vals)
+    rank = np.argsort(vals)
     stats = SolveStats(inverse.path, n, inverse.kd, inverse.solves, len(vals))
-    return vals[order] - sigma, vecs[:, order], stats
+    return vals[rank] - sigma, vecs[:, rank], stats
 
 
 def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
@@ -267,7 +271,9 @@ def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
         raise ValueError("need k >= 2 for the Neumann problem")
     n = k_mat.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(n)
-    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), v0, "Neumann")
+    order = reverse_cuthill_mckee(k_mat.tocsr(), symmetric_mode=True)
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), v0, "Neumann",
+                                        order)
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
@@ -282,12 +288,14 @@ def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
     res = np.concatenate([[constant], _residuals(k_mat, m_mat, vals[1:], vecs[:, 1:])])
     if np.any(res[1:] > RESIDUAL_GATE):
         raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
-    return Spectrum(vals, vecs, res, stats)
+    return Spectrum(vals, vecs, res, stats, order)
 
 
-def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int) -> Spectrum:
+def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, order: np.ndarray) -> Spectrum:
     """Smallest k Dirichlet pairs of the mesh's assembled K and M; boundary
     rows/columns eliminated, vectors reported with zeros on boundary vertices.
+    The factor takes the Neumann spectrum's vertex ``order`` restricted to
+    the interior vertices.
 
     The ground state has one sign, so Lanczos starts from the all-ones
     vector.  Sign-changing pairs orthogonal to it (on a symmetric mesh) are
@@ -300,8 +308,9 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int) -> Spectrum:
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()
     k_eff = min(k, len(idx))
+    block_order = (np.cumsum(interior) - 1)[order[interior[order]]]
     vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, np.ones(len(idx)),
-                                            "Dirichlet")
+                                            "Dirichlet", block_order)
     vecs_red = fix_signs(_m_orthonormalize(vecs_red, m_red))
     res = _residuals(k_red, m_red, vals, vecs_red)
     if np.any(res > RESIDUAL_GATE):

@@ -2,23 +2,21 @@
 
 Convexity is what keeps this simple: the Delaunay triangulation of boundary
 samples plus interior points tiles the polygon exactly, so no constrained
-triangulation is needed.  Interior points start on a hexagonal lattice with
-h/2 clearance from the boundary and are relaxed by barycentric smoothing
-(boundary samples never move).  Smoothing triangulates once and keeps those
-neighbour lists while the points move; the mesh is then the Delaunay
-triangulation of the final point set.  Where it misses the angle bound
-(polygon edges much shorter than h, thin domains), Ruppert-style split
-rounds insert circumcenters and split encroached boundary segments, without
-smoothing again, so the grading they make stays.
+triangulation is needed.  Interior points are a hexagonal lattice with h/2
+clearance from the boundary, triangulated as laid down, and fill points h/2
+inside the boundary where the lattice leaves a gap.  Where the mesh misses
+the angle bound (polygon edges much shorter than h, thin domains),
+Ruppert-style split rounds insert circumcenters and split encroached
+boundary segments.
 
-Both triangulations rest on Delaunay locality: a triangle belongs iff its
+The triangulation rests on Delaunay locality: a triangle belongs iff its
 circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
-Lattice points at least DEEP_DEPTH*h inside are deep: their neighbours, and
-the lattice triangles among them, which are Delaunay with a 60 degree margin
-that smoothing does not use up, follow from (row, col) arithmetic.  Qhull
-sees only the rest, the strip along the boundary, plus a HALO_DEPTH*h halo
-of deep points, and its triangles count where they touch the strip.
-Triangles come in one canonical order, so a mesh is a function of its points.
+Lattice points at least DEEP_DEPTH*h inside are deep: the lattice triangles
+among them are equilateral, so Delaunay with a 60 degree margin, and follow
+from (row, col) arithmetic.  Qhull sees only the rest, the strip along the
+boundary, plus a HALO_DEPTH*h halo of deep points, and its triangles count
+where they touch the strip.  Triangles come in one canonical order, so a
+mesh is a function of its points.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .errors import InvalidH, QualityFailure
 from .geometry import ConvexPolygon
 
 MIN_ANGLE_DEG = 20.0
-SMOOTHING_PASSES = 10
 SPLIT_ROUNDS = 20
 DEPTH_CHUNK = 65_536  # elements per depth chunk: its temporaries stay in cache
 MAX_MESH_SIZE = 4_000_000  # cap on the lattice points of generate, the triangles of refine
@@ -168,11 +165,11 @@ class _Lattice:
     """The kept lattice points, which are the mesher's points n_b + k for
     k = 0 .. m-1 in row-major order, with their (row, col) and two masks.
 
-    ``deep`` points keep their 6 lattice neighbours, and the lattice
-    triangles among them are the mesh's; ``core`` points (deep, and
-    HALO_DEPTH*h further from every strip point) are not given to Qhull.
-    Row r is offset by h/2 when r is odd, so the neighbours of (r, c) are
-    (r, c+-1) and, in rows r+-1, columns c+s-1 and c+s with s = r % 2.
+    The lattice triangles with three ``deep`` vertices are the mesh's;
+    ``core`` points (deep, and HALO_DEPTH*h further from every strip point)
+    are not given to Qhull.  Row r is offset by h/2 when r is odd, so the
+    neighbours of (r, c) are (r, c+-1) and, in rows r+-1, columns c+s-1 and
+    c+s with s = r % 2.
     """
 
     def __init__(self, rc: np.ndarray, deep: np.ndarray, core: np.ndarray, shape):
@@ -180,19 +177,14 @@ class _Lattice:
         self.grid = np.full(shape, -1, dtype=np.int64)
         self.grid[rc[:, 0], rc[:, 1]] = np.arange(len(rc))
 
-    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """The deep points' k and (d, 6) their lattice neighbours, ascending."""
-        k = np.flatnonzero(self.deep)
-        r, c = self.rc[k].T
-        s = r % 2
-        return k, self.grid[np.stack([r - 1, r - 1, r, r, r + 1, r + 1]),
-                            np.stack([c + s - 1, c + s, c - 1, c + 1, c + s - 1, c + s])].T
-
     def triangles(self) -> np.ndarray:
         """The up and down lattice triangles with three deep vertices, each
         with its vertices sorted and then oriented CCW."""
-        k, nbrs = self.neighbours()
-        right, up_left, up_right = nbrs[:, 3], nbrs[:, 4], nbrs[:, 5]
+        k = np.flatnonzero(self.deep)
+        r, c = self.rc[k].T
+        s = r % 2
+        right = self.grid[r, c + 1]
+        up_left, up_right = self.grid[r + 1, c + s - 1], self.grid[r + 1, c + s]
         up = self.deep[right] & self.deep[up_right]
         down = self.deep[up_right] & self.deep[up_left]
         return np.vstack([np.column_stack([k, right, up_right])[up],
@@ -267,41 +259,21 @@ def _lattice(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     return pts, lattice
 
 
-def _strip_delaunay(points: np.ndarray, n_b: int, lattice: _Lattice):
-    """Qhull on every point but the core lattice points: the point ids it
-    saw, its triangulation, and the (n,) mask of strip (not deep) points."""
+def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
+    """The Delaunay mesh of the points.
+
+    Qhull sees every point but the core lattice points, and its triangles
+    count when they touch a strip (not deep) point; the rest are the deep
+    lattice triangles, canonical by construction.  Triangles are canonical:
+    vertex ids sorted, then oriented CCW, then the rows lexsorted.
+    """
     m = len(lattice.rc)
     seen = np.ones(len(points), dtype=bool)
     seen[n_b:n_b + m] = ~lattice.core
     strip = np.ones(len(points), dtype=bool)
     strip[n_b:n_b + m] = ~lattice.deep
     ids = np.flatnonzero(seen)
-    return ids, Delaunay(points[ids]), strip
-
-
-def _neighbours(points: np.ndarray, n_b: int, lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, neighbour) pairs of the Delaunay triangulation of the points,
-    each owner's neighbours ascending: strip points' from Qhull, deep
-    points' from the lattice.  A point Qhull omits (a duplicate) gets none."""
-    ids, tri, strip = _strip_delaunay(points, n_b, lattice)
-    indptr, indices = tri.vertex_neighbor_vertices
-    owner, nbr = np.repeat(ids, np.diff(indptr)), ids[indices]
-    mine = strip[owner]
-    owner, nbr = owner[mine], nbr[mine]
-    order = np.lexsort((nbr, owner))
-    k, lattice_nbrs = lattice.neighbours()
-    return (np.concatenate([owner[order], np.repeat(k + n_b, 6)]),
-            np.concatenate([nbr[order], (lattice_nbrs + n_b).ravel()]))
-
-
-def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
-    """The Delaunay mesh of the points.
-
-    Triangles are canonical: vertex ids sorted, then oriented CCW, then the
-    rows lexsorted.  Qhull's triangles count when they touch a strip point;
-    the rest are the deep lattice triangles, canonical by construction.
-    """
-    ids, tri, strip = _strip_delaunay(points, n_b, lattice)
+    tri = Delaunay(points[ids])
     if len(tri.coplanar):
         raise QualityFailure(f"{len(tri.coplanar)} input points omitted by Qhull")
     t = ids[tri.simplices]
@@ -332,33 +304,16 @@ def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
     )
 
 
-def _smooth(points: np.ndarray, movable: np.ndarray, passes: int,
-            neighbours: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Barycentric smoothing on fixed (owner, neighbour) pairs, the Delaunay
-    neighbours of the starting points, kept while the points move
-    (DistMesh's rule)."""
-    owner, nbr = neighbours
-    pts = points.copy()
-    nbr_cnt = np.bincount(owner, minlength=len(pts))
-    upd = movable & (nbr_cnt > 0)
-    for _ in range(passes):
-        nbr_sum = np.column_stack([
-            np.bincount(owner, weights=pts[nbr, j], minlength=len(pts))
-            for j in (0, 1)
-        ])
-        pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
-    return pts
-
-
 def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     """Mesh the polygon at target edge length h; min angle >= 20 deg (or
     just under the sharpest polygon corner, which no triangle there can
     exceed) or QualityFailure after SPLIT_ROUNDS split rounds.  An h of
     diam/4 or more, or of more than MAX_H_INRADII inradii, is InvalidH.
 
-    The lattice is smoothed once; split rounds then insert circumcenters of
-    the worst triangles and midpoints of encroached boundary segments until
-    every angle meets the bound."""
+    The lattice and the strip's fill points are triangulated as laid down;
+    split rounds then insert circumcenters of the worst triangles and
+    midpoints of encroached boundary segments until every angle meets the
+    bound."""
     diam, _ = poly.diameter
     if not (0.0 < h < diam / 4.0):
         raise InvalidH(f"need 0 < h < diam/4 = {diam / 4.0:g}, got {h}")
@@ -387,17 +342,29 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     interior_pts, lattice = _lattice(verts, normals, offsets, h, n_rows)
     m = len(interior_pts)
 
+    # Fill points.  Where a lattice row just misses the h/2 clearance the
+    # strip is up to 1.4 h deep.  A point h/2 inside each boundary segment's
+    # midpoint goes where it is farther than the lattice's covering radius
+    # h/sqrt(3) from every lattice point (in a gap, not beside a row), h/2
+    # from every polygon edge (its own is h/2 away up to rounding) and from
+    # the fill points kept before it, largest gap first.
+    fill = (verts[edge] + ((j + 0.5) / per_edge[edge])[:, None] * step[edge]
+            - 0.5 * h * normals[edge])
+    gap, _ = cKDTree(interior_pts).query(fill)
+    keep = ((gap > h / math.sqrt(3.0))
+            & (_half_plane_depth(fill, normals, offsets) >= 0.5 * h * (1.0 - 1e-9)))
+    fill, gap = fill[keep], gap[keep]
+    fill = fill[_independent(fill, np.full(len(fill), 0.5 * h), np.argsort(-gap, kind="stable"))]
+
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
     n_b = len(boundary_pts)
-    points = np.vstack([boundary_pts, interior_pts])
-    movable = np.arange(len(points)) >= n_b
-    points = _smooth(points, movable, SMOOTHING_PASSES, _neighbours(points, n_b, lattice))
+    points = np.vstack([boundary_pts, interior_pts, fill])
     mesh = _assemble(points, n_b, lattice)
 
-    # Ruppert-style split rounds (Ruppert, J. Algorithms 18, 1995), without
-    # smoothing, which would undo the grading.  Worst triangles go first; a
-    # circumcenter already chosen inside a triangle's circumcircle destroys
-    # that triangle, so its own circumcenter waits for the next round.
+    # Ruppert-style split rounds (Ruppert, J. Algorithms 18, 1995).  Worst
+    # triangles go first; a circumcenter already chosen inside a triangle's
+    # circumcircle destroys that triangle, so its own circumcenter waits for
+    # the next round.
     for split_round in itertools.count():
         angles = _min_angles_deg(mesh.lengths)
         if angles.min() >= target:
@@ -435,14 +402,15 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
 
 
 def _independent(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The circumcenters taken greedily in ``order``: each one that no
-    circumcenter taken before it lies closer to than its ``radius``.  Only
-    those in a ball of that radius (with a rounding margin) are tested."""
+    """The points (circumcenters, fill points) taken greedily in ``order``:
+    each one that no point taken before it lies closer to than its
+    ``radius``.  Only those in a ball of that radius (with a rounding
+    margin) are tested."""
     ball = cKDTree(cc).query_ball_point(cc, radius * (1.0 + 1e-9))
     xy, taken = cc.tolist(), [False] * len(cc)
     for i in order.tolist():
         taken[i] = all(math.dist(xy[i], xy[j]) >= radius[i] for j in ball[i] if taken[j])
-    return order[np.array(taken)[order]]
+    return order[np.array(taken, dtype=bool)[order]]
 
 
 def _sharpest_corner_deg(verts: np.ndarray) -> float:
@@ -502,7 +470,7 @@ def refine(mesh: TriMesh) -> TriMesh:
 
 def quality(mesh: TriMesh) -> MeshQuality:
     ls = mesh.lengths
-    return MeshQuality(float(_min_angles_deg(ls).min()), float(ls.min()), mesh.h_max,
+    return MeshQuality(float(_min_angles_deg(ls).min()), float(ls.min()), float(ls.max()),
                        mesh.vertex_count, mesh.triangle_count)
 
 

@@ -30,7 +30,7 @@ from .geometry import exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 10
+REPORT_SCHEMA = 11
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -227,7 +227,8 @@ def run_verify(
         "solve_neumann", lambda: fem.solve_neumann(k_mat, m_mat, k=4, seed=seed)
     )
     dirichlet = stages.run(
-        "solve_dirichlet", lambda: fem.solve_dirichlet(mesh, k=1, k_mat=k_mat, m_mat=m_mat)
+        "solve_dirichlet",
+        lambda: fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=neumann.order),
     )
     mu2 = float(neumann.eigenvalues[1])
     lambda1 = float(dirichlet.eigenvalues[0])

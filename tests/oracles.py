@@ -334,39 +334,7 @@ def bisection_region(poly, ratio: float, rays: int = 720):
     return boundary, tuple(binding)
 
 
-# --- the mesher's earlier per-pass and per-point loops -----------------------
-
-def retriangulating_smooth(points: np.ndarray, movable: np.ndarray, passes: int,
-                           neighbours=None) -> np.ndarray:
-    """Barycentric smoothing that takes a fresh Delaunay triangulation on
-    every pass (the mesher's earlier `_smooth`).
-
-    Given the mesher's (owner, neighbour) lists, the first pass runs on them:
-    where the starting points are cocircular (a lattice row under equally
-    spaced boundary samples) the triangulation is not unique, and Qhull
-    breaks such ties by the order in which it meets the points, so its
-    choice on all points need not be the mesher's on its strip.
-    `test_smoothing_neighbours_are_delaunay` checks the lists up to ties.
-    """
-    from scipy.spatial import Delaunay
-
-    pts = points.copy()
-    for k in range(passes):
-        if k == 0 and neighbours is not None:
-            owner, indices = neighbours
-            nbr_cnt = np.bincount(owner, minlength=len(pts))
-        else:
-            indptr, indices = Delaunay(pts).vertex_neighbor_vertices
-            nbr_cnt = np.diff(indptr)
-            owner = np.repeat(np.arange(len(pts)), nbr_cnt)
-        nbr_sum = np.column_stack([
-            np.bincount(owner, weights=pts[indices, j], minlength=len(pts))
-            for j in (0, 1)
-        ])
-        upd = movable & (nbr_cnt > 0)
-        pts[upd] = nbr_sum[upd] / nbr_cnt[upd, None]
-    return pts
-
+# --- the mesher's earlier loops and its Delaunay references ------------------
 
 def greedy_circumcenters(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> list:
     """The split rounds' greedy choice, testing each circumcenter against
@@ -405,6 +373,34 @@ def cocircular(a, b, c, p, tol: float = 1e-10) -> bool:
         ay * b2 * cx, -ay * bx * c2, a2 * bx * cy,
     ])
     return abs(det) <= tol * max(a2, b2, c2) ** 2
+
+
+def delaunay_cells(points: np.ndarray, triangles: np.ndarray, tol: float = 1e-10) -> set:
+    """The cells of a Delaunay triangulation, each a frozenset of vertex ids:
+    triangles merged (union-find) across every edge whose quad is cocircular
+    within tol.  Every Delaunay triangulation of the points has the same
+    cells, the faces of the Delaunay subdivision."""
+    parent = list(range(len(triangles)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    across = {}
+    for t, tri in enumerate(triangles.tolist()):
+        for k in range(3):
+            across.setdefault(frozenset(tri[:k] + tri[k + 1:]), []).append((t, tri[k]))
+    for pair in across.values():
+        if len(pair) == 2:
+            (s, _), (t, q) = pair
+            if cocircular(*points[triangles[s]], points[q], tol):
+                parent[root(s)] = root(t)
+    cells = {}
+    for t, tri in enumerate(triangles.tolist()):
+        cells.setdefault(root(t), set()).update(tri)
+    return {frozenset(c) for c in cells.values()}
 
 
 class OutsideMesh(Exception):

@@ -157,7 +157,7 @@ class TestMu2Eigenvectors:
         # 2,000-angle scan can only come down to it
         admissible = _admissible(disk_solved, constants)
         grads = fem.gradients(disk_solved.mesh, disk_solved.neumann.eigenvectors[:, 1:3])[admissible]
-        assert len(grads) == 5186
+        assert len(grads) == 5246
         third = ana.mu2_eigenvectors(disk_solved.mesh, disk_solved.poly, disk_solved.neumann,
                                      constants)[2]
         g3 = fem.gradients(disk_solved.mesh, third[:, None])

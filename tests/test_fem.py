@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from hotspots import fem
 from hotspots import geometry as geo
@@ -121,7 +122,9 @@ class TestNeumann:
 
 
 def _dirichlet(mesh):
-    return fem.solve_dirichlet(mesh, fem.assemble_stiffness(mesh), fem.assemble_mass(mesh), k=1)
+    k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+    order = fem.solve_neumann(k_mat, m_mat, k=2).order
+    return fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=order)
 
 
 class TestDirichlet:
@@ -201,11 +204,20 @@ class TestSpectralStructure:
         assert 3.5 <= errors[1] / errors[2] <= 4.5
 
 
-def _shift_invert_matrices(mesh, k_mat, m_mat):
-    """The SPD matrices the eigensolves factor: K + sigma M and K_II."""
-    idx = np.nonzero(mesh.interior_mask)[0]
-    return {"Neumann": (k_mat + fem.neumann_shift(m_mat) * m_mat).tocsr(),
-            "Dirichlet": k_mat[np.ix_(idx, idx)].tocsr()}
+def _built_factors(mesh, k_mat, m_mat, monkeypatch):
+    """The factors that solve_neumann and then solve_dirichlet (given the
+    Neumann order) build, with the SPD matrices they factor, by problem."""
+    built = {}
+
+    class Recording(fem.SpdInverse):
+        def __init__(self, mat, problem, perm):
+            super().__init__(mat, problem, perm)
+            built[problem] = (self, mat)
+
+    monkeypatch.setattr(fem, "SpdInverse", Recording)
+    order = fem.solve_neumann(k_mat, m_mat, k=2).order
+    fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=order)
+    return built
 
 
 def _rect_refined_mesh():
@@ -224,36 +236,49 @@ class TestShiftInvert:
         _rect_refined_mesh,
         *(lambda i=i: _sweep_mesh(i) for i in range(3)),
     ], ids=["disk", "rect_refined", "sweep_1_0", "sweep_1_1", "sweep_1_2"])
-    def test_banded_solve_matches_spsolve(self, disk_solved, make):
+    def test_banded_solve_matches_spsolve(self, disk_solved, make, monkeypatch):
         if make is None:
             mesh, k_mat, m_mat = disk_solved.mesh, disk_solved.K, disk_solved.M
         else:
             mesh = make()
             k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
         rng = np.random.default_rng(3)
-        for problem, mat in _shift_invert_matrices(mesh, k_mat, m_mat).items():
-            inverse = fem.SpdInverse(mat, problem)
+        for problem, (inverse, mat) in _built_factors(mesh, k_mat, m_mat, monkeypatch).items():
             assert inverse.path == "banded"
             assert (inverse.kd + 1) * mat.shape[0] <= fem.BAND_MAX_ENTRIES
             # P A P' = U'U, so |U P b|^2 = b.(A b), and unwhitening undoes U P
             b = rng.standard_normal(mat.shape[0])
+            solves = inverse.solves
             y = inverse.whiten(b)
             assert y @ y == pytest.approx(b @ (mat @ b), rel=1e-12)
             back = inverse.unwhiten(y[:, None])[:, 0]
             assert np.linalg.norm(back - b) <= 1e-10 * np.linalg.norm(b)
-            assert inverse.solves == 0
+            assert inverse.solves == solves
 
     def test_superlu_side_agrees_with_banded(self, square_solved, monkeypatch):
         monkeypatch.setattr(fem, "BAND_MAX_ENTRIES", 0)
         neumann = fem.solve_neumann(square_solved.K, square_solved.M, k=4)
-        dirichlet = fem.solve_dirichlet(square_solved.mesh, k=1, k_mat=square_solved.K,
-                                        m_mat=square_solved.M)
+        dirichlet = fem.solve_dirichlet(square_solved.mesh, square_solved.K, square_solved.M,
+                                        k=1, order=neumann.order)
         for lu, band in ((neumann, square_solved.neumann),
                          (dirichlet, square_solved.dirichlet)):
             assert lu.stats.path == "superlu" and band.stats.path == "banded"
             assert lu.stats.kd == band.stats.kd
             assert np.all(lu.residuals <= 1e-8)
             assert np.allclose(lu.eigenvalues, band.eigenvalues, rtol=1e-12, atol=0.0)
+
+    def test_dirichlet_factor_takes_the_neumann_order(self, square_solved, disk_solved,
+                                                      monkeypatch):
+        # restricted to the interior vertices: deleting rows and columns from
+        # a band ordering cannot widen its band
+        for fx in (square_solved, disk_solved):
+            built = _built_factors(fx.mesh, fx.K, fx.M, monkeypatch)
+            order, interior = fx.neumann.order, fx.mesh.interior_mask
+            assert np.array_equal(order, reverse_cuthill_mckee(fx.K, symmetric_mode=True))
+            assert np.array_equal(built["Neumann"][0].perm, order)
+            idx = np.flatnonzero(interior)
+            assert np.array_equal(idx[built["Dirichlet"][0].perm], order[interior[order]])
+            assert fx.dirichlet.stats.kd <= fx.neumann.stats.kd
 
     def test_solve_stats(self, disk_solved):
         neumann, dirichlet = disk_solved.neumann.stats, disk_solved.dirichlet.stats
@@ -274,7 +299,7 @@ class TestShiftInvert:
         # fails, at h=0.03 it ends on a pivot within rounding of zero
         k_mat = fem.assemble_stiffness(msh.generate(unit_square, h))
         with pytest.raises(ConvergenceFailure, match="Neumann matrix is"):
-            fem.SpdInverse(k_mat, "Neumann")
+            fem.SpdInverse(k_mat, "Neumann", reverse_cuthill_mckee(k_mat, symmetric_mode=True))
 
 
 _NEAR_CUTOFF = {  # meshes whose interior is just above DENSE_CUTOFF vertices
@@ -294,7 +319,7 @@ class TestLanczos:
         idx = np.nonzero(mesh.interior_mask)[0]
         assert fem.DENSE_CUTOFF < len(idx) < 1.3 * fem.DENSE_CUTOFF
         neumann = fem.solve_neumann(k_mat, m_mat, k=4)
-        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, k=1)
+        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=neumann.order)
         assert neumann.stats.path == dirichlet.stats.path == "banded"
         dense = eigh(k_mat.toarray(), m_mat.toarray(), eigvals_only=True)
         dense_d = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
@@ -323,7 +348,8 @@ class TestLanczos:
         idx = np.nonzero(mesh.interior_mask)[0]
         dense = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
                      eigvals_only=True)
-        spectrum = fem.solve_dirichlet(mesh, k_mat, m_mat, k=4)
+        order = fem.solve_neumann(k_mat, m_mat, k=2).order
+        spectrum = fem.solve_dirichlet(mesh, k_mat, m_mat, k=4, order=order)
         assert spectrum.stats.path == "banded"
         assert np.allclose(spectrum.eigenvalues, dense[:4], rtol=1e-12, atol=0.0)
 
@@ -336,12 +362,13 @@ class TestLanczos:
         # seed 0; the counts repeat exactly from run to run
         mesh = _rect_refined_mesh()
         k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        neumann = fem.solve_neumann(k_mat, m_mat, k=4)
         spectra = {
             "disk": (disk_solved.neumann, disk_solved.dirichlet),
-            "rect_refined": (fem.solve_neumann(k_mat, m_mat, k=4),
-                             fem.solve_dirichlet(mesh, k_mat, m_mat, k=1)),
+            "rect_refined": (neumann, fem.solve_dirichlet(mesh, k_mat, m_mat, k=1,
+                                                          order=neumann.order)),
         }
-        ceilings = {"disk": (30, 10), "rect_refined": (31, 13)}
+        ceilings = {"disk": (31, 13), "rect_refined": (31, 13)}
         for name, pair in spectra.items():
             solves = tuple(s.stats.operator_solves for s in pair)
             assert all(s <= c for s, c in zip(solves, ceilings[name])), (name, solves)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from hotspots import geometry as geo
 from hotspots import meshing as msh
@@ -17,10 +17,9 @@ from .oracles import (
     all_edges_clearance,
     boundary_distances,
     canonical_delaunay,
-    cocircular,
+    delaunay_cells,
     greedy_circumcenters,
     in_circumcircle,
-    retriangulating_smooth,
 )
 
 
@@ -121,6 +120,38 @@ def test_derived_facts_match_the_constructors(make, h_rel):
             assert np.array_equal(mesh.lengths[:, i], np.hypot(*(head - tail).T))
 
 
+def test_quality_builds_the_lengths_once(monkeypatch):
+    mesh = msh.generate(geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.1)
+    kernel, calls = msh.element_edges, []
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(msh, "element_edges", spy)
+    q = msh.quality(mesh)
+    assert calls == [mesh.triangle_count]
+    monkeypatch.undo()
+    assert (q.h_min, q.h_max) == (mesh.lengths.min(), mesh.h_max)
+
+
+@pytest.mark.parametrize("make, h", [
+    (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.02),
+    (lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05),
+    (lambda: realize(_sweep_domain_spec(1, 0)), None),
+], ids=["disk512", "square", "sweep1-0"])
+def test_deep_lattice_is_equilateral(make, h):
+    # the lattice is triangulated as laid down: away from the strip every
+    # triangle is equilateral with side h
+    poly = make()
+    h = h if h is not None else 0.02 * poly.diameter[0]
+    mesh = msh.generate(poly, h)
+    deep = mesh.boundary_clearance >= msh.DEEP_DEPTH * h
+    lengths = mesh.lengths[deep[mesh.triangles].all(axis=1)]
+    assert len(lengths) > 0.2 * mesh.triangle_count
+    assert np.abs(lengths / h - 1.0).max() <= 1e-12
+
+
 def test_element_edges_area_is_the_cross_product(square_mesh):
     e, area = msh.element_edges(square_mesh.vertices, square_mesh.triangles)
     a, b, c = np.moveaxis(square_mesh.vertices[square_mesh.triangles], 1, 0)
@@ -160,7 +191,7 @@ def test_delaunay_property(square_mesh):
             assert not in_circumcircle(a, b, c, p, scale, tie=1e-10)
 
 
-def test_smoothing_keeps_boundary_fixed(square_mesh):
+def test_boundary_samples_on_polygon_edges(square_mesh):
     b = np.unique(square_mesh.boundary_edges)
     pts = square_mesh.vertices[b]
     on_edge = (
@@ -275,7 +306,7 @@ class TestMinAngleTarget:
     @pytest.mark.parametrize("master_seed, index", _SHORT_POLYGON_EDGES)
     def test_short_polygon_edges_are_split(self, master_seed, index):
         # each domain has a polygon edge of 0.01-0.12 h, which leaves the
-        # smoothed lattice below 20 degrees until split rounds refine it
+        # lattice below 20 degrees until split rounds refine it
         poly, diam = self._sweep_poly(master_seed, index)
         h = 0.02 * diam
         assert np.hypot(*(np.roll(poly.vertices, -1, axis=0) - poly.vertices).T).min() < 0.13 * h
@@ -322,82 +353,83 @@ def _target_deg(poly):
     return min(msh.MIN_ANGLE_DEG, msh._sharpest_corner_deg(poly.vertices) - 1e-9)
 
 
-_SMOOTHING_CASES = [
-    pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=256)),
-                 0.05, id="disk256"),
-    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square"),
-] + [
+_SWEEP_CASES = [
     pytest.param(lambda i=i: realize(_sweep_domain_spec(1, i)), None, id=f"sweep1-{i}")
     for i in range(6)
 ]
 
 
-class TestFixedConnectivitySmoothing:
-    """Smoothing on one triangulation's neighbour lists lands within 0.35 h
-    of the mesh that re-triangulates on every pass."""
+def _counting_qhull_calls(monkeypatch) -> list:
+    """The number of points of each Qhull call the mesher makes from now on."""
+    calls = []
 
-    @pytest.mark.parametrize("make, h", _SMOOTHING_CASES)
-    def test_matches_retriangulating_oracle(self, monkeypatch, make, h):
-        poly = make()
-        h = h if h is not None else 0.02 * poly.diameter[0]
-        mesh = msh.generate(poly, h)
-        with monkeypatch.context() as m:
-            m.setattr(msh, "_smooth", retriangulating_smooth)
-            ref = msh.generate(poly, h)
-        assert mesh.vertex_count == ref.vertex_count
-        assert mesh.triangle_count == ref.triangle_count
-        assert np.hypot(*(mesh.vertices - ref.vertices).T).max() <= 0.35 * h
-        assert msh.quality(mesh).min_angle >= _target_deg(poly)
+    def counting(points):
+        calls.append(len(points))
+        return Delaunay(points)
 
-    def test_each_of_two_qhull_calls_sees_a_strip(self, monkeypatch, disk512):
-        calls = []
+    monkeypatch.setattr(msh, "Delaunay", counting)
+    return calls
 
-        def counting(points):
-            calls.append(len(points))
-            return Delaunay(points)
 
-        monkeypatch.setattr(msh, "Delaunay", counting)
+@pytest.mark.parametrize("make, h", [
+    (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.02),
+    (lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05),
+    (lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04),
+] + _SWEEP_CASES, ids=["disk512", "square", "rect"] + [f"sweep1-{i}" for i in range(6)])
+def test_strip_edges_stay_near_h(make, h):
+    # h_max sets the verdict tolerance 2 h_max.  Without fill points a
+    # lattice row that just misses the h/2 clearance leaves boundary-to-
+    # lattice edges of 1.57-1.64 h on these domains
+    poly = make()
+    h = h if h is not None else 0.02 * poly.diameter[0]
+    assert msh.generate(poly, h).h_max <= 1.5 * h
+
+
+class TestOneQhullCall:
+    """The lattice is triangulated as laid down: a mesh that needs no split
+    round is one Qhull call, on the boundary strip only."""
+
+    def test_one_qhull_call_sees_a_strip(self, monkeypatch, disk512):
+        calls = _counting_qhull_calls(monkeypatch)
         mesh = msh.generate(disk512, 0.02)
-        assert len(calls) == 2
-        assert max(calls) < 0.3 * mesh.vertex_count
+        assert len(calls) == 1
+        assert calls[0] < 0.3 * mesh.vertex_count
 
     def test_thin_domain_has_no_deep_points(self, monkeypatch):
         # at h = diam/50 the 2x0.1 rectangle is under 3 h deep everywhere, so
         # Qhull sees every point
-        calls = []
-
-        def counting(points):
-            calls.append(len(points))
-            return Delaunay(points)
-
-        monkeypatch.setattr(msh, "Delaunay", counting)
+        calls = _counting_qhull_calls(monkeypatch)
         poly = geo.validate([(0, 0), (2, 0), (2, 0.1), (0, 0.1)])
         mesh = msh.generate(poly, 0.02 * poly.diameter[0])
-        assert calls == [mesh.vertex_count, mesh.vertex_count]
+        assert calls == [mesh.vertex_count]
         assert np.array_equal(mesh.triangles, canonical_delaunay(mesh.vertices))
 
 
-def _assert_differences_cocircular(points, got, want):
-    """Every triangle in one set but not the other meets a triangle of the
-    other across an edge, and the two make a cocircular quad."""
-    a, b = set(map(tuple, got.tolist())), set(map(tuple, want.tolist()))
-    for mine, other in ((a - b, b - a), (b - a, a - b)):
-        for t in mine:
-            fourth = [set(u) - set(t) for u in other if len(set(u) & set(t)) == 2]
-            assert fourth, f"triangle {t} has no counterpart across an edge"
-            for q in fourth:
-                assert cocircular(*points[list(t)], points[q.pop()]), t
-
-
 def _assert_full_qhull_mesh(mesh, poly):
-    """The mesh is the canonical Delaunay triangulation of its vertices (up
-    to cocircular quads), with Euler's count and the polygon's area."""
+    """The mesh is a Delaunay triangulation of its vertices: it has Qhull's
+    Delaunay subdivision, the cells that the triangles make when merged
+    across every edge of a cocircular quad (unique, unlike a triangulation
+    of cocircular points), Euler's count and the polygon's area."""
     want = canonical_delaunay(mesh.vertices)
     if not np.array_equal(mesh.triangles, want):
-        _assert_differences_cocircular(mesh.vertices, mesh.triangles, want)
+        assert delaunay_cells(mesh.vertices, mesh.triangles) == delaunay_cells(mesh.vertices, want)
     assert mesh.triangle_count == 2 * mesh.vertex_count - len(mesh.boundary_edges) - 2
     _, area = msh.element_edges(mesh.vertices, mesh.triangles)
     assert area.sum() == pytest.approx(poly.area, rel=1e-12)
+
+
+def _assert_circumcircles_empty(mesh):
+    """No vertex lies inside any triangle's circumcircle by more than 1e-9
+    of its radius."""
+    a, b, c = np.moveaxis(mesh.vertices[mesh.triangles], 1, 0)
+    ab, ac = b - a, c - a
+    d = 2.0 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    b2, c2 = (ab * ab).sum(axis=1), (ac * ac).sum(axis=1)
+    u = np.column_stack([ac[:, 1] * b2 - ab[:, 1] * c2, ab[:, 0] * c2 - ac[:, 0] * b2]) / d[:, None]
+    radius = np.hypot(*u.T)
+    inside = cKDTree(mesh.vertices).query_ball_point(a + u, radius * (1.0 - 1e-9),
+                                                     return_length=True)
+    assert not inside.any(), mesh.triangles[inside > 0][:5]
 
 
 _ORACLE_CASES = [
@@ -410,7 +442,7 @@ _ORACLE_CASES = [
     # too thin for deep points; split rounds refine its ends
     pytest.param(lambda: realize(DomainSpec(kind="ellipse", a=20.0, b=1.0, polygonization_n=256)),
                  None, id="ellipse20"),
-] + _SMOOTHING_CASES[2:]
+] + _SWEEP_CASES
 
 _SHORT_EDGE_DOMAINS = [
     tuple(map(int, line.split()))
@@ -421,13 +453,18 @@ _SHORT_EDGE_DOMAINS = [
 
 class TestMatchesFullQhull:
     """Qhull sees only the boundary strip; the deep lattice is triangulated
-    by index arithmetic.  The result must be Qhull's on every point."""
+    by index arithmetic.  The result must be Qhull's on every point, up to
+    the triangulation of cocircular cells: lattice rows under boundary
+    samples make chains of cocircular rectangles, whose diagonals the strip
+    Qhull and the full Qhull choose differently."""
 
     @pytest.mark.parametrize("make, h", _ORACLE_CASES)
     def test_fixtures(self, make, h):
         poly = make()
         h = h if h is not None else 0.02 * poly.diameter[0]
-        _assert_full_qhull_mesh(msh.generate(poly, h), poly)
+        mesh = msh.generate(poly, h)
+        _assert_full_qhull_mesh(mesh, poly)
+        _assert_circumcircles_empty(mesh)
 
     def test_short_edge_list(self):
         assert len(_SHORT_EDGE_DOMAINS) == 664
@@ -443,37 +480,6 @@ class TestMatchesFullQhull:
         for master_seed, index in _SHORT_EDGE_DOMAINS[part::8]:
             poly = realize(_sweep_domain_spec(master_seed, index))
             _assert_full_qhull_mesh(msh.generate(poly, 0.02 * poly.diameter[0]), poly)
-
-    @pytest.mark.parametrize("make, h", _ORACLE_CASES)
-    def test_smoothing_neighbours_are_delaunay(self, monkeypatch, make, h):
-        # each smoothing run's lists are those of a Delaunay triangulation of
-        # its starting points: Qhull's on all of them up to cocircular quads.
-        # Only the lists of points that move count: boundary samples have
-        # sliver neighbours along collinear chains, which Qhull draws either way.
-        poly = make()
-        h = h if h is not None else 0.02 * poly.diameter[0]
-        runs, smooth = [], msh._smooth
-
-        def spy(points, movable, passes, neighbours):
-            runs.append((points, movable, neighbours))
-            return smooth(points, movable, passes, neighbours)
-
-        monkeypatch.setattr(msh, "_smooth", spy)
-        msh.generate(poly, h)
-        for points, movable, (owner, nbr) in runs:
-            same = owner[1:] == owner[:-1]
-            assert np.all(nbr[1:][same] > nbr[:-1][same])
-            indptr, indices = Delaunay(points).vertex_neighbor_vertices
-            full = set(zip(np.repeat(np.arange(len(points)), np.diff(indptr)).tolist(),
-                           indices.tolist()))
-            mine = set(zip(owner.tolist(), nbr.tolist()))
-            for edges, other in ((mine - full, full), (full - mine, mine)):
-                for u, v in ((u, v) for u, v in edges if movable[u]):
-                    common = ({x for x, y in other if y == u} & {x for x, y in other if y == v})
-                    crossing = [(x, y) for x in common for y in common if x < y and (x, y) in other]
-                    assert len(crossing) == 1, (u, v)
-                    x, y = crossing[0]
-                    assert cocircular(points[u], points[x], points[v], points[y]), (u, v)
 
 
 def _disk(n):
@@ -494,8 +500,8 @@ _GRADED_CASES = [
 
 
 class TestSplitRounds:
-    """Smoothing runs once; meshes that miss the angle bound after it are
-    graded by the split rounds alone.  Sizes are relative to the diameter."""
+    """Meshes that miss the angle bound on the lattice are graded by split
+    rounds.  Sizes are relative to the diameter."""
 
     @pytest.mark.parametrize("make, h_rel, splits", [
         pytest.param(_disk(512), 0.01, False, id="disk512-h0.02"),
@@ -504,23 +510,11 @@ class TestSplitRounds:
         pytest.param(lambda: realize(_sweep_domain_spec(*_SHORT_POLYGON_EDGES[0])), 0.02, True,
                      id="short-edge"),
     ])
-    def test_smoothing_runs_once(self, monkeypatch, make, h_rel, splits):
+    def test_split_rounds_run_only_when_needed(self, monkeypatch, make, h_rel, splits):
         poly = make()
-        smooth, choose, calls = msh._smooth, msh._independent, {"smooth": 0, "split": 0}
-
-        def smooth_spy(*args):
-            calls["smooth"] += 1
-            return smooth(*args)
-
-        def choose_spy(*args):
-            calls["split"] += 1
-            return choose(*args)
-
-        monkeypatch.setattr(msh, "_smooth", smooth_spy)
-        monkeypatch.setattr(msh, "_independent", choose_spy)
+        calls = _counting_qhull_calls(monkeypatch)
         mesh = msh.generate(poly, h_rel * poly.diameter[0])
-        assert calls["smooth"] == 1
-        assert (calls["split"] > 0) == splits
+        assert (len(calls) > 1) == splits  # one Qhull call, then one per split round
         assert msh.quality(mesh).min_angle >= _target_deg(poly)
 
     @pytest.mark.parametrize("make, h_rel", _GRADED_CASES)
@@ -554,7 +548,8 @@ class TestSplitRounds:
 _CHUNK_CASES = [
     pytest.param(lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)),
                  0.02, id="disk512"),
-] + _SMOOTHING_CASES[1:]
+    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square"),
+] + _SWEEP_CASES
 
 
 @pytest.mark.parametrize("make, h", _CHUNK_CASES)

@@ -35,7 +35,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 10
+        assert doc["schema"] == 11
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -153,6 +153,21 @@ class TestSweep:
             assert set(f) == {"index", "error", "stage"}
             assert f["stage"] == stage
             assert "DegenerateArea('planted')" in f["error"]
+
+
+def test_one_band_order_per_run(disk_spec_path, monkeypatch):
+    rcm, calls = fem.reverse_cuthill_mckee, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "reverse_cuthill_mckee", spy)
+    rep = report.run_verify(disk_spec_path, h=0.05)
+    solves = rep.metrics["eigensolve"]
+    assert calls == [(solves["neumann"]["n"],) * 2]
+    assert solves["dirichlet"]["path"] == "banded"
+    assert solves["dirichlet"]["kd"] <= solves["neumann"]["kd"]
 
 
 def test_repeated_stage_times_add_up(monkeypatch):
