@@ -13,9 +13,10 @@ so no angular sort of the link is needed.  Ties within 1e-12*||psi||_inf are
 resolved by vertex index (simulation of simplicity).  The verdict flags a
 critical vertex only if its farthest-boundary distance undercuts the
 exclusion threshold by more than 2*h_max, absorbing the O(h) localization
-error.  The comparison field's zero set is exactly its P1 nodal segments, so
-its branches around the anchor are counted as circle-segment crossings in
-closed form, not by sampling the circle.
+error; F at every vertex, that tolerance and the vertices and triangles it
+admits are one `AdmissibleSet` per run.  The comparison field's zero set is
+exactly its P1 nodal segments, so its branches around the anchor are counted
+as circle-segment crossings in closed form, not by sampling the circle.
 """
 
 from __future__ import annotations
@@ -80,10 +81,21 @@ class InequalityReport:
 
 @dataclass(frozen=True, eq=False)
 class TheoremVerdict:
-    threshold: float
-    tolerance: float
     violations: tuple[CriticalPoint, ...]
     passed: bool
+
+
+@dataclass(frozen=True, eq=False)
+class AdmissibleSet:
+    """Where the verdict looks: a vertex is admissible when F <= threshold -
+    tolerance and its boundary clearance exceeds the tolerance, a triangle
+    when all three of its vertices are."""
+
+    threshold: float       # c_excl * diam, the exclusion region's
+    tolerance: float       # 2 * h_max
+    far: np.ndarray        # (n,) F at each mesh vertex
+    vertices: np.ndarray   # (n,) bool
+    triangles: np.ndarray  # (m,) bool
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,17 @@ class RayleighDefect:
 
 # --- critical points ----------------------------------------------------------
 
+def admissible_set(mesh: TriMesh, poly: ConvexPolygon, threshold: float) -> AdmissibleSet:
+    """The run's one AdmissibleSet for the exclusion threshold c_excl * diam."""
+    tolerance = 2.0 * mesh.h_max
+    far = farthest_boundary_distance(poly, mesh.vertices)
+    ok = (far <= threshold - tolerance) & (mesh.boundary_clearance > tolerance)
+    return AdmissibleSet(threshold=threshold, tolerance=tolerance, far=far, vertices=ok,
+                         triangles=ok[mesh.triangles].all(axis=1))
+
+
 def find_critical_points(
-    mesh: TriMesh, psi: np.ndarray, poly: ConvexPolygon
+    mesh: TriMesh, psi: np.ndarray, admissible: AdmissibleSet
 ) -> list[CriticalPoint]:
     """Banchoff classification of every interior vertex of the P1 field.
 
@@ -118,10 +139,10 @@ def find_critical_points(
         first_sign[v] = sa
     crit = np.nonzero(mesh.interior_mask & (alt != 2))[0]
     kinds = np.where(alt[crit] >= 4, "saddle", np.where(first_sign[crit] > 0, "min", "max"))
-    far = farthest_boundary_distance(poly, mesh.vertices[crit])
     return [CriticalPoint(vertex_id=int(v), location=tuple(mesh.vertices[v].tolist()),
                           value=float(psi[v]), kind=str(k), alternations=int(alt[v]),
-                          farthest_distance=float(f)) for v, k, f in zip(crit, kinds, far)]
+                          farthest_distance=float(admissible.far[v]))
+            for v, k in zip(crit, kinds)]
 
 
 def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -130,42 +151,25 @@ def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np
     return np.where(np.abs(diffs) <= tie, np.where(u > v, 1.0, -1.0), np.sign(diffs))
 
 
-def theorem_check(
-    points: list[CriticalPoint],
-    poly: ConvexPolygon,
-    constants: SpectralConstants,
-    h_max: float,
-) -> TheoremVerdict:
-    """Flag critical points deeper inside the exclusion region than 2*h_max."""
-    threshold = constants.c_excl * poly.diameter[0]
-    tolerance = 2.0 * h_max
+def theorem_check(points: list[CriticalPoint], rule: AdmissibleSet) -> TheoremVerdict:
+    """Flag critical points deeper inside the exclusion region than the tolerance."""
     violations = tuple(
-        p for p in points if p.farthest_distance <= threshold - tolerance
+        p for p in points if p.farthest_distance <= rule.threshold - rule.tolerance
     )
-    return TheoremVerdict(
-        threshold=threshold,
-        tolerance=tolerance,
-        violations=violations,
-        passed=not violations,
-    )
+    return TheoremVerdict(violations=violations, passed=not violations)
 
 
-def mu2_eigenvectors(mesh: TriMesh, poly: ConvexPolygon, spectrum: Spectrum,
-                     constants: SpectralConstants) -> list[np.ndarray]:
-    """psi2; for a degenerate pair psi2, psi3 and, if some triangle has all its
-    vertices at F <= threshold - tolerance and clearance > tolerance (theorem_check's
-    numbers), their unit combination of least gradient on such a triangle.  P1
+def mu2_eigenvectors(mesh: TriMesh, spectrum: Spectrum,
+                     admissible: AdmissibleSet) -> list[np.ndarray]:
+    """psi2; for a degenerate pair psi2, psi3 and, if some triangle is
+    admissible, their unit combination of least gradient on such a triangle.  P1
     gradients are constant per triangle, so there min |grad(a psi2 + b psi3)| over
     a^2 + b^2 = 1 is the smaller singular value of [grad psi2, grad psi3]."""
     vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     if len(vals) < 3 or (vals[2] - vals[1]) / vals[1] > DEGENERACY_FLAG_REL_GAP:
         return [vecs[:, 1]]
-    rule = theorem_check([], poly, constants, mesh.h_max)
-    deep = mesh.boundary_clearance > rule.tolerance
-    far = farthest_boundary_distance(poly, mesh.vertices[deep])
-    deep[deep] = far <= rule.threshold - rule.tolerance
     out = [vecs[:, 1], vecs[:, 2]]
-    grads = gradients(mesh, vecs[:, 1:3])[deep[mesh.triangles].all(axis=1)]
+    grads = gradients(mesh, vecs[:, 1:3])[admissible.triangles]
     if len(grads):
         _, sigma, vt = np.linalg.svd(grads)  # the least sigma's right singular vector
         out.append(fix_signs(vecs[:, 1:3] @ vt[np.argmin(sigma[:, 1]), 1, :, None])[:, 0])
@@ -279,7 +283,7 @@ def nodal_decomposition(mesh: TriMesh, w: np.ndarray) -> NodalDecomposition:
     )
 
 
-# --- boundary flux and support positivity ------------------------------------------
+# --- boundary flux ------------------------------------------------------------------
 
 def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
     """Analytic normal derivative of the radial part at boundary-edge midpoints:
@@ -301,15 +305,6 @@ def boundary_flux(field: ComparisonField, mesh: TriMesh) -> np.ndarray:
     deriv = -j1_array(root_mu * r)
     dots = np.einsum("ij,ij->i", rel, mesh.boundary_normals)
     return field.psi_at_anchor * root_mu * deriv * dots / r
-
-
-def support_positivity(poly: ConvexPolygon, x0) -> float:
-    """min over polygon-edge midpoints of (x - x0).nu; positive for interior x0
-    by convexity."""
-    normals, _ = poly.edge_normals
-    mids = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
-    rel = mids - np.asarray(x0, dtype=float)
-    return float(np.min(np.einsum("ij,ij->i", rel, normals)))
 
 
 # --- Rayleigh defect ------------------------------------------------------------------

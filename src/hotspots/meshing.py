@@ -69,11 +69,15 @@ class TriMesh:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """(e, 2) unique vertex pairs (a < b), sorted lexicographically."""
+        """(e, 2) unique vertex pairs (a < b), sorted lexicographically.  Of the
+        CCW triangles' half-edges a -> b, an interior edge has one with a < b; a
+        boundary edge has only its own, which the CCW loop holds as well."""
         t = self.triangles.astype(np.int64)
-        pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        keys = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1])
-        return np.column_stack(np.divmod(keys, self.vertex_count))
+        a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+        ba, bb = self.boundary_edges.astype(np.int64).T
+        keys = np.concatenate([(a * self.vertex_count + b)[a < b],
+                               (bb * self.vertex_count + ba)[ba > bb]])
+        return np.column_stack(np.divmod(np.sort(keys), self.vertex_count))
 
     @property
     def lengths(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .geometry import exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 11
+REPORT_SCHEMA = 12
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -95,9 +95,9 @@ class _Eigenvector:
     nodal_segments: np.ndarray
 
 
-def _analyze_eigenvector(mesh, poly, consts, j: int, psi: np.ndarray) -> _Eigenvector:
-    cps = ana.find_critical_points(mesh, psi, poly)
-    verdict = ana.theorem_check(cps, poly, consts, mesh.h_max)
+def _analyze_eigenvector(mesh, poly, admissible, j: int, psi: np.ndarray) -> _Eigenvector:
+    cps = ana.find_critical_points(mesh, psi, admissible)
+    verdict = ana.theorem_check(cps, admissible)
     nd = ana.nodal_decomposition(mesh, psi)
     bverts = np.nonzero(~mesh.interior_mask)[0]
 
@@ -147,14 +147,11 @@ class _Stages:
         return out
 
 
-def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
+def _comparison_diagnostics(mesh, poly, admissible, k_mat, m_mat, psi, mu2, anchor_vertex,
                             diagnostic_only, eig_index):
-    consts = find_constants()
-    anchor = mesh.vertices[anchor_vertex]
     fld = ana.build_comparison(mesh, psi, mu2, anchor_vertex)
     flux = ana.boundary_flux(fld, mesh)
-    f_anchor = ana.farthest_boundary_distance(poly, [anchor])[0]
-    flux_bound_applies = math.sqrt(mu2) * f_anchor <= consts.j1
+    flux_bound_applies = math.sqrt(mu2) * admissible.far[anchor_vertex] <= find_constants().j1
     clearance = float(mesh.boundary_clearance[anchor_vertex])
     radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
     nd = ana.nodal_decomposition(mesh, fld.values)
@@ -172,10 +169,10 @@ def _comparison_diagnostics(mesh, poly, k_mat, m_mat, psi, mu2, anchor_vertex,
     return {
         "eigenvector": eig_index,
         "anchor_vertex": int(anchor_vertex),
-        "anchor": anchor,
+        "anchor": mesh.vertices[anchor_vertex],
         "diagnostic_only": diagnostic_only,
         "psi_at_anchor": fld.psi_at_anchor,
-        "support_positivity": ana.support_positivity(poly, anchor),
+        "support_positivity": clearance,
         "flux_bound_applies": bool(flux_bound_applies),
         "flux_min": float(flux.min()),
         "flux_max": float(flux.max()),
@@ -238,14 +235,16 @@ def run_verify(
     )
     region = stages.run("exclusion_region", lambda: exclusion_region(poly))
 
-    records = stages.run("analysis", lambda: [
-        _analyze_eigenvector(mesh, poly, consts, j, psi)
-        for j, psi in enumerate(ana.mu2_eigenvectors(mesh, poly, neumann, consts))
-    ])
+    def analyze():
+        admissible = ana.admissible_set(mesh, poly, region.threshold)
+        return admissible, [_analyze_eigenvector(mesh, poly, admissible, j, psi) for j, psi
+                            in enumerate(ana.mu2_eigenvectors(mesh, neumann, admissible))]
+
+    admissible, records = stages.run("analysis", analyze)
 
     def compare():
         out = [
-            _comparison_diagnostics(mesh, poly, k_mat, m_mat, rec.psi, mu2,
+            _comparison_diagnostics(mesh, poly, admissible, k_mat, m_mat, rec.psi, mu2,
                                     cp.vertex_id, False, j)
             for j, rec in enumerate(records)
             for cp in rec.critical_points
@@ -255,7 +254,7 @@ def run_verify(
             rel = mesh.vertices[cand] - mec.center
             anchor_vertex = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
             out.append(_comparison_diagnostics(
-                mesh, poly, k_mat, m_mat, records[0].psi, mu2,
+                mesh, poly, admissible, k_mat, m_mat, records[0].psi, mu2,
                 anchor_vertex, True, 0,
             ))
         return out
@@ -265,10 +264,9 @@ def run_verify(
         "inequalities", lambda: ana.inequality_checks(mu2, lambda1, poly, consts)
     )
 
-    rule = ana.theorem_check([], poly, consts, mesh.h_max)  # threshold and tolerance
     theorem = {
-        "threshold": rule.threshold,
-        "tolerance": rule.tolerance,
+        "threshold": admissible.threshold,
+        "tolerance": admissible.tolerance,
         "eigenvectors": [rec.theorem for rec in records],
         "passed": all(rec.theorem["passed"] for rec in records),
     }

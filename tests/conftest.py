@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hotspots import domains, fem, geometry, meshing
+from hotspots import analysis, domains, fem, geometry, meshing
 from hotspots.bessel import find_constants
 
 
@@ -44,6 +44,7 @@ def _solve(poly, h, k=4):
         neumann=neumann,
         dirichlet=dirichlet,
         seconds=time.perf_counter() - t0,
+        admissible=admissible_set(mesh, poly),
     )
 
 
@@ -61,6 +62,11 @@ def square_solved(unit_square):
 @pytest.fixture(scope="session")
 def rect_solved(rect21):
     return _solve(rect21, 0.02)
+
+
+def admissible_set(mesh, poly):
+    """The run's admissible-set record, at the exclusion region's threshold."""
+    return analysis.admissible_set(mesh, poly, geometry.exclusion_region(poly).threshold)
 
 
 def random_polygon(seed, n=30, diam=2.0):

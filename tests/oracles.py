@@ -249,6 +249,15 @@ def all_edges_clearance(mesh) -> np.ndarray:
     return np.maximum(_half_plane_depth(mesh.vertices, normals, offsets), 0.0)
 
 
+def unique_edges(mesh) -> np.ndarray:
+    """(e, 2) unique vertex pairs (a < b) of the triangles, sorted
+    lexicographically by `np.unique` (the mesh's earlier `edges`)."""
+    t = mesh.triangles.astype(np.int64)
+    pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    keys = np.unique(pairs[:, 0] * mesh.vertex_count + pairs[:, 1])
+    return np.column_stack(np.divmod(keys, mesh.vertex_count))
+
+
 def in_circumcircle(a, b, c, p, scale: float, tie: float = 1e-12) -> bool:
     """True iff p lies strictly inside the circumcircle of CCW triangle abc.
 

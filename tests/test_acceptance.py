@@ -117,7 +117,7 @@ def test_criterion_3_bessel_constants(constants):
     assert ok
 
 
-def test_criterion_4_theorem_suite(sweep, fixture_reports, unit_square, constants):
+def test_criterion_4_theorem_suite(sweep, fixture_reports, square_solved):
     summary, reports = sweep
     suite_ok = (
         not summary["failures"]
@@ -138,17 +138,20 @@ def test_criterion_4_theorem_suite(sweep, fixture_reports, unit_square, constant
     loc = (0.5, 0.5)
     planted = ana.CriticalPoint(
         vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
-        farthest_distance=geo.farthest_boundary_distance(unit_square, [loc])[0],
+        farthest_distance=geo.farthest_boundary_distance(square_solved.poly, [loc])[0],
     )
-    verdict = ana.theorem_check([planted], unit_square, constants, h_max=0.02)
+    rule = square_solved.admissible
+    verdict = ana.theorem_check([planted], rule)
     control_ok = (not verdict.passed) and len(verdict.violations) == 1
     control_ok &= abs(planted.farthest_distance - 0.707107) <= 1e-6
-    control_ok &= abs(verdict.threshold - 1.126662) <= 1e-4
+    control_ok &= abs(rule.threshold - 1.126662) <= 1e-4
+    control_ok &= all(doc["theorem"]["threshold"] == doc["geometry"]["exclusion_threshold"]
+                      for doc in reports + list(fixture_reports.values()))
 
     ok = suite_ok and fixture_ok and degenerate_covered and control_ok
     _line(4, ok,
           f"{SWEEP_COUNT} random domains + 4 fixtures: 0 violations "
-          f"(threshold {verdict.threshold:.6f} vs planted F={planted.farthest_distance:.6f} flagged)")
+          f"(threshold {rule.threshold:.6f} vs planted F={planted.farthest_distance:.6f} flagged)")
     assert ok
 
 

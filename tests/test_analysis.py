@@ -11,13 +11,13 @@ from hotspots import analysis as ana
 from hotspots import fem
 from hotspots import geometry as geo
 from hotspots import meshing as msh
-from hotspots.bessel import find_constants, j0_eval, j1_eval
+from hotspots.bessel import j0_eval, j1_eval
 from hotspots.domains import DomainSpec, realize
 from hotspots.errors import AnchorOnBoundary, NotPositiveComponent
-from hotspots.report import _sweep_domain_spec
+from hotspots.report import _comparison_diagnostics, _sweep_domain_spec
 
 from . import oracles
-from .conftest import _solve
+from .conftest import _solve, admissible_set
 
 PI_SQ = math.pi**2
 
@@ -42,7 +42,7 @@ def centered_square_mesh():
 class TestFindCriticalPoints:
     def test_rectangle_eigenvector_has_no_interior_critical_points(self, rect_solved):
         psi = rect_solved.neumann.eigenvectors[:, 1]
-        pts = ana.find_critical_points(rect_solved.mesh, psi, rect_solved.poly)
+        pts = ana.find_critical_points(rect_solved.mesh, psi, rect_solved.admissible)
         assert pts == []
 
     def test_synthetic_paraboloid_min(self, coarse_disk):
@@ -51,7 +51,7 @@ class TestFindCriticalPoints:
             np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
         ]
         psi = np.hypot(*(mesh.vertices - center).T) ** 2
-        pts = ana.find_critical_points(mesh, psi, poly)
+        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh, poly))
         mins = [p for p in pts if p.kind == "min"]
         assert len(mins) == 1
         assert mins[0].location == tuple(center)
@@ -65,7 +65,7 @@ class TestFindCriticalPoints:
         dx = mesh.vertices[:, 0] - center[0]
         dy = mesh.vertices[:, 1] - center[1]
         psi = dx * dx - dy * dy
-        pts = ana.find_critical_points(mesh, psi, poly)
+        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh, poly))
         saddles = [p for p in pts if p.location == tuple(center)]
         assert len(saddles) == 1
         assert saddles[0].kind == "saddle"
@@ -73,35 +73,35 @@ class TestFindCriticalPoints:
 
     def test_alternations_always_even(self, disk_solved):
         psi = disk_solved.neumann.eigenvectors[:, 2]
-        for p in ana.find_critical_points(disk_solved.mesh, psi, disk_solved.poly):
+        for p in ana.find_critical_points(disk_solved.mesh, psi, disk_solved.admissible):
             assert p.alternations % 2 == 0
 
 
 class TestTheoremCheck:
-    def test_vacuous_pass(self, unit_square, constants):
-        verdict = ana.theorem_check([], unit_square, constants, 0.02)
+    def test_vacuous_pass(self, square_solved):
+        verdict = ana.theorem_check([], square_solved.admissible)
         assert verdict.passed and verdict.violations == ()
 
-    def test_planted_center_of_square_is_flagged(self, unit_square, constants):
+    def test_planted_center_of_square_is_flagged(self, square_solved):
         loc = (0.5, 0.5)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
-            farthest_distance=geo.farthest_boundary_distance(unit_square, [loc])[0],
+            farthest_distance=geo.farthest_boundary_distance(square_solved.poly, [loc])[0],
         )
-        verdict = ana.theorem_check([planted], unit_square, constants, 0.02)
+        verdict = ana.theorem_check([planted], square_solved.admissible)
         assert not verdict.passed
         assert verdict.violations == (planted,)
-        assert verdict.threshold == pytest.approx(1.1266619, abs=1e-3)
+        assert square_solved.admissible.threshold == pytest.approx(1.1266619, abs=1e-3)
         assert planted.farthest_distance == pytest.approx(0.7071068, abs=1e-6)
 
-    def test_planted_disk_point_outside_region_not_flagged(self, disk512, constants):
+    def test_planted_disk_point_outside_region_not_flagged(self, disk_solved):
         loc = (0.7, 0.0)
         planted = ana.CriticalPoint(
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
-            farthest_distance=geo.farthest_boundary_distance(disk512, [loc])[0],
+            farthest_distance=geo.farthest_boundary_distance(disk_solved.poly, [loc])[0],
         )
         assert planted.farthest_distance == pytest.approx(1.7, abs=1e-4)
-        verdict = ana.theorem_check([planted], disk512, constants, 0.02)
+        verdict = ana.theorem_check([planted], disk_solved.admissible)
         assert verdict.passed
 
 
@@ -114,12 +114,37 @@ def sweep_6_5():
 
 
 def _admissible(fx, constants):
-    """(m,) mask of the triangles whose vertices all have F <= threshold -
-    tolerance and boundary clearance > tolerance, the verdict's numbers."""
-    rule = ana.theorem_check([], fx.poly, constants, fx.mesh.h_max)
+    """(m,) mask of the triangles whose vertices all have F <= c_excl * diam -
+    2 h_max and boundary clearance > 2 h_max, from the paper's numbers."""
+    tolerance = 2.0 * fx.mesh.h_max
     far = geo.farthest_boundary_distance(fx.poly, fx.mesh.vertices)
-    deep = (far <= rule.threshold - rule.tolerance) & (fx.mesh.boundary_clearance > rule.tolerance)
+    deep = ((far <= constants.c_excl * fx.poly.diameter[0] - tolerance)
+            & (fx.mesh.boundary_clearance > tolerance))
     return deep[fx.mesh.triangles].all(axis=1)
+
+
+class TestAdmissibleSet:
+    @pytest.mark.parametrize("name", ["disk_solved", "sweep_6_5", "rect_solved"])
+    def test_triangle_mask_matches_independent_helper(self, request, constants, name):
+        fx = request.getfixturevalue(name)
+        record = fx.admissible
+        assert record.threshold == constants.c_excl * fx.poly.diameter[0]
+        assert record.tolerance == 2.0 * fx.mesh.h_max
+        mask = _admissible(fx, constants)
+        assert mask.any()
+        np.testing.assert_array_equal(record.triangles, mask)
+        np.testing.assert_array_equal(
+            record.triangles, record.vertices[fx.mesh.triangles].all(axis=1))
+
+    def test_far_is_f_of_each_vertex(self, coarse_disk):
+        # F of a point does not depend on the points computed with it
+        poly, mesh = coarse_disk
+        far = admissible_set(mesh, poly).far
+        for v in range(0, mesh.vertex_count, 37):
+            assert far[v] == geo.farthest_boundary_distance(poly, mesh.vertices[[v]])[0]
+            x, y = mesh.vertices[v]
+            assert far[v] == pytest.approx(max(math.hypot(x - a, y - b) for a, b in poly.vertices),
+                                           rel=1e-15)
 
 
 class TestMu2Eigenvectors:
@@ -127,14 +152,14 @@ class TestMu2Eigenvectors:
     of least gradient on the admissible triangles for a flagged pair."""
 
     @pytest.mark.parametrize("name, rel_gap", [("square_solved", 1e-5), ("sweep_6_5", 1e-2)])
-    def test_degenerate_pair_gets_three_eigenvectors(self, request, constants, name, rel_gap):
+    def test_degenerate_pair_gets_three_eigenvectors(self, request, name, rel_gap):
         # every vector lies in span(psi2, psi3): its Rayleigh quotient is in
         # [mu2, mu3], within rel_gap of mu2 (the square's pair is 4.0e-7 apart at
         # h=0.02, sweep 6/5's 8.6e-3)
         fx = request.getfixturevalue(name)
         mu2, mu3 = fx.neumann.eigenvalues[1:3]
         assert mu3 / mu2 - 1.0 <= ana.DEGENERACY_FLAG_REL_GAP
-        vecs = ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants)
+        vecs = ana.mu2_eigenvectors(fx.mesh, fx.neumann, fx.admissible)
         assert len(vecs) == 3
         np.testing.assert_array_equal(vecs[0], fx.neumann.eigenvectors[:, 1])
         np.testing.assert_array_equal(vecs[1], fx.neumann.eigenvectors[:, 2])
@@ -144,11 +169,11 @@ class TestMu2Eigenvectors:
             assert q == pytest.approx(mu2, rel=rel_gap)
         assert vecs[2][np.argmax(np.abs(vecs[2]))] > 0.0
 
-    def test_separated_pair_gets_psi2_alone(self, rect_solved, constants):
+    def test_separated_pair_gets_psi2_alone(self, rect_solved):
         mu2, mu3 = rect_solved.neumann.eigenvalues[1:3]
         assert mu3 / mu2 - 1.0 > ana.DEGENERACY_FLAG_REL_GAP
-        vecs = ana.mu2_eigenvectors(rect_solved.mesh, rect_solved.poly, rect_solved.neumann,
-                                    constants)
+        vecs = ana.mu2_eigenvectors(rect_solved.mesh, rect_solved.neumann,
+                                    rect_solved.admissible)
         assert len(vecs) == 1
         np.testing.assert_array_equal(vecs[0], rect_solved.neumann.eigenvectors[:, 1])
 
@@ -158,8 +183,8 @@ class TestMu2Eigenvectors:
         admissible = _admissible(disk_solved, constants)
         grads = fem.gradients(disk_solved.mesh, disk_solved.neumann.eigenvectors[:, 1:3])[admissible]
         assert len(grads) == 5246
-        third = ana.mu2_eigenvectors(disk_solved.mesh, disk_solved.poly, disk_solved.neumann,
-                                     constants)[2]
+        third = ana.mu2_eigenvectors(disk_solved.mesh, disk_solved.neumann,
+                                     disk_solved.admissible)[2]
         g3 = fem.gradients(disk_solved.mesh, third[:, None])
         g3 = g3[admissible, :, 0]
         least = np.hypot(*g3.T).min()
@@ -171,18 +196,18 @@ class TestMu2Eigenvectors:
         assert least == pytest.approx(scan, rel=1e-7)
 
     @pytest.mark.parametrize("angle", [0.3, 1.0, 2.5, math.pi, 4.0, 5.9])
-    def test_combination_does_not_depend_on_basis(self, sweep_6_5, constants, angle):
+    def test_combination_does_not_depend_on_basis(self, sweep_6_5, angle):
         # here the least-gradient triangle is 2.3e-3 (in sigma^2) below the
         # next one, so rotating the basis (psi2, psi3) cannot change it
         fx = sweep_6_5
-        third = ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants)[2]
+        third = ana.mu2_eigenvectors(fx.mesh, fx.neumann, fx.admissible)[2]
         turn = np.array([[math.cos(angle), -math.sin(angle)],
                          [math.sin(angle), math.cos(angle)]])
         vecs = fx.neumann.eigenvectors.copy()
         vecs[:, 1:3] = vecs[:, 1:3] @ turn
         turned = dataclasses.replace(fx.neumann, eigenvectors=vecs)
         np.testing.assert_allclose(
-            ana.mu2_eigenvectors(fx.mesh, fx.poly, turned, constants)[2], third, rtol=0,
+            ana.mu2_eigenvectors(fx.mesh, turned, fx.admissible)[2], third, rtol=0,
             atol=1e-9)
 
     def test_pair_alone_without_admissible_triangles(self, constants):
@@ -193,20 +218,21 @@ class TestMu2Eigenvectors:
         vals = fx.neumann.eigenvalues.copy()
         vals[2] = vals[1]
         forced = dataclasses.replace(fx.neumann, eigenvalues=vals)
-        vecs = ana.mu2_eigenvectors(fx.mesh, fx.poly, forced, constants)
+        vecs = ana.mu2_eigenvectors(fx.mesh, forced, fx.admissible)
         assert len(vecs) == 2
         np.testing.assert_array_equal(np.column_stack(vecs), fx.neumann.eigenvectors[:, 1:3])
 
 
-def _triangle_critical_counts(apex, constants):
+def _triangle_critical_counts(apex):
     """Interior critical vertices of each analyzed mu2 eigenvector of the
     triangle (0, 0), (1, 0), apex at h = diam/50."""
     poly = geo.validate([(0, 0), (1, 0), apex])
     mesh = msh.generate(poly, poly.diameter[0] / 50.0)
     k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
     spectrum = fem.solve_neumann(k_mat, m_mat, k=4)
-    vecs = ana.mu2_eigenvectors(mesh, poly, spectrum, constants)
-    return [len(ana.find_critical_points(mesh, v, poly)) for v in vecs]
+    admissible = admissible_set(mesh, poly)
+    vecs = ana.mu2_eigenvectors(mesh, spectrum, admissible)
+    return [len(ana.find_critical_points(mesh, v, admissible)) for v in vecs]
 
 
 class TestJudgeMondal:
@@ -214,9 +240,9 @@ class TestJudgeMondal:
     point (Judge & Mondal, Ann. of Math. 191, 2020), so no analyzed vector
     may have an interior critical vertex."""
 
-    def test_equilateral_eigenspace(self, constants):
+    def test_equilateral_eigenspace(self):
         # mu2 is double: psi2, psi3 and the least-gradient combination
-        assert _triangle_critical_counts((0.5, math.sqrt(3.0) / 2.0), constants) == [0, 0, 0]
+        assert _triangle_critical_counts((0.5, math.sqrt(3.0) / 2.0)) == [0, 0, 0]
 
     # apexes over obtuse (x < 0, x > 1 or near the base) and near-degenerate
     # (height down to 0.02 of the base) triangles; about 15 ms each
@@ -225,7 +251,7 @@ class TestJudgeMondal:
     @example(x=-2.0, y=0.02)
     @given(x=st.floats(-2.0, 3.0), y=st.floats(0.02, 2.0))
     def test_no_interior_critical_vertices(self, x, y):
-        assert not any(_triangle_critical_counts((x, y), find_constants()))
+        assert not any(_triangle_critical_counts((x, y)))
 
 
 class TestComparisonField:
@@ -497,18 +523,29 @@ class TestBoundaryFlux:
 
 
 class TestSupportPositivity:
-    def test_square_center(self, unit_square):
-        assert ana.support_positivity(unit_square, (0.5, 0.5)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+    """The comparison's support positivity, min over the boundary of
+    (x - x0).nu, is the anchor's boundary clearance; on the unit square it is
+    the distance to the nearest side."""
 
-    def test_square_near_edge(self, unit_square):
-        assert ana.support_positivity(unit_square, (0.99, 0.5)) == pytest.approx(
-            0.01, abs=1e-12
-        )
+    @staticmethod
+    def _at(fx, target):
+        mesh = fx.mesh
+        interior = np.nonzero(mesh.interior_mask)[0]
+        idx = int(interior[np.argmin(np.hypot(*(mesh.vertices[interior] - target).T))])
+        doc = _comparison_diagnostics(mesh, fx.poly, fx.admissible, fx.K, fx.M,
+                                      fx.neumann.eigenvectors[:, 1],
+                                      float(fx.neumann.eigenvalues[1]), idx, True, 0)
+        x, y = mesh.vertices[idx]
+        assert doc["support_positivity"] == mesh.boundary_clearance[idx]
+        assert doc["support_positivity"] == pytest.approx(min(x, y, 1.0 - x, 1.0 - y),
+                                                          rel=1e-13)
+        return doc["support_positivity"]
 
-    def test_outside_point_negative(self, unit_square):
-        assert ana.support_positivity(unit_square, (2.0, 0.5)) < 0.0
+    def test_square_center(self, square_solved):
+        assert self._at(square_solved, (0.5, 0.5)) == pytest.approx(0.5, abs=0.02)
+
+    def test_square_near_edge(self, square_solved):
+        assert self._at(square_solved, (0.99, 0.5)) == pytest.approx(0.01, abs=0.02)
 
 
 class TestRayleighDefect:
@@ -628,11 +665,11 @@ class TestInequalityChecks:
         assert not rep.strong_kroger_holds
         assert rep.kroger_margin == pytest.approx(3.393, abs=0.06)
 
-    def test_certification_consistency(self, disk_solved, rect_solved, constants):
+    def test_certification_consistency(self, disk_solved, rect_solved):
         # strong Kroeger holds on both; no interior critical vertex may exist
         for fx in (disk_solved, rect_solved):
-            for psi in ana.mu2_eigenvectors(fx.mesh, fx.poly, fx.neumann, constants):
-                assert ana.find_critical_points(fx.mesh, psi, fx.poly) == []
+            for psi in ana.mu2_eigenvectors(fx.mesh, fx.neumann, fx.admissible):
+                assert ana.find_critical_points(fx.mesh, psi, fx.admissible) == []
 
 
 class TestSteinerberger:
@@ -679,7 +716,7 @@ class TestVectorizedMatchesOracles:
 
     @staticmethod
     def _assert_same(mesh, poly, psi):
-        assert ana.find_critical_points(mesh, psi, poly) == \
+        assert ana.find_critical_points(mesh, psi, admissible_set(mesh, poly)) == \
             oracles.banchoff_critical_points(mesh, psi, poly)
         nd = ana.nodal_decomposition(mesh, psi)
         segments, labels, signs, touches = oracles.union_find_nodal(mesh, psi)
@@ -703,14 +740,15 @@ class TestVectorizedMatchesOracles:
 
     def test_planted_critical_points(self, coarse_disk):
         poly, mesh = coarse_disk
+        admissible = admissible_set(mesh, poly)
         kinds = []
         for psi in _planted_fields(mesh):
             self._assert_same(mesh, poly, psi)
-            kinds.append({p.kind for p in ana.find_critical_points(mesh, psi, poly)})
+            kinds.append({p.kind for p in ana.find_critical_points(mesh, psi, admissible)})
         assert {"max", "min"} <= kinds[0]
         assert "saddle" in kinds[1]
         assert "max" in kinds[2]
-        monkey = [p for p in ana.find_critical_points(mesh, _planted_fields(mesh)[1], poly)
+        monkey = [p for p in ana.find_critical_points(mesh, _planted_fields(mesh)[1], admissible)
                   if p.alternations == 6]
         assert len(monkey) == 1
 

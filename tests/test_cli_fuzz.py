@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hotspots import cli
 from hotspots.domains import KINDS
+from hotspots.report import REPORT_SCHEMA
 
 JUNK = (st.none() | st.booleans() | st.text(max_size=3)
         | st.sampled_from([0, -1, 0.0, -0.5, 1e300, -1e300, 10**30, 5_000_000])
@@ -85,7 +86,7 @@ def report_docs(draw):
     """Report-shaped documents, often with fields missing or malformed."""
     if draw(st.booleans()):
         return draw(ANY_JSON)
-    doc = {"schema": draw(st.integers(1, 10) | st.integers(0, 11) | NON_INT_SCHEMA | JUNK)}
+    doc = {"schema": draw(st.integers(0, REPORT_SCHEMA + 1) | NON_INT_SCHEMA | JUNK)}
     for name in draw(st.sets(st.sampled_from(sorted(REPORT_FIELDS)))):
         doc[name] = draw(REPORT_FIELDS[name] | REPORT_FIELDS[name] | ANY_JSON)
     return doc

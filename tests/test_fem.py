@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -295,11 +296,22 @@ class TestShiftInvert:
 
     @pytest.mark.parametrize("h", [0.02, 0.03])
     def test_singular_matrix_is_named(self, unit_square, h):
-        # the unshifted K is singular (constants): at h=0.02 LAPACK's factor
-        # fails, at h=0.03 it ends on a pivot within rounding of zero
+        # the unshifted K is singular (constants): at both h LAPACK's factor
+        # fails ("not positive definite") before the last pivot is tested
         k_mat = fem.assemble_stiffness(msh.generate(unit_square, h))
         with pytest.raises(ConvergenceFailure, match="Neumann matrix is"):
             fem.SpdInverse(k_mat, "Neumann", reverse_cuthill_mckee(k_mat, symmetric_mode=True))
+
+    def test_pivot_within_rounding_is_named(self):
+        # [[1, 1], [1, 1 + d]] factors with last pivot^2 = d, which the
+        # rounding test (<= n eps diag) rejects at d = eps and accepts at 4 eps
+        eps = np.finfo(float).eps
+        with pytest.raises(ConvergenceFailure,
+                           match="pivot 2 of 2 is within rounding of zero"):
+            fem.SpdInverse(sp.csr_matrix([[1.0, 1.0], [1.0, 1.0 + eps]]), "Test", np.arange(2))
+        inv = fem.SpdInverse(sp.csr_matrix([[1.0, 1.0], [1.0, 1.0 + 4.0 * eps]]), "Test",
+                             np.arange(2))
+        assert inv.path == "banded"
 
 
 _NEAR_CUTOFF = {  # meshes whose interior is just above DENSE_CUTOFF vertices

@@ -20,6 +20,7 @@ from .oracles import (
     delaunay_cells,
     greedy_circumcenters,
     in_circumcircle,
+    unique_edges,
 )
 
 
@@ -118,6 +119,37 @@ def test_derived_facts_match_the_constructors(make, h_rel):
         for i in range(3):
             tail, head = mesh.vertices[t[:, (i + 1) % 3]], mesh.vertices[t[:, (i + 2) % 3]]
             assert np.array_equal(mesh.lengths[:, i], np.hypot(*(head - tail).T))
+
+
+def _edge_meshes():
+    """Sweep domains of seeds 1-7, 31 domains with split rounds, thin
+    rectangles, a 20:1 ellipse and refined meshes."""
+    for seed in range(1, 8):
+        for index in range(6):
+            poly = realize(_sweep_domain_spec(seed, index))
+            yield msh.generate(poly, 0.02 * poly.diameter[0])
+    for master_seed, index in _SHORT_EDGE_DOMAINS[::22]:
+        poly = realize(_sweep_domain_spec(master_seed, index))
+        yield msh.generate(poly, 0.02 * poly.diameter[0])
+    for length, width in ((1.0, 0.01), (2.0, 0.05)):
+        poly = geo.validate([(0, 0), (length, 0), (length, width), (0, width)])
+        mesh = msh.generate(poly, math.sqrt(3.0) / 2.0 * poly.inradius[0])
+        yield from (mesh, msh.refine(mesh))
+    ellipse = _ellipse20()
+    yield msh.generate(ellipse, 0.02 * ellipse.diameter[0])
+    yield msh.refine(msh.generate(_disk(512)(), 0.1))
+    yield msh.refine(msh.refine(msh.generate(geo.validate([(0, 0), (1, 0), (0.3, 0.8)]), 0.05)))
+
+
+def test_edges_match_the_unique_pairs():
+    # the half-edge form is bit-equal to deduplicating all triangle sides
+    count = 0
+    for mesh in _edge_meshes():
+        expected = unique_edges(mesh)
+        assert mesh.edges.dtype == expected.dtype
+        assert np.array_equal(mesh.edges, expected)
+        count += 1
+    assert count == 80
 
 
 def test_quality_builds_the_lengths_once(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hotspots import cli, fem, report
+from hotspots import analysis, cli, fem, geometry, report
 from hotspots.domains import DomainSpec, save_spec
 from hotspots.geometry import ConvexPolygon
 
@@ -35,7 +35,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 11
+        assert doc["schema"] == 12
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -168,6 +168,21 @@ def test_one_band_order_per_run(disk_spec_path, monkeypatch):
     assert calls == [(solves["neumann"]["n"],) * 2]
     assert solves["dirichlet"]["path"] == "banded"
     assert solves["dirichlet"]["kd"] <= solves["neumann"]["kd"]
+
+
+def test_one_farthest_distance_call_per_run(disk_spec_path, monkeypatch):
+    # F at every vertex is computed once, into the run's admissible set
+    far, calls = geometry.farthest_boundary_distance, []
+
+    def spy(poly, points):
+        calls.append(len(points))
+        return far(poly, points)
+
+    monkeypatch.setattr(geometry, "farthest_boundary_distance", spy)
+    monkeypatch.setattr(analysis, "farthest_boundary_distance", spy)
+    rep = report.run_verify(disk_spec_path, h=0.05)
+    assert rep.spectrum["analyzed_eigenvectors"] == 3
+    assert calls == [rep.mesh["vertex_count"]]
 
 
 def test_repeated_stage_times_add_up(monkeypatch):
