@@ -80,12 +80,6 @@ class InequalityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class TheoremVerdict:
-    violations: tuple[CriticalPoint, ...]
-    passed: bool
-
-
-@dataclass(frozen=True, eq=False)
 class AdmissibleSet:
     """Where the verdict looks: a vertex is admissible when F <= threshold -
     tolerance and its boundary clearance exceeds the tolerance, a triangle
@@ -108,10 +102,10 @@ class RayleighDefect:
 
 # --- critical points ----------------------------------------------------------
 
-def admissible_set(mesh: TriMesh, poly: ConvexPolygon, threshold: float) -> AdmissibleSet:
+def admissible_set(mesh: TriMesh, threshold: float) -> AdmissibleSet:
     """The run's one AdmissibleSet for the exclusion threshold c_excl * diam."""
     tolerance = 2.0 * mesh.h_max
-    far = farthest_boundary_distance(poly, mesh.vertices)
+    far = farthest_boundary_distance(mesh.polygon, mesh.vertices)
     ok = (far <= threshold - tolerance) & (mesh.boundary_clearance > tolerance)
     return AdmissibleSet(threshold=threshold, tolerance=tolerance, far=far, vertices=ok,
                          triangles=ok[mesh.triangles].all(axis=1))
@@ -151,12 +145,11 @@ def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np
     return np.where(np.abs(diffs) <= tie, np.where(u > v, 1.0, -1.0), np.sign(diffs))
 
 
-def theorem_check(points: list[CriticalPoint], rule: AdmissibleSet) -> TheoremVerdict:
-    """Flag critical points deeper inside the exclusion region than the tolerance."""
-    violations = tuple(
-        p for p in points if p.farthest_distance <= rule.threshold - rule.tolerance
-    )
-    return TheoremVerdict(violations=violations, passed=not violations)
+def theorem_check(points: list[CriticalPoint],
+                  rule: AdmissibleSet) -> tuple[CriticalPoint, ...]:
+    """The violations: critical points deeper inside the exclusion region than
+    the tolerance.  The claim passes when there are none."""
+    return tuple(p for p in points if p.farthest_distance <= rule.threshold - rule.tolerance)
 
 
 def mu2_eigenvectors(mesh: TriMesh, spectrum: Spectrum,
@@ -404,12 +397,13 @@ def inequality_checks(
 
 # --- diagnostic --------------------------------------------------------------------------
 
-def steinerberger_diagnostic(mesh: TriMesh, psi: np.ndarray, poly: ConvexPolygon) -> float:
+def steinerberger_diagnostic(mesh: TriMesh, psi: np.ndarray) -> float:
     """Distance from the argmax set of psi to the diameter endpoints, in units
     of the inradius.  Reported only; no pass/fail attaches to it."""
     psi = np.asarray(psi, dtype=float)
     spread = float(psi.max() - psi.min())
     max_set = mesh.vertices[psi >= psi.max() - 1e-9 * spread]
+    poly = mesh.polygon
     dmin = min(
         float(np.hypot(*(max_set - e).T).min()) for e in np.array(poly.diameter[1])
     )

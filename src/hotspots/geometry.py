@@ -1,12 +1,15 @@
-"""Convex polygonal domains: validation, diameter, inradius, farthest-boundary
-distance, minimum enclosing circle, and the critical-point exclusion region.
+"""Convex polygonal domains: validation, diameter, inradius, the two
+polygon-distance kernels, minimum enclosing circle, and the critical-point
+exclusion region.
 
 All tolerances are relative to the domain's length scale so domains of any
 size behave identically.  The boundary supremum of ``|p - y|`` over a polygon
 is attained at a vertex (on each edge the distance to a fixed point is a
 convex function of the parameter), so ``farthest_boundary_distance`` only
-inspects vertices.  The straight skeleton gives the inradius and Welzl the
-enclosing circle, with no optimizer.
+inspects vertices; the infimum, for a point inside, is its
+``half_plane_depth``, the slack of the nearest edge line.  The straight
+skeleton gives the inradius and Welzl the enclosing circle, with no
+optimizer.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
 )
 
 RAY_COUNT = 720
-F_CHUNK = 65_536  # elements per farthest_boundary_distance chunk: its temporaries stay in cache
+CHUNK = 65_536  # elements per polygon-distance chunk: its temporaries stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,14 +254,35 @@ def validate(raw_vertices) -> ConvexPolygon:
     return ConvexPolygon(vertices=pts, area=float(area), scale=scale)
 
 
+def _chunks(n: int, width: int) -> list[slice]:
+    """Row slices of an (n, width) computation, CHUNK elements at a time."""
+    rows = max(1, CHUNK // width)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
 def farthest_boundary_distance(poly: ConvexPolygon, points) -> np.ndarray:
     """(n,) F(p) = max over boundary of |p - y| for each row p of the (n, 2)
-    points, at a vertex for polygons; F_CHUNK point-vertex pairs at a time."""
+    points, at a vertex for polygons."""
     pts = np.asarray(points, dtype=float)
     vx, vy = poly.vertices.T
-    rows = max(1, F_CHUNK // len(vx))
-    return np.sqrt(np.concatenate([np.max((vx - c[:, :1]) ** 2 + (vy - c[:, 1:]) ** 2, axis=1)
-                                   for c in np.split(pts, range(rows, len(pts), rows))]))
+    out = np.empty(len(pts))
+    for s in _chunks(len(pts), len(vx)):
+        out[s] = np.max((vx - pts[s, :1]) ** 2 + (vy - pts[s, 1:]) ** 2, axis=1)
+    return np.sqrt(out)
+
+
+def half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n,) min over edges e of offset_e - n_e.p: for a point of a convex
+    polygon (``edge_normals``), its distance to the boundary.  Elementwise,
+    not a BLAS product (which rounds per block): same bits for any chunk."""
+    out = np.empty(len(points))
+    nx, ny = normals[:, 0], normals[:, 1]
+    for s in _chunks(len(points), len(normals)):
+        depth = points[s, :1] * nx
+        depth += points[s, 1:] * ny
+        np.subtract(offsets, depth, out=depth)
+        out[s] = depth.min(axis=1)
+    return out
 
 
 # --- minimum enclosing circle (Welzl) ----------------------------------------

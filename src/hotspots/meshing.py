@@ -7,7 +7,9 @@ clearance from the boundary, triangulated as laid down, and fill points h/2
 inside the boundary where the lattice leaves a gap.  Where the mesh misses
 the angle bound (polygon edges much shorter than h, thin domains),
 Ruppert-style split rounds insert circumcenters and split encroached
-boundary segments.
+boundary segments.  The mesh keeps its polygon, which is its boundary: the
+depth tests (lattice, fill points, circumcenters) and the vertices'
+boundary clearance are ``geometry.half_plane_depth`` against its edges.
 
 The triangulation rests on Delaunay locality: a triangle belongs iff its
 circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
@@ -30,11 +32,10 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidH, QualityFailure
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, _chunks, half_plane_depth
 
 MIN_ANGLE_DEG = 20.0
 SPLIT_ROUNDS = 20
-DEPTH_CHUNK = 65_536  # elements per depth chunk: its temporaries stay in cache
 MAX_MESH_SIZE = 4_000_000  # cap on the lattice points of generate, the triangles of refine
 DEEP_DEPTH = 3.0  # in h: lattice points this deep are triangulated by index arithmetic
 HALO_DEPTH = 2.0  # in h: deep points this near the strip are given to Qhull as well
@@ -48,16 +49,16 @@ MAX_H_INRADII = 64.0
 class TriMesh:
     """Conforming triangulation of a convex polygon.
 
-    Stored is what the mesher decides: ``boundary_edges`` lists vertex index
-    pairs forming one closed CCW loop, ``boundary_normals`` their outward
-    unit normals (`refine` repeats a parent edge's normal on both halves).
-    Element geometry, ``h_max`` and the interior mask are derived.
+    Stored is the polygon meshed and what the mesher decides:
+    ``boundary_edges`` lists vertex index pairs forming one closed CCW loop
+    along the polygon's edges.  Element geometry, ``h_max``, the interior
+    mask, the boundary normals and the boundary clearance are derived.
     """
 
+    polygon: ConvexPolygon
     vertices: np.ndarray            # (n, 2)
     triangles: np.ndarray           # (m, 3) int, CCW
     boundary_edges: np.ndarray      # (b, 2) int, ordered CCW loop
-    boundary_normals: np.ndarray    # (b, 2)
 
     @property
     def vertex_count(self) -> int:
@@ -99,24 +100,21 @@ class TriMesh:
         return interior
 
     @cached_property
-    def boundary_clearance(self) -> np.ndarray:
-        """(n,) distance from each vertex to the boundary.
+    def boundary_normals(self) -> np.ndarray:
+        """(b, 2) outward unit normal of each boundary edge."""
+        a, b = self.vertices[self.boundary_edges.T]
+        n = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
+        return n / np.linalg.norm(n, axis=1)[:, None]
 
-        On a convex domain this is the half-plane depth
-        max(0, min_e(offset_e - n_e.v)) over the boundary edges: the nearest
-        edge line's foot point lies on that edge, or another line would be
-        nearer.  Edges with bit-equal normals (the halves that `refine` makes)
-        share a line up to rounding, so each such group enters with its least
-        offset only; subtraction rounds monotonically, so the result is
-        bit-equal to testing every edge.
-        """
-        normals = np.ascontiguousarray(self.boundary_normals)
-        offsets = np.einsum("ij,ij->i", normals, self.vertices[self.boundary_edges[:, 0]])
-        _, first, group = np.unique(normals.view(np.int64), axis=0,
-                                    return_index=True, return_inverse=True)
-        least = np.full(len(first), np.inf)
-        np.minimum.at(least, group.ravel(), offsets)
-        return np.maximum(_half_plane_depth(self.vertices, normals[first], least), 0.0)
+    @cached_property
+    def boundary_clearance(self) -> np.ndarray:
+        """(n,) distance from each vertex to the boundary, 0 on the loop.
+
+        On a convex polygon this is the half-plane depth over its edges: the
+        nearest edge line's foot point lies on that edge, or another line
+        would be nearer."""
+        depth = half_plane_depth(self.vertices, *self.polygon.edge_normals)
+        return np.where(self.interior_mask, np.maximum(depth, 0.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,20 +124,6 @@ class MeshQuality:
     h_max: float
     vertex_count: int
     triangle_count: int
-
-
-def _half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(n,) min over edges e of offset_e - n_e.p, DEPTH_CHUNK elements at a time.
-    Elementwise, not a BLAS product (which rounds per block): same bits for any chunk."""
-    out = np.empty(len(points))
-    nx, ny = normals[:, 0], normals[:, 1]
-    rows = max(1, DEPTH_CHUNK // len(normals))
-    for lo in range(0, len(points), rows):
-        depth = points[lo:lo + rows, :1] * nx
-        depth += points[lo:lo + rows, 1:] * ny
-        np.subtract(offsets, depth, out=depth)
-        out[lo:lo + rows] = depth.min(axis=1)
-    return out
 
 
 def element_edges(vertices: np.ndarray, triangles: np.ndarray):
@@ -157,12 +141,6 @@ def _min_angles_deg(lengths: np.ndarray) -> np.ndarray:
     a, b, c = ls[:, 0], ls[:, 1], ls[:, 2]
     cos_min = np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0)
     return np.degrees(np.arccos(cos_min))
-
-
-def _outward_normals(vertices: np.ndarray, loop: np.ndarray) -> np.ndarray:
-    e = vertices[loop[:, 1]] - vertices[loop[:, 0]]
-    n = np.column_stack([e[:, 1], -e[:, 0]])
-    return n / np.linalg.norm(n, axis=1)[:, None]
 
 
 class _Lattice:
@@ -207,17 +185,16 @@ class _Lattice:
 def _row_intervals(ys: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    level: float) -> tuple[np.ndarray, np.ndarray]:
     """Per row y, the interval [lo, hi] of x with min_e(offset_e - n_e.(x, y))
-    >= level, up to rounding (empty when lo > hi); DEPTH_CHUNK elements at a time."""
+    >= level, up to rounding (empty when lo > hi); in geometry.CHUNK chunks."""
     nx, ny = normals[:, 0], normals[:, 1]
     lo, hi = np.empty(len(ys)), np.empty(len(ys))
-    rows = max(1, DEPTH_CHUNK // len(normals))
-    for a in range(0, len(ys), rows):
-        room = offsets - level - ys[a:a + rows, None] * ny   # need nx * x <= room
+    for s in _chunks(len(ys), len(normals)):
+        room = offsets - level - ys[s, None] * ny   # need nx * x <= room
         with np.errstate(divide="ignore", invalid="ignore"):
             q = room / nx
         shut = (nx == 0.0) & (room < 0.0)  # an edge parallel to the row that excludes it
-        hi[a:a + rows] = np.where(nx > 0.0, q, np.where(shut, -np.inf, np.inf)).min(axis=1)
-        lo[a:a + rows] = np.where(nx < 0.0, q, np.where(shut, np.inf, -np.inf)).max(axis=1)
+        hi[s] = np.where(nx > 0.0, q, np.where(shut, -np.inf, np.inf)).min(axis=1)
+        lo[s] = np.where(nx < 0.0, q, np.where(shut, np.inf, -np.inf)).max(axis=1)
     return lo, hi
 
 
@@ -251,7 +228,7 @@ def _lattice(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     keep = (x >= lo_in[r]) & (x <= hi_in[r])
     unsure = (x >= lo_out[r]) & (x <= hi_out[r]) & ~keep
     pts = np.column_stack([x, ys[r]])
-    keep[unsure] = _half_plane_depth(pts[unsure], normals, offsets) >= 0.5 * h
+    keep[unsure] = half_plane_depth(pts[unsure], normals, offsets) >= 0.5 * h
     r, c, pts = r[keep], c[keep], pts[keep]
 
     def inside(level: float) -> np.ndarray:
@@ -263,7 +240,7 @@ def _lattice(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     return pts, lattice
 
 
-def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
+def _assemble(poly: ConvexPolygon, points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
     """The Delaunay mesh of the points.
 
     Qhull sees every point but the core lattice points, and its triangles
@@ -297,15 +274,8 @@ def _assemble(points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
         raise QualityFailure("vertex lost to degenerate-sliver filtering")
     # Boundary samples were laid down CCW along the polygon, so the loop is
     # theirs by construction, independent of triangulation degeneracies.
-    loop = np.column_stack([
-        np.arange(n_b), (np.arange(n_b) + 1) % n_b
-    ])
-    return TriMesh(
-        vertices=points,
-        triangles=triangles,
-        boundary_edges=loop,
-        boundary_normals=_outward_normals(points, loop),
-    )
+    loop = np.column_stack([np.arange(n_b), (np.arange(n_b) + 1) % n_b])
+    return TriMesh(polygon=poly, vertices=points, triangles=triangles, boundary_edges=loop)
 
 
 def generate(poly: ConvexPolygon, h: float) -> TriMesh:
@@ -356,14 +326,14 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
             - 0.5 * h * normals[edge])
     gap, _ = cKDTree(interior_pts).query(fill)
     keep = ((gap > h / math.sqrt(3.0))
-            & (_half_plane_depth(fill, normals, offsets) >= 0.5 * h * (1.0 - 1e-9)))
+            & (half_plane_depth(fill, normals, offsets) >= 0.5 * h * (1.0 - 1e-9)))
     fill, gap = fill[keep], gap[keep]
     fill = fill[_independent(fill, np.full(len(fill), 0.5 * h), np.argsort(-gap, kind="stable"))]
 
     target = min(MIN_ANGLE_DEG, _sharpest_corner_deg(verts) - 1e-9)
     n_b = len(boundary_pts)
     points = np.vstack([boundary_pts, interior_pts, fill])
-    mesh = _assemble(points, n_b, lattice)
+    mesh = _assemble(poly, points, n_b, lattice)
 
     # Ruppert-style split rounds (Ruppert, J. Algorithms 18, 1995).  Worst
     # triangles go first; a circumcenter already chosen inside a triangle's
@@ -398,11 +368,11 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
         bnd = np.vstack([bnd, mids[split]])[order]
         clear = np.bincount(ci[near], minlength=len(cc)) == 0
-        inserted = cc[clear & (_half_plane_depth(cc, normals, offsets) > 0.0)]
+        inserted = cc[clear & (half_plane_depth(cc, normals, offsets) > 0.0)]
         points = np.vstack([bnd, points[n_b:], inserted])
         n_b = len(bnd)
         lattice.demote(points[n_b:n_b + m], inserted, h)
-        mesh = _assemble(points, n_b, lattice)
+        mesh = _assemble(poly, points, n_b, lattice)
 
 
 def _independent(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -464,12 +434,8 @@ def refine(mesh: TriMesh) -> TriMesh:
     bm = mid(ba, bb)
     loops = np.column_stack([ba, bm, bm, bb]).reshape(-1, 2)
 
-    return TriMesh(
-        vertices=new_verts,
-        triangles=new_tris,
-        boundary_edges=loops,
-        boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
-    )
+    return TriMesh(polygon=mesh.polygon, vertices=new_verts, triangles=new_tris,
+                   boundary_edges=loops)
 
 
 def quality(mesh: TriMesh) -> MeshQuality:

@@ -30,7 +30,7 @@ from .geometry import exclusion_region
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 12
+REPORT_SCHEMA = 13
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -95,9 +95,9 @@ class _Eigenvector:
     nodal_segments: np.ndarray
 
 
-def _analyze_eigenvector(mesh, poly, admissible, j: int, psi: np.ndarray) -> _Eigenvector:
+def _analyze_eigenvector(mesh, admissible, j: int, psi: np.ndarray) -> _Eigenvector:
     cps = ana.find_critical_points(mesh, psi, admissible)
-    verdict = ana.theorem_check(cps, admissible)
+    violations = ana.theorem_check(cps, admissible)
     nd = ana.nodal_decomposition(mesh, psi)
     bverts = np.nonzero(~mesh.interior_mask)[0]
 
@@ -105,8 +105,8 @@ def _analyze_eigenvector(mesh, poly, admissible, j: int, psi: np.ndarray) -> _Ei
         return {"vertex_id": int(i), "location": mesh.vertices[i], "value": float(psi[i])}
 
     return _Eigenvector(
-        theorem=_plain({"passed": verdict.passed,
-                        "violations": [asdict(p) for p in verdict.violations]}),
+        theorem=_plain({"passed": not violations,
+                        "violations": [asdict(p) for p in violations]}),
         boundary_extrema=_plain({"eigenvector": j,
                                  "max": extremum(bverts[int(np.argmax(psi[bverts]))]),
                                  "min": extremum(bverts[int(np.argmin(psi[bverts]))])}),
@@ -116,7 +116,7 @@ def _analyze_eigenvector(mesh, poly, admissible, j: int, psi: np.ndarray) -> _Ei
                "components": len(nd.component_signs),
                "positive_components": nd.positive_component_count,
                "all_touch_boundary": bool(nd.touches_boundary.all())},
-        steinerberger=ana.steinerberger_diagnostic(mesh, psi, poly),
+        steinerberger=ana.steinerberger_diagnostic(mesh, psi),
         psi=psi,
         critical_points=cps,
         nodal_segments=nd.segments,
@@ -147,13 +147,13 @@ class _Stages:
         return out
 
 
-def _comparison_diagnostics(mesh, poly, admissible, k_mat, m_mat, psi, mu2, anchor_vertex,
+def _comparison_diagnostics(mesh, admissible, k_mat, m_mat, psi, mu2, anchor_vertex,
                             diagnostic_only, eig_index):
     fld = ana.build_comparison(mesh, psi, mu2, anchor_vertex)
     flux = ana.boundary_flux(fld, mesh)
     flux_bound_applies = math.sqrt(mu2) * admissible.far[anchor_vertex] <= find_constants().j1
     clearance = float(mesh.boundary_clearance[anchor_vertex])
-    radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
+    radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * mesh.polygon.diameter[0]))
     nd = ana.nodal_decomposition(mesh, fld.values)
     branches = None
     if radius >= 3.0 * mesh.h_max:
@@ -236,25 +236,25 @@ def run_verify(
     region = stages.run("exclusion_region", lambda: exclusion_region(poly))
 
     def analyze():
-        admissible = ana.admissible_set(mesh, poly, region.threshold)
-        return admissible, [_analyze_eigenvector(mesh, poly, admissible, j, psi) for j, psi
+        admissible = ana.admissible_set(mesh, region.threshold)
+        return admissible, [_analyze_eigenvector(mesh, admissible, j, psi) for j, psi
                             in enumerate(ana.mu2_eigenvectors(mesh, neumann, admissible))]
 
     admissible, records = stages.run("analysis", analyze)
 
     def compare():
         out = [
-            _comparison_diagnostics(mesh, poly, admissible, k_mat, m_mat, rec.psi, mu2,
+            _comparison_diagnostics(mesh, admissible, k_mat, m_mat, rec.psi, mu2,
                                     cp.vertex_id, False, j)
             for j, rec in enumerate(records)
             for cp in rec.critical_points
         ]
         if not out:
             cand = np.nonzero(mesh.interior_mask)[0]
-            rel = mesh.vertices[cand] - mec.center
+            rel = mesh.vertices[cand] - rho_center
             anchor_vertex = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
             out.append(_comparison_diagnostics(
-                mesh, poly, admissible, k_mat, m_mat, records[0].psi, mu2,
+                mesh, admissible, k_mat, m_mat, records[0].psi, mu2,
                 anchor_vertex, True, 0,
             ))
         return out

@@ -44,7 +44,7 @@ def _solve(poly, h, k=4):
         neumann=neumann,
         dirichlet=dirichlet,
         seconds=time.perf_counter() - t0,
-        admissible=admissible_set(mesh, poly),
+        admissible=admissible_set(mesh),
     )
 
 
@@ -64,9 +64,9 @@ def rect_solved(rect21):
     return _solve(rect21, 0.02)
 
 
-def admissible_set(mesh, poly):
+def admissible_set(mesh):
     """The run's admissible-set record, at the exclusion region's threshold."""
-    return analysis.admissible_set(mesh, poly, geometry.exclusion_region(poly).threshold)
+    return analysis.admissible_set(mesh, geometry.exclusion_region(mesh.polygon).threshold)
 
 
 def random_polygon(seed, n=30, diam=2.0):

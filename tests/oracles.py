@@ -240,13 +240,13 @@ def boundary_distances(mesh, points: np.ndarray) -> np.ndarray:
 
 
 def all_edges_clearance(mesh) -> np.ndarray:
-    """Half-plane depth of every vertex against every boundary edge (the
-    mesher's earlier `boundary_clearance`)."""
-    from hotspots.meshing import _half_plane_depth
+    """Half-plane depth of every vertex against the line of every boundary
+    edge (the mesher's earlier `boundary_clearance`)."""
+    from hotspots.geometry import half_plane_depth
 
     normals = mesh.boundary_normals
     offsets = np.einsum("ij,ij->i", normals, mesh.vertices[mesh.boundary_edges[:, 0]])
-    return np.maximum(_half_plane_depth(mesh.vertices, normals, offsets), 0.0)
+    return np.maximum(half_plane_depth(mesh.vertices, normals, offsets), 0.0)
 
 
 def unique_edges(mesh) -> np.ndarray:

@@ -141,8 +141,7 @@ def test_criterion_4_theorem_suite(sweep, fixture_reports, square_solved):
         farthest_distance=geo.farthest_boundary_distance(square_solved.poly, [loc])[0],
     )
     rule = square_solved.admissible
-    verdict = ana.theorem_check([planted], rule)
-    control_ok = (not verdict.passed) and len(verdict.violations) == 1
+    control_ok = ana.theorem_check([planted], rule) == (planted,)
     control_ok &= abs(planted.farthest_distance - 0.707107) <= 1e-6
     control_ok &= abs(rule.threshold - 1.126662) <= 1e-4
     control_ok &= all(doc["theorem"]["threshold"] == doc["geometry"]["exclusion_threshold"]

@@ -46,26 +46,26 @@ class TestFindCriticalPoints:
         assert pts == []
 
     def test_synthetic_paraboloid_min(self, coarse_disk):
-        poly, mesh = coarse_disk
+        _, mesh = coarse_disk
         center = mesh.vertices[
             np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
         ]
         psi = np.hypot(*(mesh.vertices - center).T) ** 2
-        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh, poly))
+        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh))
         mins = [p for p in pts if p.kind == "min"]
         assert len(mins) == 1
         assert mins[0].location == tuple(center)
         assert mins[0].alternations == 0
 
     def test_synthetic_saddle(self, coarse_disk):
-        poly, mesh = coarse_disk
+        _, mesh = coarse_disk
         center = mesh.vertices[
             np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
         ]
         dx = mesh.vertices[:, 0] - center[0]
         dy = mesh.vertices[:, 1] - center[1]
         psi = dx * dx - dy * dy
-        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh, poly))
+        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh))
         saddles = [p for p in pts if p.location == tuple(center)]
         assert len(saddles) == 1
         assert saddles[0].kind == "saddle"
@@ -79,8 +79,7 @@ class TestFindCriticalPoints:
 
 class TestTheoremCheck:
     def test_vacuous_pass(self, square_solved):
-        verdict = ana.theorem_check([], square_solved.admissible)
-        assert verdict.passed and verdict.violations == ()
+        assert ana.theorem_check([], square_solved.admissible) == ()
 
     def test_planted_center_of_square_is_flagged(self, square_solved):
         loc = (0.5, 0.5)
@@ -88,9 +87,7 @@ class TestTheoremCheck:
             vertex_id=0, location=loc, value=1.0, kind="max", alternations=0,
             farthest_distance=geo.farthest_boundary_distance(square_solved.poly, [loc])[0],
         )
-        verdict = ana.theorem_check([planted], square_solved.admissible)
-        assert not verdict.passed
-        assert verdict.violations == (planted,)
+        assert ana.theorem_check([planted], square_solved.admissible) == (planted,)
         assert square_solved.admissible.threshold == pytest.approx(1.1266619, abs=1e-3)
         assert planted.farthest_distance == pytest.approx(0.7071068, abs=1e-6)
 
@@ -101,8 +98,7 @@ class TestTheoremCheck:
             farthest_distance=geo.farthest_boundary_distance(disk_solved.poly, [loc])[0],
         )
         assert planted.farthest_distance == pytest.approx(1.7, abs=1e-4)
-        verdict = ana.theorem_check([planted], disk_solved.admissible)
-        assert verdict.passed
+        assert ana.theorem_check([planted], disk_solved.admissible) == ()
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +135,7 @@ class TestAdmissibleSet:
     def test_far_is_f_of_each_vertex(self, coarse_disk):
         # F of a point does not depend on the points computed with it
         poly, mesh = coarse_disk
-        far = admissible_set(mesh, poly).far
+        far = admissible_set(mesh).far
         for v in range(0, mesh.vertex_count, 37):
             assert far[v] == geo.farthest_boundary_distance(poly, mesh.vertices[[v]])[0]
             x, y = mesh.vertices[v]
@@ -230,7 +226,7 @@ def _triangle_critical_counts(apex):
     mesh = msh.generate(poly, poly.diameter[0] / 50.0)
     k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
     spectrum = fem.solve_neumann(k_mat, m_mat, k=4)
-    admissible = admissible_set(mesh, poly)
+    admissible = admissible_set(mesh)
     vecs = ana.mu2_eigenvectors(mesh, spectrum, admissible)
     return [len(ana.find_critical_points(mesh, v, admissible)) for v in vecs]
 
@@ -470,12 +466,8 @@ def circumscribed_fan_mesh(n=64):
     verts = np.vstack([[0.0, 0.0], ring])
     tris = np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
     loop = np.array([[1 + i, 1 + (i + 1) % n] for i in range(n)])
-    return msh.TriMesh(
-        vertices=verts,
-        triangles=tris,
-        boundary_edges=loop,
-        boundary_normals=msh._outward_normals(verts, loop),
-    )
+    return msh.TriMesh(polygon=geo.validate(ring), vertices=verts, triangles=tris,
+                       boundary_edges=loop)
 
 
 class TestBoundaryFlux:
@@ -532,7 +524,7 @@ class TestSupportPositivity:
         mesh = fx.mesh
         interior = np.nonzero(mesh.interior_mask)[0]
         idx = int(interior[np.argmin(np.hypot(*(mesh.vertices[interior] - target).T))])
-        doc = _comparison_diagnostics(mesh, fx.poly, fx.admissible, fx.K, fx.M,
+        doc = _comparison_diagnostics(mesh, fx.admissible, fx.K, fx.M,
                                       fx.neumann.eigenvectors[:, 1],
                                       float(fx.neumann.eigenvalues[1]), idx, True, 0)
         x, y = mesh.vertices[idx]
@@ -678,13 +670,13 @@ class TestSteinerberger:
         # which contains a diameter endpoint
         mesh = rect_solved.mesh
         psi = np.cos(math.pi * mesh.vertices[:, 0] / 2.0)
-        val = ana.steinerberger_diagnostic(mesh, psi, rect_solved.poly)
+        val = ana.steinerberger_diagnostic(mesh, psi)
         rho, _ = rect_solved.poly.inradius
         assert 0.0 <= val <= mesh.h_max / rho + 1e-9
 
     def test_computed_eigenvector_finite_nonnegative(self, disk_solved):
         psi = disk_solved.neumann.eigenvectors[:, 1]
-        val = ana.steinerberger_diagnostic(disk_solved.mesh, psi, disk_solved.poly)
+        val = ana.steinerberger_diagnostic(disk_solved.mesh, psi)
         assert math.isfinite(val) and val >= 0.0
 
 
@@ -716,7 +708,7 @@ class TestVectorizedMatchesOracles:
 
     @staticmethod
     def _assert_same(mesh, poly, psi):
-        assert ana.find_critical_points(mesh, psi, admissible_set(mesh, poly)) == \
+        assert ana.find_critical_points(mesh, psi, admissible_set(mesh)) == \
             oracles.banchoff_critical_points(mesh, psi, poly)
         nd = ana.nodal_decomposition(mesh, psi)
         segments, labels, signs, touches = oracles.union_find_nodal(mesh, psi)
@@ -740,7 +732,7 @@ class TestVectorizedMatchesOracles:
 
     def test_planted_critical_points(self, coarse_disk):
         poly, mesh = coarse_disk
-        admissible = admissible_set(mesh, poly)
+        admissible = admissible_set(mesh)
         kinds = []
         for psi in _planted_fields(mesh):
             self._assert_same(mesh, poly, psi)

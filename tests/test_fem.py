@@ -17,12 +17,11 @@ PI_SQ = math.pi**2
 
 
 def single_triangle_mesh(v0=(0, 0), v1=(1, 0), v2=(0, 1)):
-    verts = np.array([v0, v1, v2], dtype=float)
     return msh.TriMesh(
-        vertices=verts,
+        polygon=geo.validate([v0, v1, v2]),
+        vertices=np.array([v0, v1, v2], dtype=float),
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_normals=msh._outward_normals(verts, np.array([[0, 1], [1, 2], [2, 0]])),
     )
 
 
@@ -353,8 +352,8 @@ class TestLanczos:
                                     np.stack([a, c, d], -1)]).reshape(-1, 3)
         ring = np.concatenate([ids[:-1, 0], ids[-1, :-1], ids[:0:-1, -1], ids[0, :0:-1]])
         loop = np.column_stack([ring, np.roll(ring, -1)])
-        mesh = msh.TriMesh(vertices=xy, triangles=triangles, boundary_edges=loop,
-                           boundary_normals=msh._outward_normals(xy, loop))
+        mesh = msh.TriMesh(polygon=geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                           vertices=xy, triangles=triangles, boundary_edges=loop)
         assert np.array_equal(mesh.interior_mask, np.all((xy > 0) & (xy < 1), axis=1))
         k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
         idx = np.nonzero(mesh.interior_mask)[0]

@@ -178,7 +178,7 @@ class TestFarthestBoundaryDistance:
         pointwise = [math.sqrt(float(np.max((disk.vertices[:, 0] - x) ** 2
                                             + (disk.vertices[:, 1] - y) ** 2)))
                      for x, y in pts]
-        monkeypatch.setattr(geo, "F_CHUNK", chunk)
+        monkeypatch.setattr(geo, "CHUNK", chunk)
         np.testing.assert_array_equal(geo.farthest_boundary_distance(disk, pts), pointwise)
         assert geo.farthest_boundary_distance(disk, np.empty((0, 2))).shape == (0,)
 

@@ -264,20 +264,20 @@ class TestRefine:
 
 def test_quality_known_triangles(square_mesh):
     # similar-triangle sanity on hand meshes
+    right_xy = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     right = msh.TriMesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        polygon=geo.validate(right_xy),
+        vertices=np.array(right_xy),
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_normals=np.array([[0.0, -1.0],
-                                   [1 / math.sqrt(2), 1 / math.sqrt(2)],
-                                   [-1.0, 0.0]]),
     )
     assert msh.quality(right).min_angle == pytest.approx(45.0, abs=1e-12)
+    eq_xy = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     eq = msh.TriMesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]),
+        polygon=geo.validate(eq_xy),
+        vertices=np.array(eq_xy),
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_normals=np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]),
     )
     assert msh.quality(eq).min_angle == pytest.approx(60.0, abs=1e-12)
 
@@ -367,13 +367,39 @@ def test_boundary_clearance_matches_segment_distances(square_mesh):
     (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.1),
     *((lambda i=i: realize(_sweep_domain_spec(1, i)), 0.1) for i in range(3)),
 ], ids=["rect", "disk512", "sweep_1_0", "sweep_1_1", "sweep_1_2"])
-def test_boundary_clearance_groups_are_bit_exact(make, h):
-    # refined boundary edges come in halves with bit-equal normals, which
-    # boundary_clearance tests once per group
-    mesh = msh.generate(make(), h)
+def test_boundary_clearance_is_the_polygon_depth(make, h):
+    # the polygon's edge lines, not the boundary edges' own (which differ
+    # from them by rounding), with the loop at exactly 0
+    poly = make()
+    mesh = msh.generate(poly, h)
     for _ in range(3):
-        assert np.array_equal(mesh.boundary_clearance, all_edges_clearance(mesh))
+        assert mesh.polygon is poly
+        depth = geo.half_plane_depth(mesh.vertices, *poly.edge_normals)
+        expected = np.where(mesh.interior_mask, np.maximum(depth, 0.0), 0.0)
+        assert np.array_equal(mesh.boundary_clearance, expected)
+        assert np.abs(mesh.boundary_clearance - all_edges_clearance(mesh)).max() <= 1e-14
+        assert mesh.boundary_clearance[mesh.interior_mask].min() > 0.0
         mesh = msh.refine(mesh)
+
+
+@pytest.mark.parametrize("make, h", [
+    (lambda: realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512)), 0.1),
+    *((lambda i=i: realize(_sweep_domain_spec(1, i)), 0.1) for i in range(3)),
+], ids=["disk512", "sweep_1_0", "sweep_1_1", "sweep_1_2"])
+def test_refined_normals_are_the_parent_edges(make, h):
+    # each half of a parent boundary edge derives its own normal, which is
+    # unit, outward and the parent's up to rounding
+    mesh = msh.generate(make(), h)
+    for _ in range(2):
+        fine = msh.refine(mesh)
+        normals = fine.boundary_normals
+        assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(normals - np.repeat(mesh.boundary_normals, 2, axis=0)).max() <= 1e-13
+        mids = 0.5 * (fine.vertices[fine.boundary_edges[:, 0]]
+                      + fine.vertices[fine.boundary_edges[:, 1]])
+        inward = mids - 1e-3 * h * normals
+        assert geo.half_plane_depth(inward, *mesh.polygon.edge_normals).min() > 0.0
+        mesh = fine
 
 
 def test_edges_are_the_sorted_triangle_edges(square_mesh):
@@ -590,7 +616,7 @@ def test_depth_chunking_is_bit_exact(monkeypatch, make, h):
     h = h if h is not None else 0.02 * poly.diameter[0]
     ref = msh.generate(poly, h)
     for chunk in (1, 7, 10**9):
-        monkeypatch.setattr(msh, "DEPTH_CHUNK", chunk)
+        monkeypatch.setattr(geo, "CHUNK", chunk)
         mesh = msh.generate(poly, h)
         assert mesh.vertices.tobytes() == ref.vertices.tobytes()
         assert mesh.triangles.tobytes() == ref.triangles.tobytes()

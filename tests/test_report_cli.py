@@ -35,7 +35,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 12
+        assert doc["schema"] == 13
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -135,6 +135,17 @@ class TestSweep:
         assert s["pass_count"] == int(doc["theorem"]["passed"])
         assert s["domains"][0]["strong_kroger"] == doc["inequalities"]["strong_kroger_holds"]
 
+
+    def test_diagnostic_anchor_fits_a_branch_circle(self, tmp_path):
+        # seed 1, domain 4: the interior vertex nearest the enclosing circle's
+        # centre lies 0.072 from the boundary, where no branch circle fits;
+        # the one nearest the inradius centre lies 0.46 from it
+        report._sweep_one((1, 4, 0.02, str(tmp_path)))
+        doc = json.loads((tmp_path / "domain_004" / "report.json").read_text())
+        c = doc["comparison"][0]
+        assert c["diagnostic_only"] and type(c["branch_count"]) is int
+        assert math.dist(c["anchor"], doc["geometry"]["inradius_center"]) <= doc["mesh"]["h_max"]
+        assert c["support_positivity"] > 0.4
 
     @pytest.mark.parametrize("name, stage", [("diameter", "realize"),
                                              ("min_enclosing_circle", "geometry")])
@@ -415,7 +426,7 @@ class TestRegionAndRender:
         assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA) == 0
         assert self._render_as(verified, tmp_path, report.REPORT_SCHEMA + 1) == 1
 
-    @pytest.mark.parametrize("schema", [True, 1.0, float(report.REPORT_SCHEMA)])
+    @pytest.mark.parametrize("schema", [True, 1.0, 12.0, float(report.REPORT_SCHEMA)])
     def test_render_rejects_a_schema_that_is_not_an_integer(self, verified, tmp_path, capsys,
                                                             schema):
         assert self._render_as(verified, tmp_path, schema) == 1
