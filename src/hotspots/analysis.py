@@ -13,10 +13,10 @@ so no angular sort of the link is needed.  Ties within 1e-12*||psi||_inf are
 resolved by vertex index (simulation of simplicity).  The verdict flags a
 critical vertex only if its farthest-boundary distance undercuts the
 exclusion threshold by more than 2*h_max, absorbing the O(h) localization
-error; F at every vertex, that tolerance and the vertices and triangles it
-admits are one `AdmissibleSet` per run.  The comparison field's zero set is
-exactly its P1 nodal segments, so its branches around the anchor are counted
-as circle-segment crossings in closed form, not by sampling the circle.
+error; that tolerance and the vertices and triangles it admits, by exact
+threshold tests, are one `AdmissibleSet` per run.  The comparison field's
+zero set is exactly its P1 nodal segments, so its branches around the anchor
+are counted as circle-segment crossings in closed form, not by sampling.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from scipy.sparse.csgraph import connected_components
 from .bessel import SpectralConstants, j0_array, j1_array
 from .errors import AnchorOnBoundary, CircleOutsideDomain, NotPositiveComponent
 from .fem import Spectrum, fix_signs, gradients, rayleigh
-from .geometry import ConvexPolygon, farthest_boundary_distance
+from .geometry import ConvexPolygon, farthest_boundary_distance, farthest_within
 from .meshing import TriMesh
 
 TIE_REL = 1e-12
 DEGENERACY_FLAG_REL_GAP = 1e-2  # mu3/mu2 - 1 at or below which the mu2 pair is degenerate
+SVD_SLACK_ULPS = 16  # closed-form sigma_min this near the least (in ulps of sigma_max) goes to SVD
 # The two triangle columns other than column i, in order.
 _DUO_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -87,7 +88,6 @@ class AdmissibleSet:
 
     threshold: float       # c_excl * diam, the exclusion region's
     tolerance: float       # 2 * h_max
-    far: np.ndarray        # (n,) F at each mesh vertex
     vertices: np.ndarray   # (n,) bool
     triangles: np.ndarray  # (m,) bool
 
@@ -105,16 +105,15 @@ class RayleighDefect:
 def admissible_set(mesh: TriMesh, threshold: float) -> AdmissibleSet:
     """The run's one AdmissibleSet for the exclusion threshold c_excl * diam."""
     tolerance = 2.0 * mesh.h_max
-    far = farthest_boundary_distance(mesh.polygon, mesh.vertices)
-    ok = (far <= threshold - tolerance) & (mesh.boundary_clearance > tolerance)
-    return AdmissibleSet(threshold=threshold, tolerance=tolerance, far=far, vertices=ok,
+    ok = mesh.clear_of_boundary(tolerance)
+    ok[ok] = farthest_within(mesh.polygon, mesh.vertices[ok], threshold - tolerance)
+    return AdmissibleSet(threshold=threshold, tolerance=tolerance, vertices=ok,
                          triangles=ok[mesh.triangles].all(axis=1))
 
 
-def find_critical_points(
-    mesh: TriMesh, psi: np.ndarray, admissible: AdmissibleSet
-) -> list[CriticalPoint]:
-    """Banchoff classification of every interior vertex of the P1 field.
+def find_critical_points(mesh: TriMesh, psi: np.ndarray) -> list[CriticalPoint]:
+    """Banchoff classification of every interior vertex of the P1 field, with
+    F at each critical vertex.
 
     The link cycle of an interior vertex v is formed by the edges opposite v
     in its triangle fan, so its sign alternations are the fan triangles whose
@@ -133,10 +132,11 @@ def find_critical_points(
         first_sign[v] = sa
     crit = np.nonzero(mesh.interior_mask & (alt != 2))[0]
     kinds = np.where(alt[crit] >= 4, "saddle", np.where(first_sign[crit] > 0, "min", "max"))
+    far = farthest_boundary_distance(mesh.polygon, mesh.vertices[crit])
     return [CriticalPoint(vertex_id=int(v), location=tuple(mesh.vertices[v].tolist()),
                           value=float(psi[v]), kind=str(k), alternations=int(alt[v]),
-                          farthest_distance=float(admissible.far[v]))
-            for v, k in zip(crit, kinds)]
+                          farthest_distance=float(f))
+            for v, k, f in zip(crit, kinds, far)]
 
 
 def _link_signs(psi: np.ndarray, tie: float, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -157,14 +157,20 @@ def mu2_eigenvectors(mesh: TriMesh, spectrum: Spectrum,
     """psi2; for a degenerate pair psi2, psi3 and, if some triangle is
     admissible, their unit combination of least gradient on such a triangle.  P1
     gradients are constant per triangle, so there min |grad(a psi2 + b psi3)| over
-    a^2 + b^2 = 1 is the smaller singular value of [grad psi2, grad psi3]."""
+    a^2 + b^2 = 1 is the smaller singular value of [grad psi2, grad psi3], |det| /
+    sigma_max; LAPACK's SVD, run on the triangles near the least, picks as on all."""
     vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     if len(vals) < 3 or (vals[2] - vals[1]) / vals[1] > DEGENERACY_FLAG_REL_GAP:
         return [vecs[:, 1]]
     out = [vecs[:, 1], vecs[:, 2]]
     grads = gradients(mesh, vecs[:, 1:3])[admissible.triangles]
     if len(grads):
-        _, sigma, vt = np.linalg.svd(grads)  # the least sigma's right singular vector
+        (a, b), (c, d) = grads.transpose(1, 2, 0)
+        s_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+        s_min = np.divide(np.abs(a * d - b * c), s_max, out=np.zeros(len(a)), where=s_max > 0.0)
+        least = np.argmin(s_min)
+        slack = SVD_SLACK_ULPS * np.finfo(float).eps * (s_max + s_max[least])
+        _, sigma, vt = np.linalg.svd(grads[s_min <= s_min[least] + slack])
         out.append(fix_signs(vecs[:, 1:3] @ vt[np.argmin(sigma[:, 1]), 1, :, None])[:, 0])
     return out
 
@@ -203,7 +209,7 @@ def branch_count(mesh: TriMesh, anchor_index: int, segments: np.ndarray,
     """
     if radius < 3.0 * mesh.h_max:
         raise ValueError(f"radius {radius:g} < 3*h_max = {3.0 * mesh.h_max:g}")
-    if radius >= mesh.boundary_clearance[anchor_index]:
+    if radius >= mesh.clearance([anchor_index])[0]:
         raise CircleOutsideDomain(f"circle of radius {radius:g} leaves the domain")
     p = segments[:, 0] - mesh.vertices[anchor_index]
     d = segments[:, 1] - segments[:, 0]
@@ -249,8 +255,9 @@ def nodal_decomposition(mesh: TriMesh, w: np.ndarray) -> NodalDecomposition:
     comp_signs = np.zeros(n_comp, dtype=int)
     comp_signs[labels[kept]] = signed[kept]
     touches = np.zeros(n_comp, dtype=bool)
-    near = ~mesh.interior_mask | (mesh.boundary_clearance <= mesh.h_max)
-    touches[labels[kept[near[kept]]]] = True
+    touches[labels[kept[~mesh.interior_mask[kept]]]] = True
+    rest = kept[~touches[labels[kept]]]  # only components off the loop need the clearance
+    touches[labels[rest[~mesh.clear_of_boundary(mesh.h_max, rest)]]] = True
 
     # Per mixed-sign triangle, cut the two edges leaving its odd-signed
     # vertex ("solo"), the other two ("duo") taken in triangle order.

@@ -1,15 +1,16 @@
 """Convex polygonal domains: validation, diameter, inradius, the two
-polygon-distance kernels, minimum enclosing circle, and the critical-point
-exclusion region.
+polygon-distance kernels and their exact threshold tests, minimum enclosing
+circle, and the critical-point exclusion region.
 
 All tolerances are relative to the domain's length scale so domains of any
 size behave identically.  The boundary supremum of ``|p - y|`` over a polygon
 is attained at a vertex (on each edge the distance to a fixed point is a
 convex function of the parameter), so ``farthest_boundary_distance`` only
 inspects vertices; the infimum, for a point inside, is its
-``half_plane_depth``, the slack of the nearest edge line.  The straight
-skeleton gives the inradius and Welzl the enclosing circle, with no
-optimizer.
+``half_plane_depth``, the slack of the nearest edge line; their threshold
+tests decide most points from bounds on SCREEN_SIZE features, with the
+kernels' bits.  The straight skeleton gives the inradius and Welzl the
+enclosing circle, with no optimizer.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 
 RAY_COUNT = 720
 CHUNK = 65_536  # elements per polygon-distance chunk: its temporaries stay in cache
+SCREEN_SIZE = 32  # vertices and edges of the threshold tests' cheap bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +54,7 @@ class ConvexPolygon:
     @cached_property
     def edge_normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets: inside iff normals @ p <= offsets."""
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        normals = np.column_stack([e[:, 1], -e[:, 0]])
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        offsets = np.einsum("ij,ij->i", normals, v)
+        normals, offsets = _edge_lines(self.vertices)
         normals.flags.writeable = False
         offsets.flags.writeable = False
         return normals, offsets
@@ -184,6 +182,14 @@ def _meet(na, nb, nc, ba, bb, bc):
     return x, y, ba - na[0] * x - na[1] * y
 
 
+def _edge_lines(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward unit normals and offsets of the CCW polygon v's edge lines."""
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return normals, np.einsum("ij,ij->i", normals, v)
+
+
 def _shoelace(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -193,8 +199,8 @@ def validate(raw_vertices) -> ConvexPolygon:
     """Normalize a vertex list into a CCW convex polygon.
 
     CW input is reversed; consecutive duplicates and collinear vertices are
-    dropped.  Raises TooFewVertices / DegenerateArea / NotConvex.
-    """
+    dropped.  Raises TooFewVertices / DegenerateArea / NotConvex (a right
+    turn, or edges that wind around more than once)."""
     pts = np.array(raw_vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("vertices must be 2-D points")
@@ -211,30 +217,17 @@ def validate(raw_vertices) -> ConvexPolygon:
     if _shoelace(pts) < 0.0:
         pts = pts[::-1].copy()
 
-    # Drop duplicates and collinear vertices until stable.
+    # Drop the first duplicate or collinear vertex until none is left.
     cross_tol = 1e-12 * scale * scale
     dist_tol = 1e-9 * scale
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        keep = np.ones(len(pts), dtype=bool)
-        m = len(pts)
-        for i in range(m):
-            prev = pts[(i - 1) % m]
-            cur = pts[i]
-            nxt = pts[(i + 1) % m]
-            if math.hypot(*(nxt - cur)) <= dist_tol:
-                keep[i] = False
-                changed = True
-                break
-            cross = (cur[0] - prev[0]) * (nxt[1] - cur[1]) - (
-                cur[1] - prev[1]
-            ) * (nxt[0] - cur[0])
-            if abs(cross) <= cross_tol:
-                keep[i] = False
-                changed = True
-                break
-        pts = pts[keep]
+    while len(pts) >= 3:
+        e = np.roll(pts, -1, axis=0) - pts  # the edge leaving each vertex
+        back = np.roll(e, 1, axis=0)  # the edge entering it
+        crosses = back[:, 0] * e[:, 1] - back[:, 1] * e[:, 0]
+        bad = (np.hypot(e[:, 0], e[:, 1]) <= dist_tol) | (np.abs(crosses) <= cross_tol)
+        if not bad.any():
+            break
+        pts = np.delete(pts, np.argmax(bad), axis=0)
 
     if len(pts) < 3:
         raise DegenerateArea("fewer than 3 vertices after cleanup")
@@ -242,14 +235,11 @@ def validate(raw_vertices) -> ConvexPolygon:
     area = _shoelace(pts)
     if area <= 1e-12 * scale * scale:
         raise DegenerateArea(f"area {area:g} below degeneracy threshold")
-
-    nxt = np.roll(pts, -1, axis=0)
-    nxt2 = np.roll(pts, -2, axis=0)
-    e1 = nxt - pts
-    e2 = nxt2 - nxt
-    crosses = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(crosses < -cross_tol):
+    if np.any(crosses < 0.0):
         raise NotConvex("negative cross product after orientation fix")
+    # every turn is now left, so the turns add up to 2 pi times the winding
+    if np.arctan2(crosses, np.einsum("ij,ij->i", back, e)).sum() > 3.0 * math.pi:
+        raise NotConvex("edges wind around more than once (a star polygon)")
 
     return ConvexPolygon(vertices=pts, area=float(area), scale=scale)
 
@@ -263,12 +253,33 @@ def _chunks(n: int, width: int) -> list[slice]:
 def farthest_boundary_distance(poly: ConvexPolygon, points) -> np.ndarray:
     """(n,) F(p) = max over boundary of |p - y| for each row p of the (n, 2)
     points, at a vertex for polygons."""
-    pts = np.asarray(points, dtype=float)
-    vx, vy = poly.vertices.T
+    return _farthest(poly.vertices, np.asarray(points, dtype=float))
+
+
+def _farthest(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(n,) max over the rows of v of |v - p|, elementwise: same bits for any chunk."""
+    vx, vy = v.T
     out = np.empty(len(pts))
     for s in _chunks(len(pts), len(vx)):
         out[s] = np.max((vx - pts[s, :1]) ** 2 + (vy - pts[s, 1:]) ** 2, axis=1)
     return np.sqrt(out)
+
+
+def farthest_within(poly: ConvexPolygon, points, level: float) -> np.ndarray:
+    """(n,) ``farthest_boundary_distance(poly, points) <= level``, bit for bit:
+    F over SCREEN_SIZE vertices (terms of the full maximum) bounds it below
+    and |p - c| + R, c the enclosing circle's centre and R the farthest vertex
+    from it, widened for rounding, above; the full kernel decides between."""
+    pts = np.asarray(points, dtype=float)
+    v = poly.vertices
+    if len(v) <= SCREEN_SIZE:
+        return farthest_boundary_distance(poly, pts) <= level
+    c = np.array(poly.min_enclosing_circle.center)
+    ok = (np.hypot(*(pts - c).T) + np.hypot(*(v - c).T).max()) * (1.0 + 1e-12) <= level
+    rest = np.flatnonzero(~ok)
+    rest = rest[_farthest(v[np.arange(SCREEN_SIZE) * len(v) // SCREEN_SIZE], pts[rest]) <= level]
+    ok[rest] = farthest_boundary_distance(poly, pts[rest]) <= level
+    return ok
 
 
 def half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -283,6 +294,23 @@ def half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarra
         np.subtract(offsets, depth, out=depth)
         out[s] = depth.min(axis=1)
     return out
+
+
+def depth_exceeds(poly: ConvexPolygon, points: np.ndarray, level: float) -> np.ndarray:
+    """(n,) ``half_plane_depth(points, *poly.edge_normals) > level``, bit for bit:
+    the depth over SCREEN_SIZE edges bounds it above, and the depth in the hull
+    of their first vertices, which lies inside, less a rounding margin, below;
+    the full kernel decides between."""
+    normals, offsets = poly.edge_normals
+    if len(offsets) <= SCREEN_SIZE:
+        return half_plane_depth(points, normals, offsets) > level
+    ids = np.arange(SCREEN_SIZE) * len(offsets) // SCREEN_SIZE
+    margin = 4e-12 * np.abs(poly.vertices).max()
+    ok = half_plane_depth(points, *_edge_lines(poly.vertices[ids])) > max(level, 0.0) + margin
+    rest = np.flatnonzero(~ok)
+    rest = rest[half_plane_depth(points[rest], normals[ids], offsets[ids]) > level]
+    ok[rest] = half_plane_depth(points[rest], normals, offsets) > level
+    return ok
 
 
 # --- minimum enclosing circle (Welzl) ----------------------------------------

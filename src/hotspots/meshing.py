@@ -9,7 +9,8 @@ the angle bound (polygon edges much shorter than h, thin domains),
 Ruppert-style split rounds insert circumcenters and split encroached
 boundary segments.  The mesh keeps its polygon, which is its boundary: the
 depth tests (lattice, fill points, circumcenters) and the vertices'
-boundary clearance are ``geometry.half_plane_depth`` against its edges.
+boundary clearance are ``geometry.half_plane_depth`` against its edges, or
+its exact threshold test ``depth_exceeds`` for "clearance > level".
 
 The triangulation rests on Delaunay locality: a triangle belongs iff its
 circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidH, QualityFailure
-from .geometry import ConvexPolygon, _chunks, half_plane_depth
+from .geometry import ConvexPolygon, _chunks, depth_exceeds, half_plane_depth
 
 MIN_ANGLE_DEG = 20.0
 SPLIT_ROUNDS = 20
@@ -106,15 +107,20 @@ class TriMesh:
         n = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
         return n / np.linalg.norm(n, axis=1)[:, None]
 
-    @cached_property
-    def boundary_clearance(self) -> np.ndarray:
-        """(n,) distance from each vertex to the boundary, 0 on the loop.
+    def clearance(self, ids) -> np.ndarray:
+        """Distance to the boundary of the vertices ``ids``, 0 on the loop.
 
         On a convex polygon this is the half-plane depth over its edges: the
         nearest edge line's foot point lies on that edge, or another line
         would be nearer."""
-        depth = half_plane_depth(self.vertices, *self.polygon.edge_normals)
-        return np.where(self.interior_mask, np.maximum(depth, 0.0), 0.0)
+        depth = half_plane_depth(self.vertices[ids], *self.polygon.edge_normals)
+        return np.where(self.interior_mask[ids], np.maximum(depth, 0.0), 0.0)
+
+    def clear_of_boundary(self, level: float, ids=slice(None)) -> np.ndarray:
+        """``clearance(ids) > level`` for a level >= 0, bit for bit."""
+        ok = self.interior_mask[ids].copy()
+        ok[ok] = depth_exceeds(self.polygon, self.vertices[ids][ok], level)
+        return ok
 
 
 @dataclass(frozen=True)

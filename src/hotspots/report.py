@@ -26,7 +26,7 @@ from . import fem
 from .bessel import find_constants
 from .domains import DomainSpec, SplitMix64, load_spec, realize, save_spec
 from .errors import BadArgument, StageError
-from .geometry import exclusion_region
+from .geometry import exclusion_region, farthest_boundary_distance
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
@@ -96,7 +96,7 @@ class _Eigenvector:
 
 
 def _analyze_eigenvector(mesh, admissible, j: int, psi: np.ndarray) -> _Eigenvector:
-    cps = ana.find_critical_points(mesh, psi, admissible)
+    cps = ana.find_critical_points(mesh, psi)
     violations = ana.theorem_check(cps, admissible)
     nd = ana.nodal_decomposition(mesh, psi)
     bverts = np.nonzero(~mesh.interior_mask)[0]
@@ -147,12 +147,13 @@ class _Stages:
         return out
 
 
-def _comparison_diagnostics(mesh, admissible, k_mat, m_mat, psi, mu2, anchor_vertex,
+def _comparison_diagnostics(mesh, k_mat, m_mat, psi, mu2, anchor_vertex,
                             diagnostic_only, eig_index):
     fld = ana.build_comparison(mesh, psi, mu2, anchor_vertex)
     flux = ana.boundary_flux(fld, mesh)
-    flux_bound_applies = math.sqrt(mu2) * admissible.far[anchor_vertex] <= find_constants().j1
-    clearance = float(mesh.boundary_clearance[anchor_vertex])
+    far = farthest_boundary_distance(mesh.polygon, mesh.vertices[[anchor_vertex]])[0]
+    flux_bound_applies = math.sqrt(mu2) * far <= find_constants().j1
+    clearance = float(mesh.clearance([anchor_vertex])[0])
     radius = min(0.9 * clearance, max(3.0 * mesh.h_max, 0.05 * mesh.polygon.diameter[0]))
     nd = ana.nodal_decomposition(mesh, fld.values)
     branches = None
@@ -244,8 +245,7 @@ def run_verify(
 
     def compare():
         out = [
-            _comparison_diagnostics(mesh, admissible, k_mat, m_mat, rec.psi, mu2,
-                                    cp.vertex_id, False, j)
+            _comparison_diagnostics(mesh, k_mat, m_mat, rec.psi, mu2, cp.vertex_id, False, j)
             for j, rec in enumerate(records)
             for cp in rec.critical_points
         ]
@@ -254,8 +254,7 @@ def run_verify(
             rel = mesh.vertices[cand] - rho_center
             anchor_vertex = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
             out.append(_comparison_diagnostics(
-                mesh, admissible, k_mat, m_mat, records[0].psi, mu2,
-                anchor_vertex, True, 0,
+                mesh, k_mat, m_mat, records[0].psi, mu2, anchor_vertex, True, 0,
             ))
         return out
 

@@ -239,9 +239,19 @@ def boundary_distances(mesh, points: np.ndarray) -> np.ndarray:
     return _segment_distances(np.atleast_2d(points), seg_a, seg_b)
 
 
+def polygon_clearance(mesh) -> np.ndarray:
+    """(n,) distance of every vertex to the boundary, 0 on the loop: the
+    polygon depth of each vertex, in one full sweep (the mesh's earlier
+    `boundary_clearance`)."""
+    from hotspots.geometry import half_plane_depth
+
+    depth = half_plane_depth(mesh.vertices, *mesh.polygon.edge_normals)
+    return np.where(mesh.interior_mask, np.maximum(depth, 0.0), 0.0)
+
+
 def all_edges_clearance(mesh) -> np.ndarray:
     """Half-plane depth of every vertex against the line of every boundary
-    edge (the mesher's earlier `boundary_clearance`)."""
+    edge (the mesher's first `boundary_clearance`)."""
     from hotspots.geometry import half_plane_depth
 
     normals = mesh.boundary_normals

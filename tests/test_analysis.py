@@ -42,7 +42,7 @@ def centered_square_mesh():
 class TestFindCriticalPoints:
     def test_rectangle_eigenvector_has_no_interior_critical_points(self, rect_solved):
         psi = rect_solved.neumann.eigenvectors[:, 1]
-        pts = ana.find_critical_points(rect_solved.mesh, psi, rect_solved.admissible)
+        pts = ana.find_critical_points(rect_solved.mesh, psi)
         assert pts == []
 
     def test_synthetic_paraboloid_min(self, coarse_disk):
@@ -51,7 +51,7 @@ class TestFindCriticalPoints:
             np.argmin(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
         ]
         psi = np.hypot(*(mesh.vertices - center).T) ** 2
-        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh))
+        pts = ana.find_critical_points(mesh, psi)
         mins = [p for p in pts if p.kind == "min"]
         assert len(mins) == 1
         assert mins[0].location == tuple(center)
@@ -65,7 +65,7 @@ class TestFindCriticalPoints:
         dx = mesh.vertices[:, 0] - center[0]
         dy = mesh.vertices[:, 1] - center[1]
         psi = dx * dx - dy * dy
-        pts = ana.find_critical_points(mesh, psi, admissible_set(mesh))
+        pts = ana.find_critical_points(mesh, psi)
         saddles = [p for p in pts if p.location == tuple(center)]
         assert len(saddles) == 1
         assert saddles[0].kind == "saddle"
@@ -73,7 +73,7 @@ class TestFindCriticalPoints:
 
     def test_alternations_always_even(self, disk_solved):
         psi = disk_solved.neumann.eigenvectors[:, 2]
-        for p in ana.find_critical_points(disk_solved.mesh, psi, disk_solved.admissible):
+        for p in ana.find_critical_points(disk_solved.mesh, psi):
             assert p.alternations % 2 == 0
 
 
@@ -115,7 +115,7 @@ def _admissible(fx, constants):
     tolerance = 2.0 * fx.mesh.h_max
     far = geo.farthest_boundary_distance(fx.poly, fx.mesh.vertices)
     deep = ((far <= constants.c_excl * fx.poly.diameter[0] - tolerance)
-            & (fx.mesh.boundary_clearance > tolerance))
+            & (oracles.polygon_clearance(fx.mesh) > tolerance))
     return deep[fx.mesh.triangles].all(axis=1)
 
 
@@ -133,14 +133,21 @@ class TestAdmissibleSet:
             record.triangles, record.vertices[fx.mesh.triangles].all(axis=1))
 
     def test_far_is_f_of_each_vertex(self, coarse_disk):
-        # F of a point does not depend on the points computed with it
+        # F of a point does not depend on the points computed with it, and the
+        # admissible set decides each vertex by that F, whichever bound screens it
         poly, mesh = coarse_disk
-        far = admissible_set(mesh).far
+        record = admissible_set(mesh)
+        far = geo.farthest_boundary_distance(poly, mesh.vertices)
+        clearance = oracles.polygon_clearance(mesh)
+        level = record.threshold - record.tolerance
         for v in range(0, mesh.vertex_count, 37):
             assert far[v] == geo.farthest_boundary_distance(poly, mesh.vertices[[v]])[0]
             x, y = mesh.vertices[v]
             assert far[v] == pytest.approx(max(math.hypot(x - a, y - b) for a, b in poly.vertices),
                                            rel=1e-15)
+        assert record.vertices.any()
+        np.testing.assert_array_equal(record.vertices,
+                                      (far <= level) & (clearance > record.tolerance))
 
 
 class TestMu2Eigenvectors:
@@ -219,6 +226,69 @@ class TestMu2Eigenvectors:
         np.testing.assert_array_equal(np.column_stack(vecs), fx.neumann.eigenvectors[:, 1:3])
 
 
+@pytest.fixture(scope="module")
+def equilateral():
+    poly = geo.validate([(0, 0), (1, 0), (0.5, math.sqrt(3.0) / 2.0)])
+    return _solve(poly, poly.diameter[0] / 50.0)
+
+
+def _svd_of_every_triangle(vecs: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The least-gradient combination as an SVD of every admissible
+    triangle's gradient chooses it."""
+    _, sigma, vt = np.linalg.svd(grads)
+    return fem.fix_signs(vecs[:, 1:3] @ vt[np.argmin(sigma[:, 1]), 1, :, None])[:, 0]
+
+
+class TestClosedFormLeastSingularValue:
+    """sigma_min = |det G| / sigma_max leaves the SVD only the few triangles
+    within SVD_SLACK_ULPS of the least, and the choice keeps every bit."""
+
+    @staticmethod
+    def _third(mesh, spectrum, admissible, monkeypatch):
+        svd, batches = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            batches.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        third = ana.mu2_eigenvectors(mesh, spectrum, admissible)[2]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return third, batches
+
+    @pytest.mark.parametrize("name", ["disk_solved", "sweep_6_5", "equilateral"])
+    def test_chooses_as_the_svd_of_every_triangle(self, request, name, monkeypatch):
+        fx = request.getfixturevalue(name)
+        third, batches = self._third(fx.mesh, fx.neumann, fx.admissible, monkeypatch)
+        vecs = fx.neumann.eigenvectors
+        grads = fem.gradients(fx.mesh, vecs[:, 1:3])[fx.admissible.triangles]
+        assert third.tobytes() == _svd_of_every_triangle(vecs, grads).tobytes()
+        assert len(batches) == 1 and 1 <= batches[0] <= 8 < len(grads), (batches, len(grads))
+
+    @pytest.mark.parametrize("plant", ["rank_one", "congruent", "turned"])
+    def test_planted_ties(self, coarse_disk, monkeypatch, plant):
+        # random gradients with the least planted twice (triangles 40 and 7):
+        # rank one (sigma_min = 0 in closed form), bit-equal, or the same
+        # matrix turned, whose singular values differ only by rounding
+        poly, mesh = coarse_disk
+        rng = np.random.default_rng(4)
+        grads = rng.standard_normal((mesh.triangle_count, 2, 2))
+        least = 1e-3 * rng.standard_normal((2, 2))
+        if plant == "rank_one":
+            least[:, 1] = 2.0 * least[:, 0]
+        turn = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+        grads[40], grads[7] = least, turn @ least if plant == "turned" else least
+        vecs = rng.standard_normal((mesh.vertex_count, 4))
+        spectrum = fem.Spectrum(np.array([0.0, 1.0, 1.0, 2.0]), vecs, np.zeros(4), None)
+        admissible = ana.AdmissibleSet(threshold=1.0, tolerance=0.0,
+                                       vertices=np.ones(mesh.vertex_count, dtype=bool),
+                                       triangles=np.ones(mesh.triangle_count, dtype=bool))
+        monkeypatch.setattr(ana, "gradients", lambda mesh, values: grads)
+        third, batches = self._third(mesh, spectrum, admissible, monkeypatch)
+        assert third.tobytes() == _svd_of_every_triangle(vecs, grads).tobytes()
+        assert batches == [2]
+
+
 def _triangle_critical_counts(apex):
     """Interior critical vertices of each analyzed mu2 eigenvector of the
     triangle (0, 0), (1, 0), apex at h = diam/50."""
@@ -226,9 +296,8 @@ def _triangle_critical_counts(apex):
     mesh = msh.generate(poly, poly.diameter[0] / 50.0)
     k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
     spectrum = fem.solve_neumann(k_mat, m_mat, k=4)
-    admissible = admissible_set(mesh)
-    vecs = ana.mu2_eigenvectors(mesh, spectrum, admissible)
-    return [len(ana.find_critical_points(mesh, v, admissible)) for v in vecs]
+    vecs = ana.mu2_eigenvectors(mesh, spectrum, admissible_set(mesh))
+    return [len(ana.find_critical_points(mesh, v)) for v in vecs]
 
 
 class TestJudgeMondal:
@@ -357,7 +426,7 @@ class TestBranchCount:
         field = self._synthetic_field(mesh, np.ones(mesh.vertex_count))
         with pytest.raises(ana.CircleOutsideDomain):
             _branches(mesh, field, 1.5)
-        clearance = mesh.boundary_clearance[field.anchor_index]
+        clearance = oracles.polygon_clearance(mesh)[field.anchor_index]
         with pytest.raises(ana.CircleOutsideDomain):
             _branches(mesh, field, clearance)
         assert _branches(mesh, field, 0.999 * clearance) == 0
@@ -392,15 +461,15 @@ class TestBranchCount:
             cand = np.nonzero(mesh.interior_mask)[0]
             rel = mesh.vertices[cand] - np.array(poly.min_enclosing_circle.center)
             anchor = int(cand[np.argmin(np.hypot(rel[:, 0], rel[:, 1]))])
-            radius = min(0.9 * mesh.boundary_clearance[anchor],  # run_verify's rule
+            clearance = oracles.polygon_clearance(mesh)
+            radius = min(0.9 * clearance[anchor],  # run_verify's rule
                          max(3.0 * mesh.h_max, 0.05 * poly.diameter[0]))
             cases.append((mesh, ana.build_comparison(mesh, psi, mu2, anchor), radius))
             rng = np.random.default_rng(11)
-            deep = np.flatnonzero(mesh.boundary_clearance > 4.0 * mesh.h_max)
+            deep = np.flatnonzero(clearance > 4.0 * mesh.h_max)
             for anchor in rng.choice(deep, 3, replace=False):
-                clearance = mesh.boundary_clearance[anchor]
                 cases.append((mesh, ana.build_comparison(mesh, psi, mu2, int(anchor)),
-                              rng.uniform(3.0 * mesh.h_max, 0.9 * clearance)))
+                              rng.uniform(3.0 * mesh.h_max, 0.9 * clearance[anchor])))
         mesh = disk_solved.mesh
         for order in (1, 2):
             cases.append((mesh, self._synthetic_field(mesh, self._bessel_field(mesh, order)),
@@ -524,11 +593,10 @@ class TestSupportPositivity:
         mesh = fx.mesh
         interior = np.nonzero(mesh.interior_mask)[0]
         idx = int(interior[np.argmin(np.hypot(*(mesh.vertices[interior] - target).T))])
-        doc = _comparison_diagnostics(mesh, fx.admissible, fx.K, fx.M,
-                                      fx.neumann.eigenvectors[:, 1],
+        doc = _comparison_diagnostics(mesh, fx.K, fx.M, fx.neumann.eigenvectors[:, 1],
                                       float(fx.neumann.eigenvalues[1]), idx, True, 0)
         x, y = mesh.vertices[idx]
-        assert doc["support_positivity"] == mesh.boundary_clearance[idx]
+        assert doc["support_positivity"] == oracles.polygon_clearance(mesh)[idx]
         assert doc["support_positivity"] == pytest.approx(min(x, y, 1.0 - x, 1.0 - y),
                                                           rel=1e-13)
         return doc["support_positivity"]
@@ -586,7 +654,7 @@ class TestRayleighDefect:
     def test_non_helmholtz_field_measured_not_assumed(self, rect_solved):
         # distance-to-boundary tent: the op reports, it does not crash
         mesh = rect_solved.mesh
-        w = mesh.boundary_clearance
+        w = oracles.polygon_clearance(mesh)
         idx = int(np.nonzero(mesh.interior_mask)[0][0])
         field = ana.ComparisonField(
             anchor_index=idx,
@@ -661,7 +729,7 @@ class TestInequalityChecks:
         # strong Kroeger holds on both; no interior critical vertex may exist
         for fx in (disk_solved, rect_solved):
             for psi in ana.mu2_eigenvectors(fx.mesh, fx.neumann, fx.admissible):
-                assert ana.find_critical_points(fx.mesh, psi, fx.admissible) == []
+                assert ana.find_critical_points(fx.mesh, psi) == []
 
 
 class TestSteinerberger:
@@ -708,7 +776,7 @@ class TestVectorizedMatchesOracles:
 
     @staticmethod
     def _assert_same(mesh, poly, psi):
-        assert ana.find_critical_points(mesh, psi, admissible_set(mesh)) == \
+        assert ana.find_critical_points(mesh, psi) == \
             oracles.banchoff_critical_points(mesh, psi, poly)
         nd = ana.nodal_decomposition(mesh, psi)
         segments, labels, signs, touches = oracles.union_find_nodal(mesh, psi)
@@ -732,15 +800,14 @@ class TestVectorizedMatchesOracles:
 
     def test_planted_critical_points(self, coarse_disk):
         poly, mesh = coarse_disk
-        admissible = admissible_set(mesh)
         kinds = []
         for psi in _planted_fields(mesh):
             self._assert_same(mesh, poly, psi)
-            kinds.append({p.kind for p in ana.find_critical_points(mesh, psi, admissible)})
+            kinds.append({p.kind for p in ana.find_critical_points(mesh, psi)})
         assert {"max", "min"} <= kinds[0]
         assert "saddle" in kinds[1]
         assert "max" in kinds[2]
-        monkey = [p for p in ana.find_critical_points(mesh, _planted_fields(mesh)[1], admissible)
+        monkey = [p for p in ana.find_critical_points(mesh, _planted_fields(mesh)[1])
                   if p.alternations == 6]
         assert len(monkey) == 1
 

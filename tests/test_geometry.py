@@ -1,28 +1,35 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
+from hotspots import analysis as ana
 from hotspots import geometry as geo
+from hotspots import meshing as msh
 from hotspots.domains import DomainSpec, realize
 from hotspots.errors import DegenerateArea, NotConvex, TooFewVertices
 from hotspots.report import _sweep_domain_spec
 
-from .conftest import random_polygon
+from .conftest import admissible_set, random_polygon
 from .oracles import (
     bisection_region,
     brute_force_diameter,
     brute_force_mec,
     chebyshev_lp,
     contains,
+    polygon_clearance,
     polyline_contains,
     region_member,
 )
 from .test_meshing import _SHORT_EDGE_DOMAINS
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+# every turn is left and the area is positive, but the edges go round twice
+STAR = [[-2, -2], [2, 1.5], [0, -0.5], [-0.5, 0], [1, -1]]
 
 
 class TestValidate:
@@ -51,6 +58,12 @@ class TestValidate:
     def test_not_convex(self):
         with pytest.raises(NotConvex):
             geo.validate([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
+
+    def test_star_pentagon_is_not_convex(self):
+        assert abs(geo._shoelace(np.array(STAR, dtype=float))) == 1.875  # CW as given
+        for pts in (STAR, STAR[::-1], STAR[2:] + STAR[:2]):
+            with pytest.raises(NotConvex, match="more than once"):
+                geo.validate(pts)
 
     def test_duplicate_and_collinear_vertices_dropped(self):
         poly = geo.validate([(0, 0), (0.5, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
@@ -141,6 +154,25 @@ class TestInradius:
             normals, offsets = poly.edge_normals
             assert abs(rho - rho_lp) <= 2e-15 * rho_lp
             assert np.min(offsets - normals @ np.array(center)) == rho
+
+    # hull vertices of drawn grid points, from slivers to round many-gons,
+    # at 2^-14, 1 and 2^14
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                    min_size=3, max_size=60),
+           st.sampled_from([-14, 0, 14]))
+    def test_drawn_convex_polygons_raise_no_warning(self, pts, k):
+        pts = np.array(pts, dtype=float) * 2.0 ** (k - 10)
+        try:
+            hull = pts[ConvexHull(pts).vertices]
+            poly = geo.validate(hull)
+        except (QhullError, DegenerateArea):
+            assume(False)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rho, centre = poly.inradius
+        normals, offsets = poly.edge_normals
+        assert 0.0 < rho == np.min(offsets - normals @ np.array(centre))
 
 
 class TestFarthestBoundaryDistance:
@@ -318,3 +350,112 @@ class TestJung:
         d, _ = poly.diameter
         c = poly.min_enclosing_circle
         assert c.radius <= d / math.sqrt(3.0) + 1e-12
+
+
+def _tied_levels(values: np.ndarray, rng, count: int = 8) -> list[float]:
+    """Levels equal to some of the values and to their neighbouring floats,
+    so points sit exactly on each level and one ulp to either side."""
+    picks = rng.choice(values, count)
+    return [*picks, *np.nextafter(picks, np.inf), *np.nextafter(picks, -np.inf)]
+
+
+def _assert_threshold_tests_exact(poly, pts, far_levels=(), depth_levels=(), seed=0):
+    rng = np.random.default_rng(seed)
+    far = geo.farthest_boundary_distance(poly, pts)
+    depth = geo.half_plane_depth(pts, *poly.edge_normals)
+    for level in [*_tied_levels(far, rng), *far_levels]:
+        assert np.array_equal(geo.farthest_within(poly, pts, level), far <= level), level
+    for level in [*_tied_levels(depth, rng), *depth_levels]:
+        assert np.array_equal(geo.depth_exceeds(poly, pts, level), depth > level), level
+
+
+def _ellipse20():
+    return realize(DomainSpec(kind="ellipse", a=10.0, b=0.5, polygonization_n=256))
+
+
+def _disk512():
+    return realize(DomainSpec(kind="disk", radius=1.0, polygonization_n=512))
+
+
+class TestThresholdTests:
+    """``farthest_within`` and ``depth_exceeds`` decide most points from
+    bounds on SCREEN_SIZE features; every decision must equal the full
+    kernel thresholded, bit for bit, at levels tied to the kernels' own
+    values."""
+
+    @pytest.mark.parametrize("make, h, refinements", [
+        (_disk512, 0.1, 0), (_disk512, 0.05, 0), (_disk512, 0.02, 0), (_disk512, 0.1, 1),
+        (_ellipse20, None, 0),
+        (lambda: realize(DomainSpec(kind="regular_polygon", k=33, circumradius=1.0)), None, 0),
+    ], ids=["disk512-0.1", "disk512-0.05", "disk512-0.02", "disk512-0.1-refined",
+            "ellipse20", "regular33"])
+    def test_mesh_vertices(self, make, h, refinements):
+        poly = make()
+        assert len(poly.vertices) > geo.SCREEN_SIZE
+        mesh = msh.generate(poly, h or min(poly.diameter[0] / 50.0,
+                                           math.sqrt(3.0) / 2.0 * poly.inradius[0]))
+        for _ in range(refinements):
+            mesh = msh.refine(mesh)
+        threshold = geo.exclusion_region(poly).threshold
+        tolerance = 2.0 * mesh.h_max
+        _assert_threshold_tests_exact(poly, mesh.vertices, [threshold - tolerance],
+                                      [0.0, mesh.h_max, tolerance])
+        clearance = polygon_clearance(mesh)
+        rng = np.random.default_rng(1)
+        ids = rng.choice(mesh.vertex_count, 50)
+        assert mesh.clearance(ids).tobytes() == clearance[ids].tobytes()
+        for level in [*_tied_levels(clearance, rng), mesh.h_max, tolerance]:
+            if level >= 0.0:
+                assert np.array_equal(mesh.clear_of_boundary(level), clearance > level)
+                assert np.array_equal(mesh.clear_of_boundary(level, ids), clearance[ids] > level)
+        admissible = admissible_set(mesh)
+        far = geo.farthest_boundary_distance(poly, mesh.vertices)
+        ok = (far <= threshold - tolerance) & (clearance > tolerance)
+        assert np.array_equal(admissible.vertices, ok)
+        points = ana.find_critical_points(mesh, np.cos(3.0 * mesh.vertices[:, 0] / poly.scale))
+        assert [p.farthest_distance for p in points] == far[[p.vertex_id for p in points]].tolist()
+
+    def test_upper_far_bound_is_widened_for_rounding(self, disk512):
+        # half-way from the centre away from vertex 2, F and |p - c| + R are
+        # both 1.5 in reals, and F rounds one ulp above the bound
+        c = np.array(disk512.min_enclosing_circle.center)
+        p = (c + 0.5 * (c - disk512.vertices[2]))[None]
+        far = geo.farthest_boundary_distance(disk512, p)[0]
+        assert far == np.nextafter(1.5, 2.0)
+        for level in (far, 1.5):
+            assert geo.farthest_within(disk512, p, level)[0] == (far <= level)
+
+    def test_lower_depth_bound_keeps_a_rounding_margin(self, disk512):
+        # an ulp inside vertex 64, a corner of the inscribed hull too, the
+        # hull's depth rounds above the polygon's
+        p = disk512.vertices[[64]] * (1.0 - 1e-16)
+        depth = geo.half_plane_depth(p, *disk512.edge_normals)[0]
+        ids = np.arange(geo.SCREEN_SIZE) * 512 // geo.SCREEN_SIZE
+        assert geo.half_plane_depth(p, *geo._edge_lines(disk512.vertices[ids]))[0] > depth
+        for level in (0.0, depth):
+            assert geo.depth_exceeds(disk512, p, level)[0] == (depth > level)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(33, 300), aspect=st.floats(0.05, 1.0), turn=st.floats(0.0, 3.2),
+           k=st.sampled_from([-14, 0, 14]), shift=st.tuples(st.floats(-1e3, 1e3),
+                                                              st.floats(-1e3, 1e3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_many_gons(self, n, aspect, turn, k, shift, seed):
+        # vertices on a turned ellipse at random angles: strictly convex
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        xy = np.column_stack([np.cos(t), aspect * np.sin(t)])
+        xy = xy @ np.array([[math.cos(turn), math.sin(turn)], [-math.sin(turn), math.cos(turn)]])
+        try:
+            poly = geo.validate(xy * 2.0 ** k + np.array(shift) * 2.0 ** k)
+        except DegenerateArea:
+            assume(False)
+        v = poly.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        c = np.array(poly.min_enclosing_circle.center)
+        # F's upper bound |p - c| + R is attained on the rays from a vertex
+        # through c, up to rounding
+        pts = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0)),
+                         v + 1e-9 * (v.mean(axis=0) - v), c + 0.3 * (c - v), c + 0.7 * (c - v),
+                         rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (400, 2))])
+        _assert_threshold_tests_exact(poly, pts, seed=seed)

@@ -20,6 +20,7 @@ from .oracles import (
     delaunay_cells,
     greedy_circumcenters,
     in_circumcircle,
+    polygon_clearance,
     unique_edges,
 )
 
@@ -178,7 +179,7 @@ def test_deep_lattice_is_equilateral(make, h):
     poly = make()
     h = h if h is not None else 0.02 * poly.diameter[0]
     mesh = msh.generate(poly, h)
-    deep = mesh.boundary_clearance >= msh.DEEP_DEPTH * h
+    deep = polygon_clearance(mesh) >= msh.DEEP_DEPTH * h
     lengths = mesh.lengths[deep[mesh.triangles].all(axis=1)]
     assert len(lengths) > 0.2 * mesh.triangle_count
     assert np.abs(lengths / h - 1.0).max() <= 1e-12
@@ -357,9 +358,10 @@ def test_boundary_clearance_matches_segment_distances(square_mesh):
     poly = random_polygon(5, 18)
     for mesh in (square_mesh, msh.refine(square_mesh), msh.generate(poly, 0.08)):
         ref = boundary_distances(mesh, mesh.vertices)
-        assert np.max(np.abs(mesh.boundary_clearance - ref)) <= 1e-14
-        assert np.all(mesh.boundary_clearance[~mesh.interior_mask] == 0.0)
-        assert np.array_equal(mesh.boundary_clearance <= mesh.h_max, ref <= mesh.h_max)
+        clearance = mesh.clearance(np.arange(mesh.vertex_count))
+        assert np.max(np.abs(clearance - ref)) <= 1e-14
+        assert np.all(clearance[~mesh.interior_mask] == 0.0)
+        assert np.array_equal(~mesh.clear_of_boundary(mesh.h_max), ref <= mesh.h_max)
 
 
 @pytest.mark.parametrize("make, h", [
@@ -376,9 +378,14 @@ def test_boundary_clearance_is_the_polygon_depth(make, h):
         assert mesh.polygon is poly
         depth = geo.half_plane_depth(mesh.vertices, *poly.edge_normals)
         expected = np.where(mesh.interior_mask, np.maximum(depth, 0.0), 0.0)
-        assert np.array_equal(mesh.boundary_clearance, expected)
-        assert np.abs(mesh.boundary_clearance - all_edges_clearance(mesh)).max() <= 1e-14
-        assert mesh.boundary_clearance[mesh.interior_mask].min() > 0.0
+        ids = np.arange(mesh.vertex_count)
+        assert np.array_equal(mesh.clearance(ids), expected)
+        assert np.array_equal(mesh.clearance(ids[::-7]), expected[::-7])
+        for level in (0.0, mesh.h_max, 2.0 * mesh.h_max):
+            assert np.array_equal(mesh.clear_of_boundary(level), expected > level)
+            assert np.array_equal(mesh.clear_of_boundary(level, ids[1::3]), expected[1::3] > level)
+        assert np.abs(expected - all_edges_clearance(mesh)).max() <= 1e-14
+        assert expected[mesh.interior_mask].min() > 0.0
         mesh = msh.refine(mesh)
 
 
@@ -615,12 +622,15 @@ def test_depth_chunking_is_bit_exact(monkeypatch, make, h):
     poly = make()
     h = h if h is not None else 0.02 * poly.diameter[0]
     ref = msh.generate(poly, h)
+    ids = np.arange(ref.vertex_count)
+    clearance, clear = ref.clearance(ids), ref.clear_of_boundary(2.0 * ref.h_max)
     for chunk in (1, 7, 10**9):
         monkeypatch.setattr(geo, "CHUNK", chunk)
         mesh = msh.generate(poly, h)
         assert mesh.vertices.tobytes() == ref.vertices.tobytes()
         assert mesh.triangles.tobytes() == ref.triangles.tobytes()
-        assert mesh.boundary_clearance.tobytes() == ref.boundary_clearance.tobytes()
+        assert mesh.clearance(ids).tobytes() == clearance.tobytes()
+        assert np.array_equal(mesh.clear_of_boundary(2.0 * mesh.h_max), clear)
 
 
 def test_depth_tests_run_in_bounded_memory(disk512):
@@ -632,7 +642,8 @@ def test_depth_tests_run_in_bounded_memory(disk512):
         _, generate_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        mesh.boundary_clearance
+        mesh.clearance(np.arange(mesh.vertex_count))
+        mesh.clear_of_boundary(2.0 * mesh.h_max)
         _, clearance_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,11 +7,15 @@ import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hotspots import analysis, cli, fem, geometry, report
-from hotspots.domains import DomainSpec, save_spec
+from hotspots import analysis, cli, fem, geometry, meshing, report
+from hotspots.bessel import find_constants
+from hotspots.domains import DomainSpec, load_spec, realize, save_spec
 from hotspots.geometry import ConvexPolygon
+
+from . import oracles
 
 DISK_SPEC = {"schema": 1, "kind": "disk", "radius": 1.0, "polygonization_n": 512}
 
@@ -182,18 +186,59 @@ def test_one_band_order_per_run(disk_spec_path, monkeypatch):
 
 
 def test_one_farthest_distance_call_per_run(disk_spec_path, monkeypatch):
-    # F at every vertex is computed once, into the run's admissible set
-    far, calls = geometry.farthest_boundary_distance, []
+    # F at every vertex clear of the boundary is decided once, into the run's
+    # admissible set
+    within, calls = analysis.farthest_within, []
 
-    def spy(poly, points):
+    def spy(poly, points, level):
         calls.append(len(points))
-        return far(poly, points)
+        return within(poly, points, level)
 
-    monkeypatch.setattr(geometry, "farthest_boundary_distance", spy)
-    monkeypatch.setattr(analysis, "farthest_boundary_distance", spy)
+    monkeypatch.setattr(analysis, "farthest_within", spy)
     rep = report.run_verify(disk_spec_path, h=0.05)
     assert rep.spectrum["analyzed_eigenvectors"] == 3
-    assert calls == [rep.mesh["vertex_count"]]
+    assert len(calls) == 1 and 0 < calls[0] < rep.mesh["vertex_count"], calls
+
+
+def test_full_polygon_kernels_see_few_vertices(disk_spec_path, monkeypatch):
+    # on the 512-gon the admissible set and the nodal near-boundary test are
+    # decided from cheap bounds: the full F and depth kernels see under 5% of
+    # the vertices, and every value the report prints is theirs
+    far, depth, seen = geometry.farthest_boundary_distance, geometry.half_plane_depth, []
+
+    def far_spy(poly, points):
+        seen.extend(map(tuple, np.asarray(points).tolist()))
+        return far(poly, points)
+
+    def depth_spy(points, normals, offsets):
+        calls.append(len(points) if len(normals) == 512 else 0)
+        return depth(points, normals, offsets)
+
+    calls = []
+    for module in (geometry, analysis, report):
+        monkeypatch.setattr(module, "farthest_boundary_distance", far_spy)
+    monkeypatch.setattr(geometry, "half_plane_depth", depth_spy)
+    rep = report.run_verify(disk_spec_path, h=0.05)
+    n = rep.mesh["vertex_count"]
+    assert rep.spectrum["analyzed_eigenvectors"] == 3
+    assert calls and len(seen) < 0.05 * n and sum(calls) < 0.05 * n, (len(seen), calls, n)
+
+    mesh = meshing.generate(realize(load_spec(disk_spec_path)), 0.05)
+    assert mesh.vertex_count == n
+    clearance = oracles.polygon_clearance(mesh)
+    for c in rep.comparison:
+        v = c["anchor_vertex"]
+        f = far(mesh.polygon, mesh.vertices[[v]])[0]
+        assert (math.sqrt(rep.spectrum["eigenvalues"][1]) * f <= find_constants().j1) \
+            == c["flux_bound_applies"]
+        assert tuple(mesh.vertices[v].tolist()) in seen
+        assert c["support_positivity"] == clearance[v] > 0.0
+    # the disk's eigenvectors have no critical vertex; a planted field does
+    x, y = mesh.vertices.T
+    points = analysis.find_critical_points(mesh, np.cos(4.0 * x) * np.cos(4.0 * y))
+    assert len(points) >= 5
+    for p in points:
+        assert p.farthest_distance == far(mesh.polygon, mesh.vertices[[p.vertex_id]])[0]
 
 
 def test_repeated_stage_times_add_up(monkeypatch):
@@ -247,6 +292,16 @@ class TestCliExitCodes:
         code = cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_star_polygon_exit_one(self, tmp_path, capsys):
+        # a pentagram turns left at every vertex, but is no convex polygon
+        spec = tmp_path / "star.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "explicit", "vertices": [
+            [-2, -2], [2, 1.5], [0, -0.5], [-0.5, 0], [1, -1]]}))
+        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stage 'realize'" in err and "NotConvex" in err
 
     def test_missing_file_exit_one(self, tmp_path):
         code = cli.main([
