@@ -19,7 +19,7 @@ from .bessel import find_constants
 from .domains import load_spec, realize
 from .errors import BadArgument, HotspotsError, ParseError, SchemaVersionMismatch, StageError
 from .geometry import exclusion_region
-from .report import REPORT_SCHEMA, run_sweep, run_verify, write_report_svg
+from .report import REPORT_SCHEMA, Stages, run_sweep, run_verify, write_report_svg
 from .svgfig import render_svg
 
 _INPUT_STAGES = {"input", "realize"}
@@ -119,8 +119,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    spec = load_spec(args.spec)
-    poly = realize(spec)
+    stages = Stages()
+    spec = stages.run("input", lambda: load_spec(args.spec))
+    poly = stages.run("realize", lambda: realize(spec))
     region = exclusion_region(poly)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

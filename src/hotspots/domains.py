@@ -109,6 +109,8 @@ def _check_spec(spec: DomainSpec) -> DomainSpec:
         val = getattr(spec, name)
         if val is not None and not (val > 0.0 and math.isfinite(val)):
             raise ParseError(f"field '{name}': must be strictly positive, got {val!r}")
+    if not all(math.isfinite(c) for v in spec.vertices or () for c in v):
+        raise ParseError("field 'vertices': coordinates must be finite")
     if spec.kind in _VERTEX_COUNTS:
         # every polygon vertex becomes a mesh vertex
         name, least = _VERTEX_COUNTS[spec.kind]

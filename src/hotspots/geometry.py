@@ -296,21 +296,26 @@ def half_plane_depth(points: np.ndarray, normals: np.ndarray, offsets: np.ndarra
     return out
 
 
-def depth_exceeds(poly: ConvexPolygon, points: np.ndarray, level: float) -> np.ndarray:
-    """(n,) ``half_plane_depth(points, *poly.edge_normals) > level``, bit for bit:
-    the depth over SCREEN_SIZE edges bounds it above, and the depth in the hull
-    of their first vertices, which lies inside, less a rounding margin, below;
-    the full kernel decides between."""
+def depth_exceeds(poly: ConvexPolygon, points: np.ndarray, level) -> np.ndarray:
+    """(n,) ``half_plane_depth(points, *poly.edge_normals) > level``, bit for bit,
+    or (k, n) for a (k,) vector of levels: the depth over SCREEN_SIZE edges
+    bounds it above, and the depth in the hull of their first vertices, which
+    lies inside, less a rounding margin, below; the full kernel decides the
+    points that some level leaves between."""
+    levels = np.atleast_1d(level)[:, None]
     normals, offsets = poly.edge_normals
     if len(offsets) <= SCREEN_SIZE:
-        return half_plane_depth(points, normals, offsets) > level
-    ids = np.arange(SCREEN_SIZE) * len(offsets) // SCREEN_SIZE
-    margin = 4e-12 * np.abs(poly.vertices).max()
-    ok = half_plane_depth(points, *_edge_lines(poly.vertices[ids])) > max(level, 0.0) + margin
-    rest = np.flatnonzero(~ok)
-    rest = rest[half_plane_depth(points[rest], normals[ids], offsets[ids]) > level]
-    ok[rest] = half_plane_depth(points[rest], normals, offsets) > level
-    return ok
+        ok = half_plane_depth(points, normals, offsets) > levels
+    else:
+        ids = np.arange(SCREEN_SIZE) * len(offsets) // SCREEN_SIZE
+        margin = 4e-12 * np.abs(poly.vertices).max()
+        ok = (half_plane_depth(points, *_edge_lines(poly.vertices[ids]))
+              > np.maximum(levels, 0.0) + margin)
+        rest = np.flatnonzero(~ok.all(axis=0))
+        above = half_plane_depth(points[rest], normals[ids], offsets[ids]) > levels
+        rest = rest[(above & ~ok[:, rest]).any(axis=0)]
+        ok[:, rest] = half_plane_depth(points[rest], normals, offsets) > levels
+    return ok if np.ndim(level) else ok[0]
 
 
 # --- minimum enclosing circle (Welzl) ----------------------------------------

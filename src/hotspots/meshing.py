@@ -8,9 +8,9 @@ inside the boundary where the lattice leaves a gap.  Where the mesh misses
 the angle bound (polygon edges much shorter than h, thin domains),
 Ruppert-style split rounds insert circumcenters and split encroached
 boundary segments.  The mesh keeps its polygon, which is its boundary: the
-depth tests (lattice, fill points, circumcenters) and the vertices'
-boundary clearance are ``geometry.half_plane_depth`` against its edges, or
-its exact threshold test ``depth_exceeds`` for "clearance > level".
+depth tests (lattice, fill points, circumcenters) are its exact threshold
+test ``geometry.depth_exceeds``, and the vertices' boundary clearance is
+``geometry.half_plane_depth`` against its edges.
 
 The triangulation rests on Delaunay locality: a triangle belongs iff its
 circumcircle is empty (de Berg et al., Computational Geometry, ch. 9).
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidH, QualityFailure
-from .geometry import ConvexPolygon, _chunks, depth_exceeds, half_plane_depth
+from .geometry import ConvexPolygon, depth_exceeds, half_plane_depth
 
 MIN_ANGLE_DEG = 20.0
 SPLIT_ROUNDS = 20
@@ -188,62 +188,26 @@ class _Lattice:
             self.core &= dist >= reach
 
 
-def _row_intervals(ys: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-                   level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row y, the interval [lo, hi] of x with min_e(offset_e - n_e.(x, y))
-    >= level, up to rounding (empty when lo > hi); in geometry.CHUNK chunks."""
-    nx, ny = normals[:, 0], normals[:, 1]
-    lo, hi = np.empty(len(ys)), np.empty(len(ys))
-    for s in _chunks(len(ys), len(normals)):
-        room = offsets - level - ys[s, None] * ny   # need nx * x <= room
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = room / nx
-        shut = (nx == 0.0) & (room < 0.0)  # an edge parallel to the row that excludes it
-        hi[s] = np.where(nx > 0.0, q, np.where(shut, -np.inf, np.inf)).min(axis=1)
-        lo[s] = np.where(nx < 0.0, q, np.where(shut, np.inf, -np.inf)).max(axis=1)
-    return lo, hi
-
-
-def _lattice(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-             h: float, n_rows: int) -> tuple[np.ndarray, _Lattice]:
+def _lattice(poly: ConvexPolygon, h: float, n_rows: int) -> tuple[np.ndarray, _Lattice]:
     """Hexagonal lattice points with half-plane depth >= h/2, row-major.
 
-    Each row meets the polygon's inner offset in one interval.  Points
-    farther than a rounding slack inside or outside its ends are decided by
-    the interval; only the few within the slack take the exact depth test,
-    so the kept set is bit-identical to testing every point.  The deep and
-    core masks use the intervals at DEEP_DEPTH*h and (DEEP_DEPTH +
-    HALO_DEPTH)*h shrunk by the slack, without an exact test: they err
-    towards the strip.
+    The candidates are the bounding box's lattice points, which generate's
+    MAX_MESH_SIZE estimate counts.  One ``depth_exceeds`` call decides keep
+    (depth >= h/2, that is > the float below h/2), deep (> DEEP_DEPTH*h) and
+    core (> (DEEP_DEPTH + HALO_DEPTH)*h) for all of them, bit for bit.
     """
-    (xmin, ymin), (xmax, _) = verts.min(axis=0), verts.max(axis=0)
+    (xmin, ymin), (xmax, _) = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
     rows = np.arange(n_rows + 1)
     ys = ymin + rows * (h * math.sqrt(3.0) / 2.0)
     x0 = xmin + np.where(rows % 2 == 1, 0.5 * h, 0.0)
-    last_col = ((xmax - x0) / h).astype(np.int64) + 1
-    slack = 4e-12 * (np.abs(verts).max() + h)
-
-    lo_out, hi_out = _row_intervals(ys, normals, offsets, 0.5 * h - slack)
-    lo_in, hi_in = _row_intervals(ys, normals, offsets, 0.5 * h + slack)
-    first = np.clip(np.ceil((lo_out - x0) / h) - 1.0, 0, last_col).astype(np.int64)
-    count = np.clip(np.floor((hi_out - x0) / h) + 1.0, -1, last_col).astype(np.int64) - first + 1
-    count = np.maximum(count, 0)
+    count = ((xmax - x0) / h).astype(np.int64) + 2
     r = np.repeat(rows, count)
-    c = first[r] + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    x = x0[r] + h * c
-    keep = (x >= lo_in[r]) & (x <= hi_in[r])
-    unsure = (x >= lo_out[r]) & (x <= hi_out[r]) & ~keep
-    pts = np.column_stack([x, ys[r]])
-    keep[unsure] = half_plane_depth(pts[unsure], normals, offsets) >= 0.5 * h
-    r, c, pts = r[keep], c[keep], pts[keep]
-
-    def inside(level: float) -> np.ndarray:
-        lo, hi = _row_intervals(ys, normals, offsets, level + slack)
-        return (pts[:, 0] >= lo[r]) & (pts[:, 0] <= hi[r])
-
-    lattice = _Lattice(np.column_stack([r, c]), inside(DEEP_DEPTH * h),
-                       inside((DEEP_DEPTH + HALO_DEPTH) * h), (n_rows + 1, last_col.max() + 1))
-    return pts, lattice
+    c = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pts = np.column_stack([x0[r] + h * c, ys[r]])
+    levels = [np.nextafter(0.5 * h, -np.inf), DEEP_DEPTH * h, (DEEP_DEPTH + HALO_DEPTH) * h]
+    keep, deep, core = depth_exceeds(poly, pts, levels)
+    return pts[keep], _Lattice(np.column_stack([r, c])[keep], deep[keep], core[keep],
+                               (n_rows + 1, count.max()))
 
 
 def _assemble(poly: ConvexPolygon, points: np.ndarray, n_b: int, lattice: _Lattice) -> TriMesh:
@@ -316,10 +280,8 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     j = np.arange(len(edge)) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
     boundary_pts = verts[edge] + (j / per_edge[edge])[:, None] * step[edge]
 
-    # Hexagonal interior lattice with h/2 clearance (conservative: distance
-    # to edge lines underestimates distance to the boundary).
-    normals, offsets = poly.edge_normals
-    interior_pts, lattice = _lattice(verts, normals, offsets, h, n_rows)
+    # Hexagonal interior lattice with h/2 clearance.
+    interior_pts, lattice = _lattice(poly, h, n_rows)
     m = len(interior_pts)
 
     # Fill points.  Where a lattice row just misses the h/2 clearance the
@@ -329,10 +291,10 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
     # from every polygon edge (its own is h/2 away up to rounding) and from
     # the fill points kept before it, largest gap first.
     fill = (verts[edge] + ((j + 0.5) / per_edge[edge])[:, None] * step[edge]
-            - 0.5 * h * normals[edge])
+            - 0.5 * h * poly.edge_normals[0][edge])
     gap, _ = cKDTree(interior_pts).query(fill)
     keep = ((gap > h / math.sqrt(3.0))
-            & (half_plane_depth(fill, normals, offsets) >= 0.5 * h * (1.0 - 1e-9)))
+            & depth_exceeds(poly, fill, np.nextafter(0.5 * h * (1.0 - 1e-9), -np.inf)))
     fill, gap = fill[keep], gap[keep]
     fill = fill[_independent(fill, np.full(len(fill), 0.5 * h), np.argsort(-gap, kind="stable"))]
 
@@ -374,7 +336,7 @@ def generate(poly: ConvexPolygon, h: float) -> TriMesh:
         order = np.argsort(np.concatenate([np.arange(n_b), np.nonzero(split)[0] + 0.5]))
         bnd = np.vstack([bnd, mids[split]])[order]
         clear = np.bincount(ci[near], minlength=len(cc)) == 0
-        inserted = cc[clear & (half_plane_depth(cc, normals, offsets) > 0.0)]
+        inserted = cc[clear & depth_exceeds(poly, cc, 0.0)]
         points = np.vstack([bnd, points[n_b:], inserted])
         n_b = len(bnd)
         lattice.demote(points[n_b:n_b + m], inserted, h)

@@ -131,7 +131,7 @@ def _spec_echo(spec: DomainSpec) -> dict:
     return doc
 
 
-class _Stages:
+class Stages:
     def __init__(self):
         self.timings: dict[str, float] = {}
 
@@ -199,7 +199,7 @@ def run_verify(
 ) -> VerificationReport:
     """Full verification pipeline for one domain spec. Writes report.json
     (and figure.svg / mesh.txt on request) into out_dir when given."""
-    stages = _Stages()
+    stages = Stages()
     consts = find_constants()
     if out_dir is not None:  # an unusable out_dir fails before any stage runs
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -373,7 +373,7 @@ def _sweep_one(args: tuple) -> dict:
     spec_path = out_dir / "spec.json"
     save_spec(spec, spec_path)
     try:
-        d, _ = _Stages().run("realize", lambda: realize(spec).diameter)
+        d, _ = Stages().run("realize", lambda: realize(spec).diameter)
         report = run_verify(spec_path, h=h_rel * d, out_dir=out_dir)
     except StageError as exc:
         return {"index": index, "error": str(exc), "stage": exc.stage}

@@ -23,9 +23,8 @@ def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def _points_attr(points, flip=True) -> str:
-    sign = -1.0 if flip else 1.0
-    return " ".join(f"{_fmt(float(x))},{_fmt(sign * float(y))}" for x, y in points)
+def _points_attr(points) -> str:
+    return " ".join(f"{_fmt(float(x))},{_fmt(-float(y))}" for x, y in points)
 
 
 def render_svg(

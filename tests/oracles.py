@@ -355,6 +355,35 @@ def bisection_region(poly, ratio: float, rays: int = 720):
 
 # --- the mesher's earlier loops and its Delaunay references ------------------
 
+def bounding_box_lattice(poly, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of the mesher's hexagonal lattice in the polygon's
+    bounding box, one at a time, row-major: (points, (row, col)).  Rows are
+    h*sqrt(3)/2 apart from the lowest vertex, odd rows shifted by h/2, and
+    each runs from the leftmost vertex to one column past the rightmost."""
+    v = poly.vertices
+    (xmin, ymin), (xmax, ymax) = v.min(axis=0).tolist(), v.max(axis=0).tolist()
+    dy = h * math.sqrt(3.0) / 2.0
+    pts, rc = [], []
+    for r in range(int((ymax - ymin) / dy) + 2):
+        x0 = xmin + (0.5 * h if r % 2 else 0.0)
+        for c in range(int((xmax - x0) / h) + 2):
+            pts.append((x0 + h * c, ymin + r * dy))
+            rc.append((r, c))
+    return np.array(pts), np.array(rc)
+
+
+def full_depth_lattice(poly, h: float):
+    """The mesher's lattice with every bounding-box point tested by the full
+    ``half_plane_depth``: kept at depth >= h/2, deep above 3h, core above
+    5h.  (points, (row, col), deep, core) of the kept points, row-major."""
+    from hotspots.geometry import half_plane_depth
+
+    pts, rc = bounding_box_lattice(poly, h)
+    depth = half_plane_depth(pts, *poly.edge_normals)
+    keep = depth >= 0.5 * h
+    return pts[keep], rc[keep], depth[keep] > 3.0 * h, depth[keep] > 5.0 * h
+
+
 def greedy_circumcenters(cc: np.ndarray, radius: np.ndarray, order: np.ndarray) -> list:
     """The split rounds' greedy choice, testing each circumcenter against
     every one taken before it (the mesher's earlier all-pairs loop)."""

@@ -25,7 +25,11 @@ JUNK = (st.none() | st.booleans() | st.text(max_size=3)
 # equal to a valid schema number, but not an integer
 NON_INT_SCHEMA = st.sampled_from([True, 1.0, 10.0])
 SIZE = st.floats(0.5, 2.0)
-POINT = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+COORDINATE = st.floats(-2.0, 2.0)
+# now and then a coordinate that json writes as NaN, Infinity or -Infinity
+POINT = st.lists(COORDINATE | COORDINATE | COORDINATE
+                 | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                 min_size=2, max_size=2)
 VALID = {
     "disk": {"radius": SIZE, "polygonization_n": st.integers(32, 64)},
     "ellipse": {"a": st.floats(1.0, 2.0), "b": st.floats(0.5, 1.0),

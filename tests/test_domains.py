@@ -142,6 +142,18 @@ class TestPersistence:
         with pytest.raises(ParseError, match=f"'{name}'"):
             domains.load_spec(path)
 
+    @pytest.mark.parametrize("coordinate", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_vertex_rejected(self, tmp_path, capsys, coordinate):
+        # Python's json reads these; both commands refuse them as input
+        path = tmp_path / "inf.json"
+        path.write_text('{"schema": 1, "kind": "explicit", '
+                        f'"vertices": [[0, 0], [{coordinate}, 0], [0, 1]]}}')
+        with pytest.raises(ParseError, match="'vertices'"):
+            domains.load_spec(path)
+        for command in ("region", "verify"):
+            assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+            assert "'vertices'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, fields, name", [
         ("disk", '"radius": 1.0', "polygonization_n"),
         ("ellipse", '"a": 2.0, "b": 1.0', "polygonization_n"),

@@ -365,8 +365,10 @@ def _assert_threshold_tests_exact(poly, pts, far_levels=(), depth_levels=(), see
     depth = geo.half_plane_depth(pts, *poly.edge_normals)
     for level in [*_tied_levels(far, rng), *far_levels]:
         assert np.array_equal(geo.farthest_within(poly, pts, level), far <= level), level
-    for level in [*_tied_levels(depth, rng), *depth_levels]:
+    levels = [*_tied_levels(depth, rng), *depth_levels]
+    for level in levels:
         assert np.array_equal(geo.depth_exceeds(poly, pts, level), depth > level), level
+    assert np.array_equal(geo.depth_exceeds(poly, pts, levels), depth > np.array(levels)[:, None])
 
 
 def _ellipse20():
@@ -434,6 +436,30 @@ class TestThresholdTests:
         assert geo.half_plane_depth(p, *geo._edge_lines(disk512.vertices[ids]))[0] > depth
         for level in (0.0, depth):
             assert geo.depth_exceeds(disk512, p, level)[0] == (depth > level)
+
+    @pytest.mark.parametrize("make", [
+        lambda: geo.validate(SQUARE),
+        lambda: realize(DomainSpec(kind="regular_polygon", k=32, circumradius=1.0)),
+        lambda: realize(DomainSpec(kind="regular_polygon", k=33, circumradius=1.0)),
+        _disk512, _ellipse20,
+    ], ids=["square", "regular32", "regular33", "disk512", "ellipse20"])
+    def test_level_vector_is_scalar_calls(self, make):
+        # a (k,) vector of levels answers (k, n) as k scalar calls would, at
+        # levels on the depths and one ulp to either side; one level as a
+        # vector is a (1, n) answer
+        poly = make()
+        rng = np.random.default_rng(7)
+        v = poly.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        pts = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0)),
+                         rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (2000, 2))])
+        depth = geo.half_plane_depth(pts, *poly.edge_normals)
+        levels = [*_tied_levels(depth[depth > 0.0], rng), *_tied_levels(depth, rng), 0.0]
+        got = geo.depth_exceeds(poly, pts, np.array(levels))
+        assert got.shape == (len(levels), len(pts))
+        for row, level in zip(got, levels):
+            assert row.tobytes() == geo.depth_exceeds(poly, pts, level).tobytes(), level
+        assert geo.depth_exceeds(poly, pts, levels[:1]).shape == (1, len(pts))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(33, 300), aspect=st.floats(0.05, 1.0), turn=st.floats(0.0, 3.2),

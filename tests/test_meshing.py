@@ -4,20 +4,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
 from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots.domains import DomainSpec, realize
-from hotspots.errors import InvalidH
+from hotspots.errors import DegenerateArea, InvalidH
 from hotspots.report import _sweep_domain_spec
 
 from .conftest import random_polygon
 from .oracles import (
     all_edges_clearance,
     boundary_distances,
+    bounding_box_lattice,
     canonical_delaunay,
     delaunay_cells,
+    full_depth_lattice,
     greedy_circumcenters,
     in_circumcircle,
     polygon_clearance,
@@ -649,6 +653,86 @@ def test_depth_tests_run_in_bounded_memory(disk512):
         tracemalloc.stop()
     assert generate_peak < 8e6
     assert clearance_peak - before < 8e6
+
+
+def _lattice_of(poly, h):
+    """The mesher's lattice of the polygon at h, with generate's row count."""
+    v = poly.vertices
+    n_rows = int((v[:, 1].max() - v[:, 1].min()) / (h * math.sqrt(3.0) / 2.0)) + 1
+    return msh._lattice(poly, h, n_rows)
+
+
+def _ellipse20_256():
+    return realize(DomainSpec(kind="ellipse", a=10.0, b=0.5, polygonization_n=256))
+
+
+_LATTICE_CASES = [
+    pytest.param(_disk(512), h, id=f"disk512-{h}") for h in (0.1, 0.05, 0.02)
+] + [
+    pytest.param(lambda: geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04, id="rect"),
+    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.02, id="square-0.02"),
+    pytest.param(lambda: geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, id="square-0.05"),
+    pytest.param(_ellipse20_256, None, id="ellipse20"),
+    pytest.param(_ellipse20_256, 0.0433, id="ellipse20-0.0433"),
+] + [
+    pytest.param(lambda s=s, i=i: realize(_sweep_domain_spec(s, i)), None, id=f"sweep{s}-{i}")
+    for s in (1, 4) for i in range(6)
+]
+
+
+class TestLatticeDepth:
+    """The lattice's kept points and its deep and core masks are the full
+    depth kernel's answers on every bounding-box lattice point, bit for
+    bit: kept at depth >= h/2, deep above DEEP_DEPTH*h, core above
+    (DEEP_DEPTH + HALO_DEPTH)*h."""
+
+    @staticmethod
+    def _assert_matches_oracle(poly, h):
+        pts, lattice = _lattice_of(poly, h)
+        want_pts, want_rc, want_deep, want_core = full_depth_lattice(poly, h)
+        assert pts.tobytes() == want_pts.tobytes()
+        assert np.array_equal(lattice.rc, want_rc)
+        assert np.array_equal(lattice.deep, want_deep)
+        assert np.array_equal(lattice.core, want_core)
+
+    @pytest.mark.parametrize("make, h", _LATTICE_CASES)
+    def test_fixtures(self, make, h):
+        poly = make()
+        h = h or min(poly.diameter[0] / 50.0, math.sqrt(3.0) / 2.0 * poly.inradius[0])
+        self._assert_matches_oracle(poly, h)
+
+    def test_planted_ties(self):
+        # on the 2x1 rectangle at h = 0.04, lattice points lie at depth
+        # exactly h/2 (kept), 3h (not deep) and 5h (not core)
+        poly, h = geo.validate([(0, 0), (2, 0), (2, 1), (0, 1)]), 0.04
+        pts, rc = bounding_box_lattice(poly, h)
+        depth = geo.half_plane_depth(pts, *poly.edge_normals)
+        _, lattice = _lattice_of(poly, h)
+        ids = {(r, c): k for k, (r, c) in enumerate(lattice.rc.tolist())}
+        for level, count, mask in [(0.5 * h, 14, None), (msh.DEEP_DEPTH * h, 11, lattice.deep),
+                                   ((msh.DEEP_DEPTH + msh.HALO_DEPTH) * h, 9, lattice.core)]:
+            tied = [tuple(x) for x in rc[depth == level].tolist()]
+            assert len(tied) == count, level
+            assert all(t in ids for t in tied), level
+            if mask is not None:
+                assert not mask[[ids[t] for t in tied]].any(), level
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 300), aspect=st.floats(0.05, 1.0), turn=st.floats(0.0, 3.2),
+           k=st.sampled_from([-14, 0, 14]), shift=st.tuples(st.floats(-1e3, 1e3),
+                                                              st.floats(-1e3, 1e3)),
+           h_rel=st.floats(0.02, 0.2), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_convex_polygons(self, n, aspect, turn, k, shift, h_rel, seed):
+        # vertices on a turned ellipse at random angles: strictly convex
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        xy = np.column_stack([np.cos(t), aspect * np.sin(t)])
+        xy = xy @ np.array([[math.cos(turn), math.sin(turn)], [-math.sin(turn), math.cos(turn)]])
+        try:
+            poly = geo.validate((xy + np.array(shift)) * 2.0 ** k)
+        except DegenerateArea:
+            assume(False)
+        self._assert_matches_oracle(poly, h_rel * poly.diameter[0])
 
 
 class TestMeshSizeCap:

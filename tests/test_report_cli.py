@@ -203,7 +203,11 @@ def test_one_farthest_distance_call_per_run(disk_spec_path, monkeypatch):
 def test_full_polygon_kernels_see_few_vertices(disk_spec_path, monkeypatch):
     # on the 512-gon the admissible set and the nodal near-boundary test are
     # decided from cheap bounds: the full F and depth kernels see under 5% of
-    # the vertices, and every value the report prints is theirs
+    # the vertices, and every value the report prints is theirs.  The mesh
+    # is made before the spies go in: the mesher's own depth tests (lattice
+    # and fill points) are not what is counted here
+    mesh = meshing.generate(realize(load_spec(disk_spec_path)), 0.05)
+    monkeypatch.setattr(report, "generate", lambda poly, h: mesh)
     far, depth, seen = geometry.farthest_boundary_distance, geometry.half_plane_depth, []
 
     def far_spy(poly, points):
@@ -223,7 +227,6 @@ def test_full_polygon_kernels_see_few_vertices(disk_spec_path, monkeypatch):
     assert rep.spectrum["analyzed_eigenvectors"] == 3
     assert calls and len(seen) < 0.05 * n and sum(calls) < 0.05 * n, (len(seen), calls, n)
 
-    mesh = meshing.generate(realize(load_spec(disk_spec_path)), 0.05)
     assert mesh.vertex_count == n
     clearance = oracles.polygon_clearance(mesh)
     for c in rep.comparison:
@@ -244,7 +247,7 @@ def test_full_polygon_kernels_see_few_vertices(disk_spec_path, monkeypatch):
 def test_repeated_stage_times_add_up(monkeypatch):
     clock = iter([0.0, 0.25, 1.0, 1.5])
     monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))
-    stages = report._Stages()
+    stages = report.Stages()
     stages.run("refine", lambda: None)
     stages.run("refine", lambda: None)
     assert stages.timings == {"refine": 750.0}
@@ -293,12 +296,16 @@ class TestCliExitCodes:
         assert code == 1
         assert f"field '{field}'" in capsys.readouterr().err
 
-    def test_star_polygon_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["verify", "region"])
+    @pytest.mark.parametrize("vertices", [
         # a pentagram turns left at every vertex, but is no convex polygon
+        [[-2, -2], [2, 1.5], [0, -0.5], [-0.5, 0], [1, -1]],
+        [[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]],
+    ], ids=["star", "dented"])
+    def test_star_polygon_exit_one(self, tmp_path, capsys, command, vertices):
         spec = tmp_path / "star.json"
-        spec.write_text(json.dumps({"schema": 1, "kind": "explicit", "vertices": [
-            [-2, -2], [2, 1.5], [0, -0.5], [-0.5, 0], [1, -1]]}))
-        code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        spec.write_text(json.dumps({"schema": 1, "kind": "explicit", "vertices": vertices}))
+        code = cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
         assert "stage 'realize'" in err and "NotConvex" in err
