@@ -3,23 +3,23 @@
 Stiffness uses the exact edge-vector (cotangent) formula, mass the exact
 consistent element matrix (A/12)[[2,1,1],[1,2,1],[1,1,2]]; both are assembled
 with a deterministic COO->CSR reduction, and the same edge vectors give each
-triangle's constant P1 gradient (``gradients``).  Eigenpairs of K v = mu M v come
-from Lanczos (ARPACK) on the inverse of the sigma-shifted matrix
-A = K + sigma*M (K_II for Dirichlet), which LAPACK's banded Cholesky factors
-in reverse Cuthill-McKee order (George & Liu, 1981), or SuperLU when that
-band would be too large.  The Dirichlet factor takes the Neumann order
-restricted to the interior vertices: deleting rows and columns from a band
-ordering cannot widen its band.  On the banded path the Lanczos runs in
-standard mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so
-a step is two triangular half-solves and one M product; the SuperLU path
-runs shift-invert mode 3.  Every pair's relative residual must be within
-RESIDUAL_GATE; ARPACK stops at 1e-4 of it, with a Krylov basis of 2k + 4
-vectors, and sees M times a power of 4 near 1/area, so that its Ritz values
-are of order one on a domain of any size.  The Neumann start is a fixed
-seeded random vector and the Dirichlet start the all-ones vector (its ground
-state has one sign), so repeated runs are bit-identical; small problems fall
-back to a dense solve.  The contract is the residual bound checked at the
-end, not the iteration internals.
+triangle's constant P1 gradient (``gradients``).  Both eigenproblems take one
+recipe: Lanczos (ARPACK), with a Krylov basis of min(12, n) vectors, on the
+inverse of A = K + sigma*M (K_II for Dirichlet), which LAPACK's banded
+Cholesky factors in reverse Cuthill-McKee order (George & Liu, 1981), or
+SuperLU when that band would be too large.  Each shift is a fixed fraction
+of a proven bound, so it scales with the spectrum: just above 0 for mu2,
+just below lambda1.  The Dirichlet factor takes the Neumann order restricted
+to the interior vertices: deleting rows and columns from a band ordering
+cannot widen its band.  On the banded path the Lanczos runs in standard
+mode on the whitened operator U^-T M U^-1 of the factor A = U'U, so a step
+is two triangular half-solves and one M product; the SuperLU path runs
+shift-invert mode 3.  ARPACK stops at 1e-4 of RESIDUAL_GATE and sees M times
+a power of 4 near 1/area, so that its Ritz values are of order one on a
+domain of any size.  The starts are fixed (a seeded random vector; all ones
+for the one-signed Dirichlet ground state), so runs are bit-identical.  Only
+k >= n - 1 takes a dense solve.  The contract is every pair's relative
+residual within RESIDUAL_GATE, checked at the end.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .meshing import TriMesh, element_edges
 
 SIGMA_SHIFT_REL = 1e-3  # Neumann shift, relative to the Szego-Weinberger bound on mu2
 CONSTANT_MODE_ULPS = 4  # |K 1| may reach CONSTANT_MODE_ULPS * n * eps * max|K_ij|
-DENSE_CUTOFF = 400
+DIRICHLET_SHIFT_REL = 0.99  # Dirichlet shift, relative to a proven lower bound on lambda1
 RESIDUAL_GATE = 1e-8  # bound on every reported pair's relative residual
 # (kd+1)*n band entries above which the shift-invert factor is SuperLU's: past
 # about 12M entries (96 MiB) the banded factor's storage and solves cost more
@@ -111,29 +111,22 @@ def fix_signs(vecs: np.ndarray) -> np.ndarray:
     return np.where(peak < 0.0, -vecs, vecs)
 
 
-def _m_orthonormalize(vecs: np.ndarray, m_mat) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
+def _checked_pairs(k_mat, m_mat, vals, vecs, head=()):
+    """The vectors M-orthonormalized in order and sign-fixed, and the pairs'
+    residuals: ``head`` for the leading pairs, ||K v - mu M v|| / (|mu| ||M v||)
+    for the rest, which must be within RESIDUAL_GATE."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
         for i in range(j):
-            out[:, j] -= (out[:, i] @ (m_mat @ out[:, j])) * out[:, i]
-        out[:, j] /= np.sqrt(out[:, j] @ (m_mat @ out[:, j]))
-    return out
-
-
-def _residuals(k_mat, m_mat, vals, vecs) -> np.ndarray:
-    """||K v - mu M v|| / (|mu| ||M v||) per pair: scale-free for mu != 0."""
-    res = np.empty(len(vals))
-    for i, mu in enumerate(vals):
-        v = vecs[:, i]
+            vecs[:, j] -= (vecs[:, i] @ (m_mat @ vecs[:, j])) * vecs[:, i]
+        vecs[:, j] /= np.sqrt(vecs[:, j] @ (m_mat @ vecs[:, j]))
+    vecs, tail = fix_signs(vecs), []
+    for mu, v in zip(vals[len(head):], vecs[:, len(head):].T):
         mv = m_mat @ v
-        res[i] = np.linalg.norm(k_mat @ v - mu * mv) / (abs(mu) * np.linalg.norm(mv))
-    return res
-
-
-def neumann_shift(m_mat) -> float:
-    """SIGMA_SHIFT_REL times pi j'_{1,1}^2 / area, the Szego-Weinberger bound
-    on mu2, with area = 1'M1: the shift scales with the spectrum."""
-    return SIGMA_SHIFT_REL * math.pi * find_constants().jp11 ** 2 / float(m_mat.sum())
+        tail.append(np.linalg.norm(k_mat @ v - mu * mv) / (abs(mu) * np.linalg.norm(mv)))
+    if max(tail) > RESIDUAL_GATE:
+        raise ConvergenceFailure(f"residuals {tail} exceed {RESIDUAL_GATE:g}")
+    return vecs, np.array([*head, *tail])
 
 
 class SpdInverse(spla.LinearOperator):
@@ -223,20 +216,15 @@ class SpdInverse(spla.LinearOperator):
 def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem: str,
                     order: np.ndarray):
     """Smallest k pairs of K v = mu M v, ascending, from Lanczos started at v0
-    on the inverse of K + sigma M factored in ``order``.
-
-    ARPACK stops at 1e-4 * RESIDUAL_GATE, inside the gate, with a Krylov
-    basis of 2k + 4 vectors.  On the banded path it runs in standard mode on
-    the whitened operator (SpdInverse.whitened), on the SuperLU path in
-    shift-invert mode 3 with M inner products.
-    """
+    on the inverse of K + sigma M factored in ``order``, by the recipe of the
+    module docstring; k >= n - 1, where ARPACK cannot run, is solved densely."""
     n = k_mat.shape[0]
-    if n <= DENSE_CUTOFF or k >= n - 1:
+    if k >= n - 1:
         vals, vecs = eigh(k_mat.toarray(), m_mat.toarray())
         return vals[:k], vecs[:, :k], SolveStats("dense", n, None, 0, k)
     shifted = k_mat + sigma * m_mat
     inverse = SpdInverse(shifted, problem, order)
-    lanczos = {"k": k, "ncv": 2 * k + 4, "tol": 1e-4 * RESIDUAL_GATE, "maxiter": 500}
+    lanczos = {"k": k, "ncv": min(12, n), "tol": 1e-4 * RESIDUAL_GATE, "maxiter": 500}
     # ARPACK's stopping test turns absolute for Ritz values below eps^(2/3).
     # M times a power of 4 near 1/area keeps them, c/(mu + sigma), of order
     # one on a domain of any size, and scales every step exactly.
@@ -260,46 +248,53 @@ def _smallest_pairs(k_mat, m_mat, k: int, sigma: float, v0: np.ndarray, problem:
 
 
 def solve_neumann(k_mat, m_mat, k: int, seed: int = 0) -> Spectrum:
-    """Smallest k Neumann pairs of K v = mu M v.
+    """Smallest k Neumann pairs of K v = mu M v, shifted by SIGMA_SHIFT_REL
+    times the Szego-Weinberger bound pi j'_{1,1}^2 / area on mu2, area = 1'M1.
 
     mu_1 = 0 is reported exactly, with the M-normalized constant vector; the
     remaining vectors are M-orthonormalized against it.  The constant mode
     is checked as an assembly invariant, ||K 1||_inf within
     CONSTANT_MODE_ULPS * n * eps of max|K_ij|, and that ratio is its residual.
     """
-    if k < 2:
-        raise ValueError("need k >= 2 for the Neumann problem")
+    if not 2 <= k < 12:  # ARPACK needs k below its basis size, 12
+        raise ValueError(f"need 2 <= k < 12 for the Neumann problem, got {k}")
     n = k_mat.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(n)
     order = reverse_cuthill_mckee(k_mat.tocsr(), symmetric_mode=True)
-    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, neumann_shift(m_mat), v0, "Neumann",
-                                        order)
+    sigma = SIGMA_SHIFT_REL * math.pi * find_constants().jp11 ** 2 / float(m_mat.sum())
+    vals, vecs, stats = _smallest_pairs(k_mat, m_mat, k, sigma, v0, "Neumann", order)
 
     const = np.ones(n)
     const /= np.sqrt(const @ (m_mat @ const))
-    vecs = np.column_stack([const, vecs[:, 1:]])
-    vals = np.concatenate([[0.0], vals[1:]])
-    vecs = fix_signs(_m_orthonormalize(vecs, m_mat))
-
     constant = np.abs(k_mat @ np.ones(n)).max() / np.abs(k_mat.data).max()
     if constant > CONSTANT_MODE_ULPS * n * np.finfo(float).eps:
         raise ConvergenceFailure(f"stiffness matrix does not annihilate constants: "
                                  f"||K 1||_inf / max|K_ij| = {constant:.3g}")
-    res = np.concatenate([[constant], _residuals(k_mat, m_mat, vals[1:], vecs[:, 1:])])
-    if np.any(res[1:] > RESIDUAL_GATE):
-        raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
+    vals = np.concatenate([[0.0], vals[1:]])
+    vecs, res = _checked_pairs(k_mat, m_mat, vals, np.column_stack([const, vecs[:, 1:]]),
+                               head=[constant])
     return Spectrum(vals, vecs, res, stats, order)
 
 
-def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, order: np.ndarray) -> Spectrum:
-    """Smallest k Dirichlet pairs of the mesh's assembled K and M; boundary
-    rows/columns eliminated, vectors reported with zeros on boundary vertices.
-    The factor takes the Neumann spectrum's vertex ``order`` restricted to
-    the interior vertices.
+def dirichlet_lower_bound(poly) -> float:
+    """max(pi j0^2 / area, pi^2 / (4 rho^2)) <= lambda1 on the convex polygon:
+    Faber-Krahn's bound and Hersch's for convex domains, rho the inradius."""
+    return max(math.pi * find_constants().j0 ** 2 / poly.area,
+               math.pi ** 2 / (4.0 * poly.inradius[0] ** 2))
 
-    The ground state has one sign, so Lanczos starts from the all-ones
-    vector.  Sign-changing pairs orthogonal to it (on a symmetric mesh) are
-    still found for k > 1: rounding seeds them.
+
+def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, order: np.ndarray) -> Spectrum:
+    """The Dirichlet ground state of the mesh's assembled K and M: boundary
+    rows and columns eliminated, the vector reported with zeros on boundary
+    vertices.  The factor takes the Neumann spectrum's vertex ``order``
+    restricted to the interior vertices.
+
+    The factor is of K_II - sigma M_II, sigma DIRICHLET_SHIFT_REL times
+    `dirichlet_lower_bound`.  A conforming P1 lambda1 is at least
+    lambda1, so the matrix stays positive definite, and lambda1 - sigma is
+    small against the gaps above it, also on thin domains whose lowest
+    eigenvalues crowd together.  The ground state has one sign, so Lanczos
+    starts from the all-ones vector.
     """
     interior = mesh.interior_mask
     if not np.any(interior):
@@ -307,14 +302,11 @@ def solve_dirichlet(mesh: TriMesh, k_mat, m_mat, k: int, order: np.ndarray) -> S
     idx = np.nonzero(interior)[0]
     k_red = k_mat[np.ix_(idx, idx)].tocsr()
     m_red = m_mat[np.ix_(idx, idx)].tocsr()
-    k_eff = min(k, len(idx))
     block_order = (np.cumsum(interior) - 1)[order[interior[order]]]
-    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, k_eff, 0.0, np.ones(len(idx)),
+    sigma = -DIRICHLET_SHIFT_REL * dirichlet_lower_bound(mesh.polygon)
+    vals, vecs_red, stats = _smallest_pairs(k_red, m_red, 1, sigma, np.ones(len(idx)),
                                             "Dirichlet", block_order)
-    vecs_red = fix_signs(_m_orthonormalize(vecs_red, m_red))
-    res = _residuals(k_red, m_red, vals, vecs_red)
-    if np.any(res > RESIDUAL_GATE):
-        raise ConvergenceFailure(f"residuals {res} exceed {RESIDUAL_GATE:g}")
-    vecs = np.zeros((mesh.vertex_count, k_eff))
+    vecs_red, res = _checked_pairs(k_red, m_red, vals, vecs_red)
+    vecs = np.zeros((mesh.vertex_count, 1))
     vecs[idx] = vecs_red
     return Spectrum(vals, vecs, res, stats)

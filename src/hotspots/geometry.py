@@ -35,6 +35,10 @@ from .errors import (
 RAY_COUNT = 720
 CHUNK = 65_536  # elements per polygon-distance chunk: its temporaries stay in cache
 SCREEN_SIZE = 32  # vertices and edges of the threshold tests' cheap bounds
+# validate accepts bounding-box diagonals in [2^-200, 2^200]: the run raises
+# lengths to the fourth power (products of P1 gradients), and round domains
+# fail near 2^254 (Qhull) and 2^-254 (overflow); the rest is left for shape
+SCALE_EXPONENT = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +204,20 @@ def validate(raw_vertices) -> ConvexPolygon:
 
     CW input is reversed; consecutive duplicates and collinear vertices are
     dropped.  Raises TooFewVertices / DegenerateArea / NotConvex (a right
-    turn, or edges that wind around more than once)."""
+    turn, or edges that wind around more than once), and ValueError naming
+    the vertices when a coordinate is not finite or the bounding-box diagonal
+    is outside [2^-SCALE_EXPONENT, 2^SCALE_EXPONENT]."""
     pts = np.array(raw_vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("vertices must be 2-D points")
     if len(pts) < 3:
         raise TooFewVertices(f"need >= 3 vertices, got {len(pts)}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("vertex coordinates must be finite")
-
-    span = pts.max(axis=0) - pts.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the range test
+        span = pts.max(axis=0) - pts.min(axis=0)
     scale = float(math.hypot(span[0], span[1]))
-    if scale == 0.0:
-        raise DegenerateArea("all vertices coincide")
+    if not 2.0 ** -SCALE_EXPONENT <= scale <= 2.0 ** SCALE_EXPONENT:
+        raise ValueError(f"vertices: bounding-box diagonal {scale:g} is not finite or outside "
+                         f"[2^-{SCALE_EXPONENT}, 2^{SCALE_EXPONENT}]")
 
     if _shoelace(pts) < 0.0:
         pts = pts[::-1].copy()

@@ -30,7 +30,7 @@ from .geometry import exclusion_region, farthest_boundary_distance
 from .meshing import dump_mesh, generate, quality, refine
 from .svgfig import render_svg
 
-REPORT_SCHEMA = 13
+REPORT_SCHEMA = 14
 _SIDECARS = ("timings_ms", "metrics")
 
 
@@ -226,7 +226,7 @@ def run_verify(
     )
     dirichlet = stages.run(
         "solve_dirichlet",
-        lambda: fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=neumann.order),
+        lambda: fem.solve_dirichlet(mesh, k_mat, m_mat, neumann.order),
     )
     mu2 = float(neumann.eigenvalues[1])
     lambda1 = float(dirichlet.eigenvalues[0])

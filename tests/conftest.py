@@ -35,7 +35,7 @@ def _solve(poly, h, k=4):
     k_mat = fem.assemble_stiffness(mesh)
     m_mat = fem.assemble_mass(mesh)
     neumann = fem.solve_neumann(k_mat, m_mat, k=k)
-    dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=neumann.order)
+    dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, neumann.order)
     return SimpleNamespace(
         poly=poly,
         mesh=mesh,

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.spatial import ConvexHull, QhullError
 
 from hotspots import fem
 from hotspots import geometry as geo
 from hotspots import meshing as msh
 from hotspots.domains import realize
-from hotspots.errors import ConvergenceFailure, NoInteriorVertices, ZeroVector
+from hotspots.errors import ConvergenceFailure, DegenerateArea, NoInteriorVertices, ZeroVector
 from hotspots.report import _sweep_domain_spec
 
 PI_SQ = math.pi**2
@@ -119,12 +122,14 @@ class TestNeumann:
     def test_k_too_small(self, square_solved):
         with pytest.raises(ValueError):
             fem.solve_neumann(square_solved.K, square_solved.M, k=1)
+        with pytest.raises(ValueError, match="2 <= k < 12"):  # the Krylov basis holds 12
+            fem.solve_neumann(square_solved.K, square_solved.M, k=12)
 
 
 def _dirichlet(mesh):
     k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
     order = fem.solve_neumann(k_mat, m_mat, k=2).order
-    return fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=order)
+    return fem.solve_dirichlet(mesh, k_mat, m_mat, order)
 
 
 class TestDirichlet:
@@ -150,6 +155,29 @@ class TestDirichlet:
     def test_no_interior_vertices(self):
         with pytest.raises(NoInteriorVertices):
             _dirichlet(single_triangle_mesh())
+
+    def test_lambda1_above_its_lower_bound(self, square_solved, disk_solved, rect_solved):
+        # the shift is a fraction of this bound, so it must hold where it is used
+        for fx in (square_solved, disk_solved, rect_solved):
+            assert fx.dirichlet.eigenvalues[0] >= fem.dirichlet_lower_bound(fx.poly)
+
+    # hull vertices of drawn grid points, from slivers (diam up to 100 rho) to
+    # round 60-gons, each meshed at run_verify's default h
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                    min_size=3, max_size=60))
+    def test_lambda1_above_its_lower_bound_on_drawn_polygons(self, pts):
+        pts = np.array(pts, dtype=float)
+        try:
+            poly = geo.validate(pts[ConvexHull(pts).vertices])
+        except (QhullError, DegenerateArea):
+            assume(False)
+        diam, rho = poly.diameter[0], poly.inradius[0]
+        assume(diam <= 100.0 * rho)
+        mesh = msh.generate(poly, min(diam / 50.0, math.sqrt(3.0) / 2.0 * rho))
+        spectrum = _dirichlet(mesh)
+        assert spectrum.stats.path == "banded"
+        assert spectrum.eigenvalues[0] >= fem.dirichlet_lower_bound(poly)
 
 
 class TestRayleigh:
@@ -216,7 +244,7 @@ def _built_factors(mesh, k_mat, m_mat, monkeypatch):
 
     monkeypatch.setattr(fem, "SpdInverse", Recording)
     order = fem.solve_neumann(k_mat, m_mat, k=2).order
-    fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=order)
+    fem.solve_dirichlet(mesh, k_mat, m_mat, order)
     return built
 
 
@@ -259,7 +287,7 @@ class TestShiftInvert:
         monkeypatch.setattr(fem, "BAND_MAX_ENTRIES", 0)
         neumann = fem.solve_neumann(square_solved.K, square_solved.M, k=4)
         dirichlet = fem.solve_dirichlet(square_solved.mesh, square_solved.K, square_solved.M,
-                                        k=1, order=neumann.order)
+                                        neumann.order)
         for lu, band in ((neumann, square_solved.neumann),
                          (dirichlet, square_solved.dirichlet)):
             assert lu.stats.path == "superlu" and band.stats.path == "banded"
@@ -289,9 +317,22 @@ class TestShiftInvert:
         assert neumann.operator_solves > 0 and dirichlet.operator_solves > 0
 
     def test_dense_path_stats(self):
-        mesh = msh.generate(geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.1)
-        spectrum = fem.solve_neumann(fem.assemble_stiffness(mesh), fem.assemble_mass(mesh), k=3)
-        assert spectrum.stats == fem.SolveStats("dense", mesh.vertex_count, None, 0, 3)
+        # only k >= n - 1, where ARPACK cannot run, is solved densely: the
+        # unit square cut into four triangles at its centre has n = 5 and
+        # one interior vertex
+        loop = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+        square = geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        mesh = msh.TriMesh(polygon=square, vertices=np.vstack([square.vertices, [0.5, 0.5]]),
+                           triangles=np.column_stack([loop, np.full(4, 4)]),
+                           boundary_edges=loop)
+        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+        neumann = fem.solve_neumann(k_mat, m_mat, k=4)
+        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, neumann.order)
+        assert neumann.stats == fem.SolveStats("dense", 5, None, 0, 4)
+        assert dirichlet.stats == fem.SolveStats("dense", 1, None, 0, 1)
+        # the interior vertex's row: K_ii = 4, M_ii = 4 * 2 (1/4) / 12
+        assert dirichlet.eigenvalues[0] == pytest.approx(24.0, rel=1e-14)
+        assert np.all(neumann.residuals[1:] <= fem.RESIDUAL_GATE)
 
     @pytest.mark.parametrize("h", [0.02, 0.03])
     def test_singular_matrix_is_named(self, unit_square, h):
@@ -313,24 +354,26 @@ class TestShiftInvert:
         assert inv.path == "banded"
 
 
-_NEAR_CUTOFF = {  # meshes whose interior is just above DENSE_CUTOFF vertices
+_SMALL_MESHES = {  # 50 to 700 vertices, where a dense solve is still cheap
     "square": ([(0, 0), (1, 0), (1, 1), (0, 1)], 0.036),
+    "square_coarse": ([(0, 0), (1, 0), (1, 1), (0, 1)], 0.1),
     "triangle": ([(0, 0), (1, 0), (0.3, 0.8)], 0.03),
+    "thin_triangle": ([(0, 0), (1, 0), (0.5, 0.1)], 0.02),
     "sweep_1_0": (None, 0.04),
 }
 
 
 class TestLanczos:
-    @pytest.mark.parametrize("name", list(_NEAR_CUTOFF))
+    @pytest.mark.parametrize("name", list(_SMALL_MESHES))
     def test_matches_dense_eigh(self, name):
-        vertices, h_rel = _NEAR_CUTOFF[name]
+        vertices, h_rel = _SMALL_MESHES[name]
         poly = geo.validate(vertices) if vertices else realize(_sweep_domain_spec(1, 0))
         mesh = msh.generate(poly, h_rel * poly.diameter[0])
         k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
         idx = np.nonzero(mesh.interior_mask)[0]
-        assert fem.DENSE_CUTOFF < len(idx) < 1.3 * fem.DENSE_CUTOFF
+        assert 50 < mesh.vertex_count < 700
         neumann = fem.solve_neumann(k_mat, m_mat, k=4)
-        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, k=1, order=neumann.order)
+        dirichlet = fem.solve_dirichlet(mesh, k_mat, m_mat, neumann.order)
         assert neumann.stats.path == dirichlet.stats.path == "banded"
         dense = eigh(k_mat.toarray(), m_mat.toarray(), eigvals_only=True)
         dense_d = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
@@ -338,48 +381,23 @@ class TestLanczos:
         assert np.allclose(neumann.eigenvalues[1:], dense[1:4], rtol=1e-12, atol=0.0)
         assert np.allclose(dirichlet.eigenvalues, dense_d[:1], rtol=1e-12, atol=0.0)
 
-    def test_all_ones_start_finds_sign_changing_pairs(self):
-        # a 24 x 24 grid of the unit square, each cell cut by the same
-        # diagonal: the mesh, K and M are symmetric to rounding under the
-        # half turn about (0.5, 0.5), so the all-ones start is orthogonal
-        # (to 1e-15) to the odd pairs 2 and 3, which only rounding can seed
-        n = 24
-        xy = np.stack(np.meshgrid(np.linspace(0, 1, n + 1), np.linspace(0, 1, n + 1),
-                                  indexing="ij"), axis=-1).reshape(-1, 2)
-        ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
-        a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
-        triangles = np.concatenate([np.stack([a, b, c], -1),
-                                    np.stack([a, c, d], -1)]).reshape(-1, 3)
-        ring = np.concatenate([ids[:-1, 0], ids[-1, :-1], ids[:0:-1, -1], ids[0, :0:-1]])
-        loop = np.column_stack([ring, np.roll(ring, -1)])
-        mesh = msh.TriMesh(polygon=geo.validate([(0, 0), (1, 0), (1, 1), (0, 1)]),
-                           vertices=xy, triangles=triangles, boundary_edges=loop)
-        assert np.array_equal(mesh.interior_mask, np.all((xy > 0) & (xy < 1), axis=1))
-        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
-        idx = np.nonzero(mesh.interior_mask)[0]
-        dense = eigh(k_mat[np.ix_(idx, idx)].toarray(), m_mat[np.ix_(idx, idx)].toarray(),
-                     eigvals_only=True)
-        order = fem.solve_neumann(k_mat, m_mat, k=2).order
-        spectrum = fem.solve_dirichlet(mesh, k_mat, m_mat, k=4, order=order)
-        assert spectrum.stats.path == "banded"
-        assert np.allclose(spectrum.eigenvalues, dense[:4], rtol=1e-12, atol=0.0)
-
     def test_dirichlet_ground_state_has_one_sign(self, square_solved, disk_solved):
         for fx in (square_solved, disk_solved):
             v = fx.dirichlet.eigenvectors[:, 0]
             assert np.all(v[fx.mesh.interior_mask] > 0.0)
 
     def test_operator_solve_ceilings(self, disk_solved):
-        # seed 0; the counts repeat exactly from run to run
-        mesh = _rect_refined_mesh()
-        k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
-        neumann = fem.solve_neumann(k_mat, m_mat, k=4)
-        spectra = {
-            "disk": (disk_solved.neumann, disk_solved.dirichlet),
-            "rect_refined": (neumann, fem.solve_dirichlet(mesh, k_mat, m_mat, k=1,
-                                                          order=neumann.order)),
-        }
-        ceilings = {"disk": (31, 13), "rect_refined": (31, 13)}
+        # seed 0; the counts repeat exactly from run to run.  The 100 x 1
+        # rectangle's lowest Dirichlet eigenvalues are 3e-4 apart relative,
+        # which the shift just below lambda1's lower bound separates
+        spectra = {"disk": (disk_solved.neumann, disk_solved.dirichlet)}
+        rect_100 = geo.validate([(0, 0), (100, 0), (100, 1), (0, 1)])
+        for name, mesh in (("rect_refined", _rect_refined_mesh()),
+                           ("rect_100x1", msh.generate(rect_100, math.sqrt(3.0) / 4.0))):
+            k_mat, m_mat = fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)
+            neumann = fem.solve_neumann(k_mat, m_mat, k=4)
+            spectra[name] = (neumann, fem.solve_dirichlet(mesh, k_mat, m_mat, neumann.order))
+        ceilings = {"disk": (31, 13), "rect_refined": (31, 13), "rect_100x1": (19, 100)}
         for name, pair in spectra.items():
             solves = tuple(s.stats.operator_solves for s in pair)
             assert all(s <= c for s, c in zip(solves, ceilings[name])), (name, solves)

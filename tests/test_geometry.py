@@ -65,6 +65,34 @@ class TestValidate:
             with pytest.raises(NotConvex, match="more than once"):
                 geo.validate(pts)
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1e308, 0), (0, 1e308)],
+        [(0, 0), (1e-300, 0), (0, 1e-300)],
+        [(-1e308, 0), (1e308, 0), (0, 1)],  # the span itself overflows
+        [(0, 0), (2.0 ** 200 * (1.0 + 2.0 ** -52), 0), (0, 1)],  # one ulp above the range
+        [(0, 0), (2.0 ** -201, 0), (0, 2.0 ** -201)],
+        [(1, 1), (1, 1), (1, 1)],
+        [(0, 0), (math.inf, 0), (0, 1)],
+        [(0, 0), (math.nan, 0), (0, 1)],
+    ])
+    def test_diagonal_outside_range_names_vertices(self, pts):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="vertices: bounding-box diagonal"):
+                geo.validate(pts)
+
+    @pytest.mark.parametrize("e", [-geo.SCALE_EXPONENT + 0.01, geo.SCALE_EXPONENT - 0.01])
+    def test_diagonal_just_inside_range_is_valid(self, e):
+        s = 2.0 ** (e - 0.5)  # a right isosceles triangle of diagonal 2^e
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            poly = geo.validate([(0, 0), (s, 0), (0, s)])
+        assert poly.scale == pytest.approx(2.0 ** e, rel=1e-15)
+        assert poly.area == pytest.approx(s * s / 2.0, rel=1e-15)
+
+    def test_diagonal_range_is_inclusive(self):
+        assert geo.validate([(0, 0), (2.0 ** 200, 0), (0, 2.0 ** 172)]).scale == 2.0 ** 200
+
     def test_duplicate_and_collinear_vertices_dropped(self):
         poly = geo.validate([(0, 0), (0.5, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
         assert len(poly.vertices) == 4

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -39,7 +40,7 @@ class TestRunVerify:
     def test_report_written_and_parses(self, verified):
         rep, out = verified
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 13
+        assert doc["schema"] == 14
         assert doc["theorem"]["passed"] is True
         assert doc["inequalities"]["strong_kroger_holds"] is True
         assert doc["spectrum"]["eigenvalues"][1] == pytest.approx(3.39, abs=0.02)
@@ -310,6 +311,34 @@ class TestCliExitCodes:
         assert code == 1
         assert "stage 'realize'" in err and "NotConvex" in err
 
+    @pytest.mark.parametrize("command", ["verify", "region"])
+    @pytest.mark.parametrize("scale", [1e308, 1e-300, 2.0 ** 201, 2.0 ** -201])
+    def test_diagonal_outside_range_exit_one(self, tmp_path, capsys, command, scale):
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"schema": 1, "kind": "explicit",
+                                    "vertices": [[0, 0], [scale, 0], [0, scale]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "stage 'realize'" in err and "vertices" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("end", [-1, 1])
+    @pytest.mark.parametrize("kind", ["disk", "triangle"])
+    def test_diagonal_just_inside_range_verifies(self, tmp_path, end, kind):
+        # bounding-box diagonal 2^(+-199.5): every stage runs, without a warning
+        s = 2.0 ** (end * (geometry.SCALE_EXPONENT - 0.5) - 0.5)
+        doc = ({"kind": "disk", "radius": s / 2.0, "polygonization_n": 128} if kind == "disk"
+               else {"kind": "explicit", "vertices": [[0, 0], [s, 0], [0.3 * s, 0.8 * s]]})
+        spec = tmp_path / "end.json"
+        spec.write_text(json.dumps({"schema": 1, **doc}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_file_exit_one(self, tmp_path):
         code = cli.main([
             "verify", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path)
@@ -368,9 +397,12 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "stage 'mesh'" in err and "InvalidH" in err and named in err
 
-    @pytest.mark.parametrize("length, width", [(2.0, 0.05), (1.0, 0.01)])
+    @pytest.mark.parametrize("length, width", [(2.0, 0.05), (1.0, 0.01), (200.0, 1.0),
+                                               (400.0, 1.0)])
     def test_thin_rectangle_passes_at_default_h(self, tmp_path, length, width):
-        # at h = diam/50 neither had an interior vertex (NoInteriorVertices)
+        # at h = diam/50 the first two had no interior vertex
+        # (NoInteriorVertices); the last two need the Dirichlet shift to
+        # separate lambda1 from lambda2, 7.5e-5 and 1.9e-5 apart relative
         spec = tmp_path / "thin.json"
         spec.write_text(json.dumps({"schema": 1, "kind": "rectangle", "length": length,
                                     "width": width}))
